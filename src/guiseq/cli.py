@@ -65,6 +65,12 @@ class RunManifest:
     exec_seconds: tuple[float, ...] = ()
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guiseq",
@@ -97,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
     p.add_argument("--sequences", required=True, type=Path, help="sequence file (JSON lines)")
     p.add_argument("--report", required=True, type=Path, help="report output (JSON)")
-    p.add_argument("--parallel", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--parallel", type=_positive_int, default=1, help="worker threads (default 1)")
     p.add_argument(
         "--allow-broken",
         action="store_true",

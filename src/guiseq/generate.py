@@ -31,7 +31,10 @@ no flow-graph connection the sequence is *split*: the part built so far is
 emitted, and the remainder restarts from a fresh entry point, linked to the
 first part via ``split_of``.  The replayer runs the parts back to back in one
 test case.  ``targets`` always marks where the abstract events landed in the
-executable result; everything else is reaching filler.
+executable result; everything else is reaching filler.  Every connection is
+read off a breadth-first tree per source event, which the flow graph builds
+lazily, once, and keeps for its life (:meth:`Efg.bfs_tree`), so a repeated
+hop or entry walks that tree instead of searching the graph again.
 """
 
 from __future__ import annotations
@@ -136,18 +139,6 @@ def _paths_of_length(g: Efg, head: str, length: int) -> Iterator[tuple[str, ...]
     yield from extend([head])
 
 
-def _reachable_from_initials(g: Efg) -> frozenset[str]:
-    seen = set(g.initials)
-    stack = list(g.initials)
-    while stack:
-        node = stack.pop()
-        for nxt in g.adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
-
-
 def _best_entry(g: Efg, head: str) -> tuple[str, list[str]] | None:
     """The initial event with the shortest connection to ``head``.
 
@@ -156,6 +147,8 @@ def _best_entry(g: Efg, head: str) -> tuple[str, list[str]] | None:
     which always wins with distance zero).  Ties go to the earliest-declared
     initial.  None when no initial reaches ``head``.
     """
+    if head in g.initials:
+        return head, []
     idx = g.decl_index
     best: tuple[int, int, str, list[str]] | None = None
     for initial in g.initials:
@@ -183,24 +176,18 @@ def gen_blackbox(
     """
     if length < 1:
         raise GuiseqError(f"sequence length must be positive, got {length}")
-    reachable = _reachable_from_initials(g)
+    reachable = set(g.initials).union(*map(g.bfs_tree, g.initials))
     unreachable = [e for e in g.events if e not in reachable]
-    initials = set(g.initials)
     sequences: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     for head in g.events:
         if head not in reachable:
             continue
+        entry = _best_entry(g, head)
+        assert entry is not None  # head is reachable
+        prefix = (entry[0], *entry[1])[:-1]  # () when head is initial
+        targets = tuple(range(len(prefix), len(prefix) + length))
         for path in _paths_of_length(g, head, length):
-            if head in initials:
-                prefix: tuple[str, ...] = ()
-            else:
-                entry = _best_entry(g, head)
-                assert entry is not None  # head is reachable
-                initial, connection = entry
-                prefix = (initial, *connection[:-1])
-            events = prefix + path
-            targets = tuple(range(len(prefix), len(events)))
-            sequences.append((events, targets))
+            sequences.append((prefix + path, targets))
     return sequences, unreachable
 
 
@@ -277,13 +264,16 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
     """Repair abstract sequences into executable ones (splitting if needed)."""
     conversions: list[Conversion] = []
     diagnostics: list[str] = []
+    entries: dict[str, tuple[str, list[str]] | None] = {}
     for abstract in abstracts:
         parts: list[_Part] = []
         remaining = list(abstract.events)
         dropped = False
         while remaining:
             head = remaining[0]
-            entry = _best_entry(g, head)
+            if head not in entries:
+                entries[head] = _best_entry(g, head)
+            entry = entries[head]
             if entry is None:
                 diagnostics.append(
                     f"abstract sequence {list(abstract.events)!r}: event {head!r} is "

@@ -24,7 +24,6 @@ reaching steps inserted to make it executable).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -108,6 +107,33 @@ class Efg:
         idx = self.decl_index
         return {e: tuple(sorted(targets, key=idx.__getitem__)) for e, targets in adj.items()}
 
+    @cached_property
+    def _bfs_trees(self) -> dict[str, Mapping[str, str | None]]:
+        return {}
+
+    def bfs_tree(self, source: str) -> Mapping[str, str | None]:
+        """Breadth-first parent tree from ``source``, built on first use and
+        kept for the life of the graph.
+
+        Seeded with the successors of ``source`` (each maps to None) and
+        expanded in declaration order, it maps every event reachable in one or
+        more hops, ``source`` too if it lies on a cycle, to its predecessor on
+        the shortest path that comes first in declaration order.  Seeding,
+        not starting at ``source``, is what lets a strict query find a cycle.
+        """
+        tree = self._bfs_trees.get(source)
+        if tree is None:
+            adjacency = self.adjacency
+            tree = dict.fromkeys(adjacency[source])
+            queue = list(tree)
+            for node in queue:  # the loop reads what it appends: a FIFO queue
+                for nxt in adjacency[node]:
+                    if nxt not in tree:
+                        tree[nxt] = node
+                        queue.append(nxt)
+            self._bfs_trees[source] = tree
+        return tree
+
     def require_event(self, event: str) -> None:
         if event not in self.decl_index:
             raise UnknownEventError(f"event {event!r} is not declared in the graph")
@@ -129,8 +155,8 @@ class Edg:
         for src, weight, dst in edges:
             if src not in declared or dst not in declared:
                 raise UnknownEventError(f"edge ({src!r}, {dst!r}) references an undeclared event")
-            if not isinstance(weight, int) or weight < 1:
-                raise InvalidGraphError([f"edge ({src!r}, {dst!r}) has non-positive weight {weight!r}"])
+            if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+                raise InvalidGraphError([f"edge ({src!r}, {dst!r}) has weight {weight!r}, not a positive integer"])
             if (src, dst) in seen_pairs:
                 raise InvalidGraphError([f"duplicate dependency edge ({src!r}, {dst!r})"])
             seen_pairs.add((src, dst))
@@ -212,12 +238,6 @@ def validate_efg(g: Efg) -> list[str]:
     return violations
 
 
-def require_valid_efg(g: Efg) -> None:
-    violations = validate_efg(g)
-    if violations:
-        raise InvalidGraphError(violations)
-
-
 def is_executable(g: Efg, events: Sequence[str]) -> bool:
     """True iff ``events`` is a non-empty EFG path starting at an initial event."""
     for e in events:
@@ -243,40 +263,22 @@ def shortest_path(
     duplicates the junction event.  ``from_event == to_event`` yields ``[]``
     unless ``strict`` is set, in which case the result is a minimum-hop cycle
     of length >= 1 (a self-loop gives ``[to_event]``).  Unreachable targets
-    yield ``None``.  Ties between equal-length paths are broken by expanding
-    neighbours in declaration order, so the result is deterministic.
+    yield ``None``.  Ties between equal-length paths go to the path that is
+    first in declaration order, so the result is deterministic.  The path is
+    read off :meth:`Efg.bfs_tree` into a fresh list, so only the first query
+    from a source searches the graph.
     """
     g.require_event(from_event)
     g.require_event(to_event)
     if from_event == to_event and not strict:
         return []
-    adjacency = g.adjacency
-    # BFS seeded with the successors of the start; parent pointers rebuild the
-    # path.  Seeding (rather than starting at from_event) makes the strict
-    # cycle case fall out naturally: the start may reappear as a target.
-    parents: dict[str, str | None] = {}
-    queue: deque[str] = deque()
-    for first in adjacency[from_event]:
-        if first == to_event:
-            return [to_event]
-        if first not in parents:
-            parents[first] = None
-            queue.append(first)
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency[node]:
-            if nxt == to_event:
-                path = [to_event, node]
-                cursor: str | None = parents[node]
-                while cursor is not None:
-                    path.append(cursor)
-                    cursor = parents[cursor]
-                path.reverse()
-                return path
-            if nxt not in parents:
-                parents[nxt] = node
-                queue.append(nxt)
-    return None
+    tree = g.bfs_tree(from_event)
+    if to_event not in tree:
+        return None
+    path = [to_event]
+    while (parent := tree[path[-1]]) is not None:
+        path.append(parent)
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------

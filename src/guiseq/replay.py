@@ -31,6 +31,7 @@ import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -171,14 +172,14 @@ class SuiteResult:
     statements_total: int
     branches_total: int
 
-    @property
+    @cached_property
     def covered_statements(self) -> frozenset[str]:
         out: set[str] = set()
         for r in self.results:
             out.update(r.covered_statements)
         return frozenset(out)
 
-    @property
+    @cached_property
     def covered_branches(self) -> frozenset[str]:
         out: set[str] = set()
         for r in self.results:

@@ -79,6 +79,30 @@ def strict_cycle_length(g: Efg, dist: dict[tuple[str, str], float], event: str) 
     return best
 
 
+def lexmin_shortest_path(
+    g: Efg, dist: dict[tuple[str, str], float], src: str, dst: str, strict: bool = False
+) -> list[str] | None:
+    """The minimum-hop path that is least in declaration order, by greedy choice.
+
+    From each node take the earliest-declared successor that still lies on a
+    minimum-hop path to ``dst``.  Conventions as in ``shortest_path``: the start
+    is excluded, a non-strict self-query is ``[]``, a strict one wants a cycle.
+    """
+    if src == dst and not strict:
+        return []
+    remaining = strict_cycle_length(g, dist, src) if src == dst else dist[(src, dst)]
+    if remaining == INF:
+        return None
+    order = {e: i for i, e in enumerate(g.events)}
+    path, node = [], src
+    while remaining:
+        successors = sorted((v for u, v in g.edge_set if u == node), key=order.__getitem__)
+        node = next(v for v in successors if 1 + dist[(v, dst)] == remaining)
+        path.append(node)
+        remaining -= 1
+    return path
+
+
 def enumerate_exact_paths(g: Efg, length: int) -> set[tuple[str, ...]]:
     """All flow-graph walks of exactly ``length`` events, from any event."""
     out: set[tuple[str, ...]] = set()

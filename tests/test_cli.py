@@ -223,6 +223,37 @@ def test_usage_and_io_errors_exit_2(workdir, capsys):
                  "--report", str(workdir / "r.json")]) == 2
 
 
+def test_gen_rejects_a_boolean_dependency_weight(workdir, capsys):
+    edg = workdir / "edg.json"
+    edg.write_text(json.dumps({
+        "schemaVersion": 1,
+        "events": [{"id": e} for e in ("e1", "e2", "e3", "e4")],
+        "edges": [{"from": "e1", "to": "e3", "weight": True}],
+    }))
+    out = workdir / "x.jsonl"
+    assert main(["gen", "--mode", "greybox", "--length", "2", "--efg",
+                 str(workdir / "efg.json"), "--edg", str(edg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "weight True" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "x"])
+def test_replay_parallel_must_be_positive(workdir, capsys, workers):
+    a = workdir / "a.jsonl"
+    assert main(["gen", "--config", "A", "--efg", str(workdir / "efg.json"),
+                 "--out", str(a)]) == 0
+    capsys.readouterr()
+    report = workdir / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--model", str(corpus.model_path("example-app")),
+              "--sequences", str(a), "--report", str(report), "--parallel", workers])
+    assert exc.value.code == 2
+    assert "--parallel: must be a positive integer" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_gen_diagnostics_go_to_stderr(tmp_path, capsys):
     g = {
         "schemaVersion": 1,

@@ -18,7 +18,7 @@ from guiseq.graphs import (
     validate_efg,
 )
 
-from oracles import floyd_warshall, strict_cycle_length
+from oracles import floyd_warshall, lexmin_shortest_path, strict_cycle_length
 from strategies import efgs
 
 # A two-window application's flow graph: three events always reachable from
@@ -70,6 +70,20 @@ def test_shortest_path_breaks_ties_by_declaration():
     assert shortest_path(g, "a", "d") == ["b", "d"]
 
 
+def test_shortest_path_result_is_a_fresh_list():
+    # Paths are rebuilt from a tree the graph keeps; a caller that mutates
+    # one result must not change the next.
+    g = Efg.of(["a", "b", "c"], ["a"], [("a", "b"), ("b", "c"), ("c", "a")])
+    first = shortest_path(g, "a", "c")
+    first.append("x")
+    first[0] = "y"
+    assert shortest_path(g, "a", "c") == ["b", "c"]
+    cycle = shortest_path(g, "a", "a", strict=True)
+    cycle.clear()
+    assert shortest_path(g, "a", "a", strict=True) == ["b", "c", "a"]
+    assert g.bfs_tree("a") is g.bfs_tree("a")
+
+
 def test_shortest_path_rejects_unknown_events():
     with pytest.raises(UnknownEventError):
         shortest_path(DEMO, "e1", "nope")
@@ -110,6 +124,8 @@ def test_edg_construction_rejects_bad_edges():
         Edg.of(["a"], [("a", 1, "b")])
     with pytest.raises(InvalidGraphError):
         Edg.of(["a", "b"], [("a", 0, "b")])
+    with pytest.raises(InvalidGraphError, match="weight True"):
+        Edg.of(["a", "b"], [("a", True, "b")])
     with pytest.raises(InvalidGraphError):
         Edg.of(["a", "b"], [("a", 1, "b"), ("a", 2, "b")])
 
@@ -212,3 +228,15 @@ def test_strict_shortest_path_is_minimal_cycle(g: Efg):
             assert len(path) == expected >= 1
             hops = [event, *path]
             assert all((a, b) in g.edge_set for a, b in zip(hops, hops[1:]))
+
+
+@given(efgs())
+@settings(max_examples=200)
+def test_shortest_path_is_the_declaration_order_least(g: Efg):
+    # Lengths are checked above; this pins which equal-length path wins.
+    dist = floyd_warshall(g)
+    for src in g.events:
+        for dst in g.events:
+            for strict in (False, True):
+                expected = lexmin_shortest_path(g, dist, src, dst, strict)
+                assert shortest_path(g, src, dst, strict=strict) == expected
