@@ -25,7 +25,6 @@ from .graphs import (
     AbstractSequence,
     Edg,
     Efg,
-    ExecutableSequence,
     GuiseqError,
     export_dot,
     is_executable,
@@ -54,7 +53,6 @@ __all__ = [
     "ClassDb",
     "Edg",
     "Efg",
-    "ExecutableSequence",
     "GenConfig",
     "GuiStructure",
     "GuiseqError",

@@ -19,6 +19,11 @@ behaviours that matter for event-interaction testing:
   crashes unconditionally — guard it with an ``if``);
 * inert reads (``log``) and procedure calls (``call``).
 
+Each op is defined in one place, the op table ``_OPS``: its dataclass, its
+JSON keys, and what each operand names.  Parsing, dumping, validation and
+the static effects (:func:`statement_effects`) all read the table; the
+simulator's interpreter is the one per-op dispatch outside it.
+
 Field names are owner-qualified strings such as ``"MainWindow.text"``; the
 owner prefix groups fields the way a class would, which is also how
 :func:`~guiseq.programdb.derive_program_model` reconstructs a static
@@ -27,13 +32,12 @@ read/write model from the handlers.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
-from .graphs import SCHEMA_VERSION, GuiseqError
+from .graphs import SCHEMA_VERSION, GuiseqError, read_document
 
 __all__ = [
     "FieldValue",
@@ -58,6 +62,8 @@ __all__ = [
     "WindowSpec",
     "AppModel",
     "InvalidModelError",
+    "walk_statements",
+    "statement_effects",
     "load_app_model",
     "app_model_to_json",
 ]
@@ -161,8 +167,8 @@ class ThrowArrayOob:
 
 
 @dataclass(frozen=True)
-class Log:
-    field: str
+class Log(ReadField):
+    """A read that only observes: the ``log`` op, analysed and run as ``read``."""
 
 
 Statement = Union[
@@ -182,6 +188,79 @@ Statement = Union[
     ThrowArrayOob,
     Log,
 ]
+
+# ---------------------------------------------------------------------------
+# The statement table
+# ---------------------------------------------------------------------------
+
+#: The op table: each op's dataclass and a ``(JSON key, role)`` per dataclass
+#: field, in order.  A role says what the operand names: a model field the
+#: statement ``"read"``s or ``"write"``s, a declared ``"window"`` or
+#: ``"method"``, or a ``"widget"`` of the statement's window.  ``"value"``
+#: (string or boolean) and ``"flag"`` (boolean) are literals; None is any
+#: other string.  ``if``, a condition and two blocks, is handled by hand.
+_OPS: dict[str, tuple[type, tuple[tuple[str, str | None], ...]]] = {
+    "set": (SetField, (("field", "write"), ("value", "value"))),
+    "setNull": (SetNull, (("field", "write"),)),
+    "read": (ReadField, (("field", "read"),)),
+    "copy": (CopyField, (("from", "read"), ("to", "write"))),
+    "open": (OpenWindow, (("window", "window"),)),
+    "close": (CloseWindow, (("window", "window"),)),
+    "exit": (ExitApp, ()),
+    "call": (Call, (("method", "method"),)),
+    "writeSetting": (WriteSetting, (("key", None), ("field", "read"))),
+    "readSetting": (ReadSetting, (("key", None), ("field", "write"))),
+    "enable": (SetWidgetEnabled, (("window", None), ("widget", "widget"), ("enabled", "flag"))),
+    "deref": (Deref, (("field", "read"),)),
+    "throwArrayOob": (ThrowArrayOob, ()),
+    "log": (Log, (("field", "read"),)),
+}
+
+#: The table by dataclass: the op and ``(attribute, JSON key, role)`` per operand.
+_BY_CLASS = {
+    cls: (op, tuple((f.name, *operand) for f, operand in zip(fields(cls), operands)))
+    for op, (cls, operands) in _OPS.items()
+}
+#: The JSON types, and their name in errors, of literals; other operands are strings.
+_LITERAL_TYPES = {"value": ((str, bool), "a string or boolean"), "flag": ((bool,), "a boolean")}
+_STRING = ((str,), "a string")
+
+_CONDITION_KINDS = ("isNull", "isTrue", "equals")
+
+
+def walk_statements(block: Iterable[Statement], prefix: str) -> Iterator[tuple[str, Statement]]:
+    """``(statement id, statement)`` for every statement of ``block`` in
+    pre-order, descending into conditionals; ids as in
+    :attr:`AppModel.coverage_universe`."""
+    for i, stmt in enumerate(block):
+        sid = f"{prefix}{i}"
+        yield sid, stmt
+        if isinstance(stmt, If):
+            yield from walk_statements(stmt.then, f"{sid}.t.")
+            yield from walk_statements(stmt.orelse, f"{sid}.e.")
+
+
+def _operands(stmt: Statement) -> list[tuple[str | None, object]]:
+    """``(role, value)`` of each operand; a conditional reads its condition's field."""
+    if isinstance(stmt, If):
+        return [("read", stmt.cond.field)]
+    operands = []
+    for attr, _, role in _BY_CLASS[type(stmt)][1]:  # a loop: faster than a comprehension here
+        operands.append((role, getattr(stmt, attr)))
+    return operands
+
+
+def statement_effects(stmt: Statement) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The model fields one statement reads and writes, by itself.
+
+    A conditional reads its condition's field; the statements in its blocks,
+    like the body of a called method, have effects of their own.
+    """
+    operands = _operands(stmt)
+    return (
+        tuple(value for role, value in operands if role == "read"),
+        tuple(value for role, value in operands if role == "write"),
+    )
 
 
 @dataclass(frozen=True)
@@ -283,36 +362,20 @@ class AppModel:
         """
         statements: set[str] = set()
         branches: set[str] = set()
-
-        def walk(block: Iterable[Statement], prefix: str) -> None:
-            for i, stmt in enumerate(block):
-                sid = f"{prefix}{i}"
+        blocks = [(self.handlers.get(event, ()), f"h:{event}/") for event in self.events]
+        blocks += [(block, f"m:{name}/") for name, block in self.methods.items()]
+        blocks.append((self.on_launch, "launch/"))
+        for block, prefix in blocks:
+            for sid, stmt in walk_statements(block, prefix):
                 statements.add(sid)
                 if isinstance(stmt, If):
-                    branches.add(f"{sid}:then")
-                    branches.add(f"{sid}:else")
-                    walk(stmt.then, f"{sid}.t.")
-                    walk(stmt.orelse, f"{sid}.e.")
-
-        for event in self.events:
-            walk(self.handlers.get(event, ()), f"h:{event}/")
-        for name in self.methods:
-            walk(self.methods[name], f"m:{name}/")
-        walk(self.on_launch, "launch/")
+                    branches.update((f"{sid}:then", f"{sid}:else"))
         return frozenset(statements), frozenset(branches)
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
-
-
-def _walk_statements(block: Iterable[Statement]) -> Iterable[Statement]:
-    for stmt in block:
-        yield stmt
-        if isinstance(stmt, If):
-            yield from _walk_statements(stmt.then)
-            yield from _walk_statements(stmt.orelse)
 
 
 def validate_app_model(model: AppModel) -> list[str]:
@@ -353,27 +416,18 @@ def validate_app_model(model: AppModel) -> list[str]:
     widget_pairs = {(w.name, widget.id) for w in model.windows for widget in w.widgets}
 
     def check_block(block: Iterable[Statement], where: str) -> None:
-        for stmt in _walk_statements(block):
-            fields: tuple[str, ...] = ()
-            if isinstance(stmt, (SetField, SetNull, ReadField, Deref, Log)):
-                fields = (stmt.field,)
-            elif isinstance(stmt, CopyField):
-                fields = (stmt.src, stmt.dst)
-            elif isinstance(stmt, (WriteSetting, ReadSetting)):
-                fields = (stmt.field,)
-            elif isinstance(stmt, If):
-                fields = (stmt.cond.field,)
-                if stmt.cond.kind not in ("isNull", "isTrue", "equals"):
-                    violations.append(f"{where}: unknown condition kind {stmt.cond.kind!r}")
-            for f in fields:
-                if f not in declared_fields:
-                    violations.append(f"{where}: undeclared field {f!r}")
-            if isinstance(stmt, (OpenWindow, CloseWindow)) and stmt.window not in window_names:
-                violations.append(f"{where}: undeclared window {stmt.window!r}")
-            if isinstance(stmt, SetWidgetEnabled) and (stmt.window, stmt.widget) not in widget_pairs:
-                violations.append(f"{where}: unknown widget {stmt.window!r}/{stmt.widget!r}")
-            if isinstance(stmt, Call) and stmt.method not in model.methods:
-                violations.append(f"{where}: call to undeclared method {stmt.method!r}")
+        for _, stmt in walk_statements(block, ""):
+            if isinstance(stmt, If) and stmt.cond.kind not in _CONDITION_KINDS:
+                violations.append(f"{where}: unknown condition kind {stmt.cond.kind!r}")
+            for role, name in _operands(stmt):
+                if role in ("read", "write") and name not in declared_fields:
+                    violations.append(f"{where}: undeclared field {name!r}")
+                elif role == "window" and name not in window_names:
+                    violations.append(f"{where}: undeclared window {name!r}")
+                elif role == "widget" and (stmt.window, name) not in widget_pairs:
+                    violations.append(f"{where}: unknown widget {stmt.window!r}/{name!r}")
+                elif role == "method" and name not in model.methods:
+                    violations.append(f"{where}: call to undeclared method {name!r}")
 
     for event, block in model.handlers.items():
         check_block(block, f"handler {event!r}")
@@ -387,8 +441,6 @@ def validate_app_model(model: AppModel) -> list[str]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_CONDITION_KINDS = ("isNull", "isTrue", "equals")
-
 
 def _parse_condition(doc: dict, where: str) -> Condition:
     kind = doc.get("kind")
@@ -401,106 +453,77 @@ def _parse_condition(doc: dict, where: str) -> Condition:
 
 def _parse_statement(doc: dict, where: str) -> Statement:
     op = doc.get("op")
-    try:
-        if op == "set":
-            value = doc["value"]
-            if not isinstance(value, (str, bool)):
-                raise GuiseqError(f"{where}: 'set' value must be a string or boolean")
-            return SetField(field=doc["field"], value=value)
-        if op == "setNull":
-            return SetNull(field=doc["field"])
-        if op == "read":
-            return ReadField(field=doc["field"])
-        if op == "copy":
-            return CopyField(src=doc["from"], dst=doc["to"])
-        if op == "if":
+    if op == "if":
+        try:
             return If(
                 cond=_parse_condition(doc["cond"], where),
                 then=_parse_block(doc.get("then", []), where),
                 orelse=_parse_block(doc.get("else", []), where),
             )
-        if op == "open":
-            return OpenWindow(window=doc["window"])
-        if op == "close":
-            return CloseWindow(window=doc["window"])
-        if op == "exit":
-            return ExitApp()
-        if op == "call":
-            return Call(method=doc["method"])
-        if op == "writeSetting":
-            return WriteSetting(key=doc["key"], field=doc["field"])
-        if op == "readSetting":
-            return ReadSetting(key=doc["key"], field=doc["field"])
-        if op == "enable":
-            return SetWidgetEnabled(
-                window=doc["window"], widget=doc["widget"], enabled=bool(doc["enabled"])
-            )
-        if op == "deref":
-            return Deref(field=doc["field"])
-        if op == "throwArrayOob":
-            return ThrowArrayOob()
-        if op == "log":
-            return Log(field=doc["field"])
-    except KeyError as exc:
-        raise GuiseqError(f"{where}: statement {op!r} missing key {exc}") from None
-    raise GuiseqError(f"{where}: unknown statement op {op!r}")
+        except KeyError as exc:
+            raise GuiseqError(f"{where}: statement 'if' missing key {exc}") from None
+    if op not in _OPS:
+        raise GuiseqError(f"{where}: unknown statement op {op!r}")
+    cls, operands = _OPS[op]
+    values = []
+    for key, role in operands:
+        if key not in doc:
+            raise GuiseqError(f"{where}: statement {op!r} missing key {key!r}")
+        value = doc[key]
+        types, noun = _LITERAL_TYPES.get(role, _STRING)
+        if type(value) not in types:
+            raise GuiseqError(f"{where}: {op!r} {key} must be {noun}")
+        values.append(value)
+    return cls(*values)
 
 
 def _parse_block(docs: list, where: str) -> tuple[Statement, ...]:
     return tuple(_parse_statement(d, where) for d in docs)
 
 
-def load_app_model(path: Path | str) -> AppModel:
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise GuiseqError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise GuiseqError(f"{path}: expected a JSON object at top level")
-    version = doc.get("schemaVersion")
-    if version != SCHEMA_VERSION:
-        raise GuiseqError(
-            f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
+def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
+    windows = tuple(
+        WindowSpec(
+            name=w["name"],
+            modal=bool(w.get("modal", False)),
+            main=bool(w.get("main", False)),
+            window_event=w.get("windowEvent"),
+            widgets=tuple(
+                Widget(
+                    id=widget["id"],
+                    event=widget["event"],
+                    enabled=bool(widget.get("enabled", True)),
+                )
+                for widget in w.get("widgets", [])
+            ),
         )
-    try:
-        windows = tuple(
-            WindowSpec(
-                name=w["name"],
-                modal=bool(w.get("modal", False)),
-                main=bool(w.get("main", False)),
-                window_event=w.get("windowEvent"),
-                widgets=tuple(
-                    Widget(
-                        id=widget["id"],
-                        event=widget["event"],
-                        enabled=bool(widget.get("enabled", True)),
-                    )
-                    for widget in w.get("widgets", [])
-                ),
-            )
-            for w in doc.get("windows", [])
-        )
-        model = AppModel(
-            name=doc.get("name", Path(path).stem),
-            windows=windows,
-            fields=dict(doc.get("fields", {})),
-            handlers={
-                event: _parse_block(block, f"handler {event!r}")
-                for event, block in doc.get("handlers", {}).items()
-            },
-            methods={
-                name: _parse_block(block, f"method {name!r}")
-                for name, block in doc.get("methods", {}).items()
-            },
-            on_launch=_parse_block(doc.get("onLaunch", []), "launch block"),
-        )
-    except KeyError as exc:
-        raise GuiseqError(f"{path}: malformed application model: missing key {exc}") from None
+        for w in doc.get("windows", [])
+    )
+    model = AppModel(
+        name=doc.get("name", default_name),
+        windows=windows,
+        fields=dict(doc.get("fields", {})),
+        handlers={
+            event: _parse_block(block, f"handler {event!r}")
+            for event, block in doc.get("handlers", {}).items()
+        },
+        methods={
+            name: _parse_block(block, f"method {name!r}")
+            for name, block in doc.get("methods", {}).items()
+        },
+        on_launch=_parse_block(doc.get("onLaunch", []), "launch block"),
+    )
     violations = validate_app_model(model)
     if violations:
-        raise InvalidModelError([f"{path}: {v}" for v in violations])
+        raise InvalidModelError(violations)
     return model
+
+
+def load_app_model(path: Path | str) -> AppModel:
+    default_name = Path(path).stem
+    return read_document(
+        path, "application model", lambda doc: _app_model_from_json(doc, default_name)
+    )
 
 
 def _condition_to_json(cond: Condition) -> dict:
@@ -511,14 +534,6 @@ def _condition_to_json(cond: Condition) -> dict:
 
 
 def _statement_to_json(stmt: Statement) -> dict:
-    if isinstance(stmt, SetField):
-        return {"op": "set", "field": stmt.field, "value": stmt.value}
-    if isinstance(stmt, SetNull):
-        return {"op": "setNull", "field": stmt.field}
-    if isinstance(stmt, ReadField):
-        return {"op": "read", "field": stmt.field}
-    if isinstance(stmt, CopyField):
-        return {"op": "copy", "from": stmt.src, "to": stmt.dst}
     if isinstance(stmt, If):
         doc = {
             "op": "if",
@@ -528,32 +543,10 @@ def _statement_to_json(stmt: Statement) -> dict:
         if stmt.orelse:
             doc["else"] = [_statement_to_json(s) for s in stmt.orelse]
         return doc
-    if isinstance(stmt, OpenWindow):
-        return {"op": "open", "window": stmt.window}
-    if isinstance(stmt, CloseWindow):
-        return {"op": "close", "window": stmt.window}
-    if isinstance(stmt, ExitApp):
-        return {"op": "exit"}
-    if isinstance(stmt, Call):
-        return {"op": "call", "method": stmt.method}
-    if isinstance(stmt, WriteSetting):
-        return {"op": "writeSetting", "key": stmt.key, "field": stmt.field}
-    if isinstance(stmt, ReadSetting):
-        return {"op": "readSetting", "key": stmt.key, "field": stmt.field}
-    if isinstance(stmt, SetWidgetEnabled):
-        return {
-            "op": "enable",
-            "window": stmt.window,
-            "widget": stmt.widget,
-            "enabled": stmt.enabled,
-        }
-    if isinstance(stmt, Deref):
-        return {"op": "deref", "field": stmt.field}
-    if isinstance(stmt, ThrowArrayOob):
-        return {"op": "throwArrayOob"}
-    if isinstance(stmt, Log):
-        return {"op": "log", "field": stmt.field}
-    raise GuiseqError(f"unserializable statement {stmt!r}")
+    if type(stmt) not in _BY_CLASS:
+        raise GuiseqError(f"unserializable statement {stmt!r}")
+    op, operands = _BY_CLASS[type(stmt)]
+    return {"op": op, **{key: getattr(stmt, attr) for attr, key, _ in operands}}
 
 
 def app_model_to_json(model: AppModel) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -36,33 +35,7 @@ from .replay import (
 )
 from .ripper import build_efg_from_structure, rip, save_structure
 
-__all__ = ["RunManifest", "main", "entrypoint"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Fully resolved options for one command invocation."""
-
-    command: str
-    model: Path | None = None
-    efg: Path | None = None
-    edg: Path | None = None
-    ir: Path | None = None
-    sequences: Path | None = None
-    out: Path | None = None
-    report: Path | None = None
-    structure: Path | None = None
-    dot: Path | None = None
-    graph: Path | None = None
-    mode: str | None = None
-    length: int | None = None
-    top: int | None = None
-    parallel: int = 1
-    allow_broken: bool = False
-    reports: tuple[Path, ...] = ()
-    labels: tuple[str, ...] = ()
-    gen_seconds: tuple[float, ...] = ()
-    exec_seconds: tuple[float, ...] = ()
+__all__ = ["main", "entrypoint"]
 
 
 def _positive_int(text: str) -> int:
@@ -135,43 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args: argparse.Namespace) -> RunManifest:
-    fields = {
-        name: getattr(args, name)
-        for name in (
-            "model",
-            "efg",
-            "edg",
-            "ir",
-            "sequences",
-            "out",
-            "report",
-            "structure",
-            "dot",
-            "graph",
-            "parallel",
-            "allow_broken",
-        )
-        if hasattr(args, name)
-    }
-    if args.command == "gen":
-        base = PRESETS[args.config] if args.config else None
-        mode = args.mode or (base.mode if base else None)
-        length = args.length if args.length is not None else (base.length if base else None)
-        top = args.top if args.top is not None else (base.top if base else None)
-        if mode is None or length is None:
-            raise GuiseqError("gen needs --config, or --mode and --length")
-        fields.update(mode=mode, length=length, top=top)
-    if args.command == "report":
-        fields.update(
-            reports=tuple(args.reports),
-            labels=tuple(args.label),
-            gen_seconds=tuple(args.gen_seconds),
-            exec_seconds=tuple(args.exec_seconds),
-        )
-    return RunManifest(command=args.command, **fields)
-
-
 def _load_efg(path: Path) -> Efg:
     g = load_graph(path)
     if not isinstance(g, Efg):
@@ -186,56 +122,62 @@ def _load_edg(path: Path) -> Edg:
     return g
 
 
-def _cmd_rip(m: RunManifest) -> int:
-    model = load_app_model(m.model)
+def _cmd_rip(args: argparse.Namespace) -> int:
+    model = load_app_model(args.model)
     structure = rip(model)
     efg = build_efg_from_structure(structure)
-    save_graph(efg, m.out)
-    if m.structure is not None:
-        save_structure(structure, m.structure)
-    if m.dot is not None:
-        m.dot.write_text(export_dot(efg), encoding="utf-8")
+    save_graph(efg, args.out)
+    if args.structure is not None:
+        save_structure(structure, args.structure)
+    if args.dot is not None:
+        args.dot.write_text(export_dot(efg), encoding="utf-8")
     print(
         f"ripped {model.name}: {len(efg.events)} events, "
-        f"{len(efg.initials)} initial, {len(efg.edges)} edges -> {m.out}"
+        f"{len(efg.initials)} initial, {len(efg.edges)} edges -> {args.out}"
     )
     return 0
 
 
-def _cmd_edg(m: RunManifest) -> int:
-    db = build_class_db(load_program_model(m.ir))
-    efg = _load_efg(m.efg)
+def _cmd_edg(args: argparse.Namespace) -> int:
+    db = build_class_db(load_program_model(args.ir))
+    efg = _load_efg(args.efg)
     edg, warnings = build_edg(db, efg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    save_graph(edg, m.out)
-    if m.dot is not None:
-        m.dot.write_text(export_dot(edg), encoding="utf-8")
-    print(f"built dependency graph: {len(edg.edges)} edges -> {m.out}")
+    save_graph(edg, args.out)
+    if args.dot is not None:
+        args.dot.write_text(export_dot(edg), encoding="utf-8")
+    print(f"built dependency graph: {len(edg.edges)} edges -> {args.out}")
     return 0
 
 
-def _cmd_gen(m: RunManifest) -> int:
-    efg = _load_efg(m.efg)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    preset = PRESETS.get(args.config)
+    mode = args.mode or (preset.mode if preset else None)
+    length = args.length if args.length is not None else (preset.length if preset else None)
+    top = args.top if args.top is not None else (preset.top if preset else None)
+    if mode is None or length is None:
+        raise GuiseqError("gen needs --config, or --mode and --length")
+    efg = _load_efg(args.efg)
     edg = None
-    if m.mode == "greybox":
-        if m.edg is None:
+    if mode == "greybox":
+        if args.edg is None:
             raise GuiseqError("grey-box generation needs --edg")
-        edg = _load_edg(m.edg)
-    config = GenConfig(name="cli", mode=m.mode, length=m.length, top=m.top)
+        edg = _load_edg(args.edg)
+    config = GenConfig(name="cli", mode=mode, length=length, top=top)
     result = generate_sequences(config, efg, edg)
     for d in result.diagnostics:
         print(f"warning: {d}", file=sys.stderr)
-    save_sequences(result.records, m.out)
-    print(f"generated {len(result.records)} sequences -> {m.out}")
+    save_sequences(result.records, args.out)
+    print(f"generated {len(result.records)} sequences -> {args.out}")
     return 0
 
 
-def _cmd_replay(m: RunManifest) -> int:
-    model = load_app_model(m.model)
-    cases = group_test_cases(load_sequences(m.sequences))
-    suite = run_suite(model, cases, parallelism=m.parallel)
-    save_report(suite, m.report)
+def _cmd_replay(args: argparse.Namespace) -> int:
+    model = load_app_model(args.model)
+    cases = group_test_cases(load_sequences(args.sequences))
+    suite = run_suite(model, cases, parallelism=args.parallel)
+    save_report(suite, args.report)
     summary = report_to_json(suite)["summary"]
     print(
         f"replayed {summary['total']} test cases: {summary['passed']} passed, "
@@ -245,30 +187,30 @@ def _cmd_replay(m: RunManifest) -> int:
     )
     if summary["failed"] > 0:
         return 1
-    if summary["broken"] > 0 and not m.allow_broken:
+    if summary["broken"] > 0 and not args.allow_broken:
         return 1
     return 0
 
 
-def _cmd_report(m: RunManifest) -> int:
-    docs = [load_report(p) for p in m.reports]
-    labels = list(m.labels) + [p.stem for p in m.reports[len(m.labels) :]]
+def _cmd_report(args: argparse.Namespace) -> int:
+    docs = [load_report(p) for p in args.reports]
+    labels = args.label + [p.stem for p in args.reports[len(args.label) :]]
     if len(labels) != len(docs):
         raise GuiseqError("more labels than report files")
-    times = list(m.gen_seconds) + [None] * (len(docs) - len(m.gen_seconds))
-    etimes = list(m.exec_seconds) + [None] * (len(docs) - len(m.exec_seconds))
+    times = args.gen_seconds + [None] * (len(docs) - len(args.gen_seconds))
+    etimes = args.exec_seconds + [None] * (len(docs) - len(args.exec_seconds))
     if len(times) != len(docs) or len(etimes) != len(docs):
         raise GuiseqError("more timing values than report files")
     print(render_report_table(list(zip(labels, docs)), times, etimes), end="")
     return 0
 
 
-def _cmd_export_dot(m: RunManifest) -> int:
-    dot = export_dot(load_graph(m.graph))
-    if m.out is None:
+def _cmd_export_dot(args: argparse.Namespace) -> int:
+    dot = export_dot(load_graph(args.graph))
+    if args.out is None:
         print(dot, end="")
     else:
-        m.out.write_text(dot, encoding="utf-8")
+        args.out.write_text(dot, encoding="utf-8")
     return 0
 
 
@@ -285,8 +227,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        manifest = _manifest(args)
-        return _COMMANDS[manifest.command](manifest)
+        return _COMMANDS[args.command](args)
     except (GuiseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,10 @@ from .graphs import (
     Edg,
     Efg,
     GuiseqError,
+    read_document_lines,
     shortest_path,
+    typed,
+    typed_list,
 )
 
 __all__ = [
@@ -390,33 +393,19 @@ def save_sequences(records: Sequence[SequenceRecord], path: Path | str) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _record_from_json(doc: dict) -> SequenceRecord:
+    # Events are not checked here: replay reports an event the model does not
+    # know, whatever its type, as a broken case.
+    split_of = doc.get("splitOf")
+    return SequenceRecord(
+        id=typed(doc["id"], str, "id"),
+        events=tuple(typed(doc["events"], list, "events")),
+        targets=typed_list(doc["targets"], int, "targets"),
+        origin=doc["origin"],
+        abstract=tuple(typed(doc["abstract"], list, "abstract")) if "abstract" in doc else None,
+        split_of=None if split_of is None else typed(split_of, str, "splitOf"),
+    )
+
+
 def load_sequences(path: Path | str) -> list[SequenceRecord]:
-    records: list[SequenceRecord] = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GuiseqError(f"{path}: line {lineno}: {exc.msg}") from None
-        if doc.get("schemaVersion") != SCHEMA_VERSION:
-            raise GuiseqError(
-                f"{path}: line {lineno}: unsupported schema version "
-                f"{doc.get('schemaVersion')!r}"
-            )
-        try:
-            records.append(
-                SequenceRecord(
-                    id=doc["id"],
-                    events=tuple(doc["events"]),
-                    targets=tuple(doc["targets"]),
-                    origin=doc["origin"],
-                    abstract=tuple(doc["abstract"]) if "abstract" in doc else None,
-                    split_of=doc.get("splitOf"),
-                )
-            )
-        except KeyError as exc:
-            raise GuiseqError(f"{path}: line {lineno}: missing key {exc}") from None
-    return records
+    return read_document_lines(path, "sequence record", _record_from_json)

@@ -14,20 +14,22 @@ graph's ``events`` tuple — is the universal tie-breaker: every ordering in thi
 package (neighbour expansion, successor ranking, output ordering) falls back to
 it, which is what makes the whole pipeline deterministic.
 
-Sequences come in two shapes: an :class:`AbstractSequence` is a path in the
-EDG and may not be executable on the GUI; an :class:`ExecutableSequence` is a
-path in the EFG starting at an initial event, with ``targets`` marking which
-positions carry the events the sequence exists to exercise (the rest are
-reaching steps inserted to make it executable).
+An :class:`AbstractSequence` is a path in the EDG and may not be executable
+on the GUI; :func:`guiseq.generate.to_executable` repairs it into EFG paths.
+
+This module also holds the one reader of the package's JSON files
+(:func:`read_document`, :func:`read_document_lines`): every loader hands it a
+per-format ``parse(doc)`` callback, and every malformed input comes out of it
+as a :class:`GuiseqError` that names the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 SCHEMA_VERSION = 1
 
@@ -39,7 +41,6 @@ __all__ = [
     "Efg",
     "Edg",
     "AbstractSequence",
-    "ExecutableSequence",
     "validate_efg",
     "is_executable",
     "shortest_path",
@@ -195,18 +196,6 @@ class AbstractSequence:
     events: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ExecutableSequence:
-    """A path in the EFG starting at an initial event.
-
-    ``targets`` are the positions of the events the sequence was generated
-    for; all other positions are reaching steps.
-    """
-
-    events: tuple[str, ...]
-    targets: tuple[int, ...] = field(default=())
-
-
 def validate_efg(g: Efg) -> list[str]:
     """Structural checks on an event-flow graph.
 
@@ -307,24 +296,94 @@ def graph_to_json(g: Efg | Edg) -> dict:
     return doc
 
 
-def _check_schema(doc: dict, path: Path | str) -> None:
-    version = doc.get("schemaVersion")
-    if version != SCHEMA_VERSION:
-        raise GuiseqError(
-            f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
-        )
+T = TypeVar("T")
 
 
-def load_graph(path: Path | str) -> Efg | Edg:
-    """Load a graph file, inferring its flavour from the ``initials`` key."""
-    raw = Path(path).read_text(encoding="utf-8")
+def read_document(path: Path | str, kind: str, parse: Callable[[dict], T]) -> T:
+    """Read a JSON file holding one ``kind`` document and ``parse`` it.
+
+    The file must be UTF-8 JSON with an object at top level whose
+    ``schemaVersion`` is the integer :data:`SCHEMA_VERSION`.  A
+    ``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError`` raised
+    by ``parse`` (its validation included), or JSON nested too deeply to
+    decode, means the document is malformed; it and every
+    :class:`GuiseqError` leave as a :class:`GuiseqError` whose message starts
+    with the file name.
+    """
+    return _parse_document(_read_text(path), path, None, kind, parse)
+
+
+def read_document_lines(
+    path: Path | str, kind: str, parse: Callable[[dict], T]
+) -> list[T]:
+    """:func:`read_document` for a JSON-lines file: one document per
+    non-blank line, errors naming the file and the line."""
+    return [
+        _parse_document(line, path, lineno, kind, parse)
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1)
+        if line.strip()
+    ]
+
+
+def _read_text(path: Path | str) -> str:
     try:
-        doc = json.loads(raw)
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GuiseqError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _parse_document(
+    text: str, path: Path | str, lineno: int | None, kind: str, parse: Callable[[dict], T]
+) -> T:
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise GuiseqError("expected a JSON object at top level")
+        version = doc.get("schemaVersion")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise GuiseqError(
+                f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
+            )
+        return parse(doc)
     except json.JSONDecodeError as exc:
-        raise GuiseqError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise GuiseqError(f"{path}: expected a JSON object at top level")
-    _check_schema(doc, path)
+        raise GuiseqError(f"{path}: line {lineno or exc.lineno}: {exc.msg}") from None
+    except KeyError as exc:
+        problem = f"malformed {kind}: missing key {exc}"
+    except (TypeError, AttributeError, ValueError, RecursionError) as exc:
+        problem = f"malformed {kind}: {exc}"
+    except GuiseqError as exc:
+        # Prefixed in place, so that a subclass such as InvalidModelError keeps its type.
+        exc.args = (f"{_where(path, lineno)}: {exc}",)
+        raise
+    raise GuiseqError(f"{_where(path, lineno)}: {problem}")
+
+
+def _where(path: Path | str, lineno: int | None) -> str:
+    return str(path) if lineno is None else f"{path}: line {lineno}"
+
+
+def typed(value, kind: type, what: str):
+    """``value`` if its JSON type is exactly ``kind`` (``true`` is no
+    ``int``); otherwise a TypeError naming ``what``, which the document
+    reader reports as a malformed document."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} is {value!r}, not {kind.__name__}")
+    return value
+
+
+def typed_list(value, kind: type, what: str) -> tuple:
+    """``value`` as a tuple if it is a JSON array of ``kind`` items (see
+    :func:`typed`)."""
+    if type(value) is list:
+        for item in value:  # a loop, not any(): sequence files check every line
+            if type(item) is not kind:
+                break
+        else:
+            return tuple(value)
+    raise TypeError(f"{what} is {value!r}, not a list of {kind.__name__}")
+
+
+def _graph_from_json(doc: dict) -> Efg | Edg:
     events = [entry["id"] for entry in doc.get("events", [])]
     edges = doc.get("edges", [])
     if "initials" in doc:
@@ -335,14 +394,14 @@ def load_graph(path: Path | str) -> Efg | Edg:
         )
         violations = validate_efg(g)
         if violations:
-            raise GuiseqError(f"{path}: " + "; ".join(violations))
+            raise InvalidGraphError(violations)
         return g
-    try:
-        return Edg.of(events, [(e["from"], e["weight"], e["to"]) for e in edges])
-    except KeyError as exc:
-        raise GuiseqError(f"{path}: dependency edge missing key {exc}") from None
-    except GuiseqError as exc:
-        raise GuiseqError(f"{path}: {exc}") from None
+    return Edg.of(events, [(e["from"], e["weight"], e["to"]) for e in edges])
+
+
+def load_graph(path: Path | str) -> Efg | Edg:
+    """Load a graph file, inferring its flavour from the ``initials`` key."""
+    return read_document(path, "graph", _graph_from_json)
 
 
 def save_graph(g: Efg | Edg, path: Path | str) -> None:

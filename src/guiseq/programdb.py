@@ -17,13 +17,12 @@ run) and emits a weighted dependency edge wherever the overlap is non-empty.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError
+from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, read_document, typed, typed_list
 
 if TYPE_CHECKING:
     from .appmodel import AppModel
@@ -184,45 +183,31 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_effects(block, handlers_class: str) -> tuple[list[str], list[str], list[str]]:
-    """First-seen-ordered (reads, writes, calls) of a statement block.
+def _direct_method(name: str, block, handlers_class: str) -> ProgramMethod:
+    """``handlers_class.name`` with the first-seen-ordered direct reads,
+    writes and calls of a statement block.
 
     Descends into conditionals but not into calls — called methods carry
     their own effects and appear in ``calls``, which is exactly what lets the
     closure queries reconstruct the transitive sets.
     """
-    from . import appmodel as am
+    from .appmodel import Call, statement_effects, walk_statements
 
-    reads: list[str] = []
-    writes: list[str] = []
-    calls: list[str] = []
-
-    def note(acc: list[str], name: str) -> None:
-        if name not in acc:
-            acc.append(name)
-
-    def walk(stmts) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (am.ReadField, am.Deref, am.Log)):
-                note(reads, stmt.field)
-            elif isinstance(stmt, (am.SetField, am.SetNull)):
-                note(writes, stmt.field)
-            elif isinstance(stmt, am.CopyField):
-                note(reads, stmt.src)
-                note(writes, stmt.dst)
-            elif isinstance(stmt, am.WriteSetting):
-                note(reads, stmt.field)
-            elif isinstance(stmt, am.ReadSetting):
-                note(writes, stmt.field)
-            elif isinstance(stmt, am.If):
-                note(reads, stmt.cond.field)
-                walk(stmt.then)
-                walk(stmt.orelse)
-            elif isinstance(stmt, am.Call):
-                note(calls, f"{handlers_class}.{stmt.method}")
-
-    walk(block)
-    return reads, writes, calls
+    reads: dict[str, None] = {}
+    writes: dict[str, None] = {}
+    calls: dict[str, None] = {}
+    for _, stmt in walk_statements(block, ""):
+        stmt_reads, stmt_writes = statement_effects(stmt)
+        reads.update(dict.fromkeys(stmt_reads))
+        writes.update(dict.fromkeys(stmt_writes))
+        if isinstance(stmt, Call):
+            calls[f"{handlers_class}.{stmt.method}"] = None
+    return ProgramMethod(
+        name=f"{handlers_class}.{name}",
+        reads=tuple(reads),
+        writes=tuple(writes),
+        calls=tuple(calls),
+    )
 
 
 def derive_program_model(app: "AppModel", handlers_class: str = "Handlers") -> ProgramModel:
@@ -246,27 +231,9 @@ def derive_program_model(app: "AppModel", handlers_class: str = "Handlers") -> P
     if taken:
         raise GuiseqError(f"event ids collide with method names: {sorted(taken)}")
 
-    methods: list[ProgramMethod] = []
-    for event in app.events:
-        reads, writes, calls = _direct_effects(app.handlers.get(event, ()), handlers_class)
-        methods.append(
-            ProgramMethod(
-                name=f"{handlers_class}.{event}",
-                reads=tuple(reads),
-                writes=tuple(writes),
-                calls=tuple(calls),
-            )
-        )
-    for name, block in app.methods.items():
-        reads, writes, calls = _direct_effects(block, handlers_class)
-        methods.append(
-            ProgramMethod(
-                name=f"{handlers_class}.{name}",
-                reads=tuple(reads),
-                writes=tuple(writes),
-                calls=tuple(calls),
-            )
-        )
+    blocks = [(event, app.handlers.get(event, ())) for event in app.events]
+    blocks += app.methods.items()
+    methods = [_direct_method(name, block, handlers_class) for name, block in blocks]
     classes = tuple(
         ProgramClass(name=owner, fields=tuple(fields), methods=())
         for owner, fields in owners.items()
@@ -305,36 +272,27 @@ def program_model_to_json(model: ProgramModel) -> dict:
 
 def _method_from_json(doc: dict) -> ProgramMethod:
     return ProgramMethod(
-        name=doc["name"],
-        reads=tuple(doc.get("reads", [])),
-        writes=tuple(doc.get("writes", [])),
-        calls=tuple(doc.get("calls", [])),
+        name=typed(doc["name"], str, "method name"),
+        reads=typed_list(doc.get("reads", []), str, "reads"),
+        writes=typed_list(doc.get("writes", []), str, "writes"),
+        calls=typed_list(doc.get("calls", []), str, "calls"),
     )
 
 
-def load_program_model(path: Path | str) -> ProgramModel:
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise GuiseqError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise GuiseqError(f"{path}: expected a JSON object at top level")
-    version = doc.get("schemaVersion")
-    if version != SCHEMA_VERSION:
-        raise GuiseqError(
-            f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
+def _program_model_from_json(doc: dict) -> ProgramModel:
+    classes = tuple(
+        ProgramClass(
+            name=typed(c["name"], str, "class name"),
+            fields=typed_list(c.get("fields", []), str, "fields"),
+            methods=tuple(_method_from_json(m) for m in c.get("methods", [])),
         )
-    try:
-        classes = tuple(
-            ProgramClass(
-                name=c["name"],
-                fields=tuple(c.get("fields", [])),
-                methods=tuple(_method_from_json(m) for m in c.get("methods", [])),
-            )
-            for c in doc.get("classes", [])
-        )
-        bindings = dict(doc.get("bindings", {}))
-    except (KeyError, TypeError) as exc:
-        raise GuiseqError(f"{path}: malformed program model: {exc}") from None
+        for c in doc.get("classes", [])
+    )
+    bindings = typed(doc.get("bindings", {}), dict, "bindings")
+    for event, method in bindings.items():
+        typed(method, str, f"binding of {event!r}")
     return ProgramModel(classes=classes, bindings=bindings)
+
+
+def load_program_model(path: Path | str) -> ProgramModel:
+    return read_document(path, "program model", _program_model_from_json)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
-from .graphs import SCHEMA_VERSION, GuiseqError
+from .graphs import SCHEMA_VERSION, GuiseqError, read_document
 from .simulator import (
     CrashRecord,
     SettingsStore,
@@ -186,7 +186,7 @@ class SuiteResult:
             out.update(r.covered_branches)
         return frozenset(out)
 
-    @property
+    @cached_property
     def entered_handlers(self) -> frozenset[str]:
         out: set[str] = set()
         for r in self.results:
@@ -280,15 +280,17 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
     )
 
 
-def load_report(path: Path | str) -> dict:
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise GuiseqError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or doc.get("schemaVersion") != SCHEMA_VERSION:
-        raise GuiseqError(f"{path}: not a recognizable replay report")
+def _report_from_json(doc: dict) -> dict:
+    summary = doc["summary"]
+    for key in ("total", "broken", "statementCoverage", "branchCoverage"):
+        if type(summary[key]) not in (int, float):
+            raise TypeError(f"summary {key!r} is {summary[key]!r}, not a number")
     return doc
+
+
+def load_report(path: Path | str) -> dict:
+    """A replay report, checked for the summary figures the table shows."""
+    return read_document(path, "replay report", _report_from_json)
 
 
 def render_report_table(

@@ -43,7 +43,6 @@ from .appmodel import (
     ExitApp,
     FieldValue,
     If,
-    Log,
     OpenWindow,
     ReadField,
     ReadSetting,
@@ -223,7 +222,7 @@ def _execute_block(
             state.fields[stmt.field] = stmt.value
         elif isinstance(stmt, SetNull):
             state.fields[stmt.field] = None
-        elif isinstance(stmt, (ReadField, Log)):
+        elif isinstance(stmt, ReadField):  # log too
             state.fields[stmt.field]  # an observation, no effect
         elif isinstance(stmt, CopyField):
             state.fields[stmt.dst] = state.fields[stmt.src]

@@ -269,3 +269,74 @@ def test_gen_diagnostics_go_to_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: event 'b' is unreachable" in err
     assert len(seq_lines(out)) == 1
+
+
+def _replace(path, value):
+    """A mutation that sets the value at ``path`` in a JSON document."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+def _drop(path):
+    """A mutation that deletes the key at ``path`` from a JSON document."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize(
+    ("kind", "change"),
+    [
+        ("efg", _drop(("events", 0, "id"))),
+        ("efg", _drop(("edges", 0, "to"))),
+        ("seq", b"[1,2]\n"),
+        ("app", _replace(("windows", 0), "MainWindow")),
+        ("app", _replace(("handlers", "e1"), ["set"])),
+        ("app", _replace(("fields",), "ab")),
+        ("app", _replace(("windows", 0, "name"), ["MainWindow"])),
+        ("app", b"\xff\xfe{}"),
+        ("efg", _replace(("schemaVersion",), True)),
+        ("app", b"[" * 100_000),
+    ],
+    ids=[
+        "efg-event-without-id",
+        "efg-edge-without-to",
+        "sequence-line-not-an-object",
+        "app-window-as-string",
+        "app-statement-as-string",
+        "app-fields-as-string",
+        "app-window-name-as-list",
+        "not-utf8",
+        "schema-version-true",
+        "nested-too-deeply",
+    ],
+)
+def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):
+    model = corpus.model_path("example-app")
+    if isinstance(change, bytes):
+        content = change
+    else:
+        doc = json.loads((model if kind == "app" else workdir / "efg.json").read_text())
+        change(doc)
+        content = json.dumps(doc).encode()
+    bad = workdir / f"bad.{kind}"
+    bad.write_bytes(content)
+    out = str(workdir / "out")
+    argv = {
+        "app": ["rip", "--model", str(bad), "--out", out],
+        "efg": ["gen", "--config", "A", "--efg", str(bad), "--out", out],
+        "seq": ["replay", "--model", str(model), "--sequences", str(bad), "--report", out],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(bad) in lines[0]
