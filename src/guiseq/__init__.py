@@ -43,7 +43,7 @@ from .programdb import (
 )
 from .replay import group_test_cases, render_report_table, run_suite, save_report
 from .ripper import GuiStructure, build_efg_from_structure, rip
-from .simulator import SettingsStore, available_events, fire_event, launch
+from .simulator import SettingsStore, available_events, fire_event, is_available, launch
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,7 @@ __all__ = [
     "gen_blackbox",
     "generate_sequences",
     "group_test_cases",
+    "is_available",
     "is_executable",
     "launch",
     "load_app_model",

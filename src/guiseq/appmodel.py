@@ -37,7 +37,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
-from .graphs import SCHEMA_VERSION, GuiseqError, read_document
+from .graphs import SCHEMA_VERSION, GuiseqError, read_document, typed
 
 __all__ = [
     "FieldValue",
@@ -342,6 +342,19 @@ class AppModel:
                 out[widget.event] = (w.name, widget.id)
         return out
 
+    @cached_property
+    def event_index(self) -> Mapping[str, int]:
+        """Each event's position in :attr:`events`."""
+        return {e: i for i, e in enumerate(self.events)}
+
+    @cached_property
+    def initial_widget_enabled(self) -> Mapping[tuple[str, str], bool]:
+        """The declared enabled flag of each ``(window, widget)``; every
+        launch starts from a copy."""
+        return {
+            (w.name, widget.id): widget.enabled for w in self.windows for widget in w.widgets
+        }
+
     def handler(self, event: str) -> tuple[Statement, ...]:
         try:
             return self.handlers[event]
@@ -400,7 +413,7 @@ def validate_app_model(model: AppModel) -> list[str]:
         if e in events:
             violations.append(f"duplicate event id {e!r}")
         events.add(e)
-    for e in events:
+    for e in dict.fromkeys(model.events):
         if e not in model.handlers:
             violations.append(f"event {e!r} has no handler")
     for h in model.handlers:
@@ -485,14 +498,16 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
     windows = tuple(
         WindowSpec(
             name=w["name"],
-            modal=bool(w.get("modal", False)),
-            main=bool(w.get("main", False)),
+            modal=typed(w.get("modal", False), bool, f"window {w['name']!r} modal"),
+            main=typed(w.get("main", False), bool, f"window {w['name']!r} main"),
             window_event=w.get("windowEvent"),
             widgets=tuple(
                 Widget(
                     id=widget["id"],
                     event=widget["event"],
-                    enabled=bool(widget.get("enabled", True)),
+                    enabled=typed(
+                        widget.get("enabled", True), bool, f"widget {widget['id']!r} enabled"
+                    ),
                 )
                 for widget in w.get("widgets", [])
             ),

@@ -15,10 +15,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .appmodel import load_app_model
+from .appmodel import AppModel, load_app_model
 from .generate import (
     GenConfig,
     PRESETS,
+    SequenceRecord,
     generate_sequences,
     load_sequences,
     save_sequences,
@@ -173,9 +174,30 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_sequences(model: AppModel, records: Sequence[SequenceRecord], path: Path) -> None:
+    """Reject, before any case runs, a record whose events the model does not
+    declare or whose targets fall outside its events."""
+    known = model.event_window
+    for record in records:
+        for event in record.events:
+            if type(event) is not str or event not in known:
+                raise GuiseqError(
+                    f"{path}: sequence {record.id!r}: event {event!r} is not an event "
+                    f"of model {model.name!r}"
+                )
+        for t in record.targets:
+            if not 0 <= t < len(record.events):
+                raise GuiseqError(
+                    f"{path}: sequence {record.id!r}: target {t} is outside its "
+                    f"{len(record.events)} events"
+                )
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     model = load_app_model(args.model)
-    cases = group_test_cases(load_sequences(args.sequences))
+    records = load_sequences(args.sequences)
+    _check_sequences(model, records, args.sequences)
+    cases = group_test_cases(records)
     suite = run_suite(model, cases, parallelism=args.parallel)
     save_report(suite, args.report)
     summary = report_to_json(suite)["summary"]

@@ -394,8 +394,8 @@ def save_sequences(records: Sequence[SequenceRecord], path: Path | str) -> None:
 
 
 def _record_from_json(doc: dict) -> SequenceRecord:
-    # Events are not checked here: replay reports an event the model does not
-    # know, whatever its type, as a broken case.
+    # Events are not typed here, which would slow every load: replay checks
+    # them, and the targets, against the model before any case runs.
     split_of = doc.get("splitOf")
     return SequenceRecord(
         id=typed(doc["id"], str, "id"),

@@ -41,8 +41,8 @@ from .graphs import SCHEMA_VERSION, GuiseqError, read_document
 from .simulator import (
     CrashRecord,
     SettingsStore,
-    available_events,
     fire_event,
+    is_available,
     launch,
 )
 
@@ -146,7 +146,7 @@ def run_test_case(model: AppModel, case: TestCase) -> CaseResult:
             absorb(state)
             return result("failed", crash=crash)
         for k, event in enumerate(part.events):
-            if event not in available_events(state):
+            if not is_available(state, event):
                 absorb(state)
                 return result("broken", broken_at=offset + k)
             outcome = fire_event(state, event)

@@ -9,9 +9,16 @@ which is what makes byte-identical replay reports possible.
 Execution semantics worth spelling out:
 
 * **Modality.**  A window is *blocked* while a modal window sits strictly
-  above it on the stack.  Blocked windows contribute no available events.
+  above it on the stack.  Blocked windows contribute no available events,
+  so only the topmost modal window and the windows above it can offer any.
   Opening an already-open window and closing a window that is not open are
   both no-ops; closing the main window exits the application.
+* **Availability.**  :func:`available_events` lists what the user could
+  trigger now, in declaration order; :func:`is_available` answers for one
+  event from the model's event-to-window and event-to-widget maps, so its
+  cost grows with the window stack's depth, not with the model.  Replay
+  checks each event with it, and :func:`fire_event` refuses an unavailable
+  one.
 * **Crashes and exits abort.**  A ``deref`` of a null field or a
   ``throwArrayOob`` stops the handler mid-flight, as does ``exit``.  The
   crashing statement still counts as executed for coverage — the program got
@@ -66,6 +73,7 @@ __all__ = [
     "launch",
     "fire_event",
     "available_events",
+    "is_available",
 ]
 
 CRASH_NULL_DEREF = "nullDereference"
@@ -132,14 +140,19 @@ class GuiState:
     exited: bool = False
 
     def window_blocked(self, window: str) -> bool:
-        """True while a modal window sits strictly above ``window``."""
-        try:
-            pos = self.open_windows.index(window)
-        except ValueError:
-            return True
-        return any(
-            self.model.window_by_name[w].modal for w in self.open_windows[pos + 1 :]
-        )
+        """True while a modal window sits strictly above ``window``, or
+        while ``window`` is not open."""
+        return window not in self._unblocked_windows()
+
+    def _unblocked_windows(self) -> list[str]:
+        """The open windows no modal window sits above: the topmost modal
+        window and those over it, or the whole stack when none is modal."""
+        stack = self.open_windows
+        window_by_name = self.model.window_by_name
+        top = len(stack) - 1
+        while top > 0 and not window_by_name[stack[top]].modal:
+            top -= 1
+        return stack[top:]
 
 
 @dataclass(frozen=True)
@@ -173,18 +186,27 @@ def available_events(state: GuiState) -> tuple[str, ...]:
     if state.exited:
         return ()
     out: list[str] = []
-    open_set = set(state.open_windows)
-    for w in state.model.windows:
-        if w.name not in open_set or state.window_blocked(w.name):
-            continue
+    for name in state._unblocked_windows():
+        w = state.model.window_by_name[name]
         if w.window_event is not None:
             out.append(w.window_event)
         for widget in w.widgets:
-            if state.widget_enabled[(w.name, widget.id)]:
+            if state.widget_enabled[(name, widget.id)]:
                 out.append(widget.event)
-    index = {e: i for i, e in enumerate(state.model.events)}
-    out.sort(key=index.__getitem__)
+    out.sort(key=state.model.event_index.__getitem__)
     return tuple(out)
+
+
+def is_available(state: GuiState, event: str) -> bool:
+    """Whether ``event`` is in :func:`available_events` right now, at a cost
+    that does not grow with the model.  False for an event the model does
+    not declare."""
+    model = state.model
+    window = model.event_window.get(event)
+    if state.exited or window is None or state.window_blocked(window):
+        return False
+    widget = model.event_widget.get(event)
+    return widget is None or state.widget_enabled[widget]
 
 
 def _evaluate(cond: Condition, state: GuiState) -> bool:
@@ -275,11 +297,7 @@ def launch(
         model=model,
         settings=settings,
         open_windows=[model.main_window],
-        widget_enabled={
-            (w.name, widget.id): widget.enabled
-            for w in model.windows
-            for widget in w.widgets
-        },
+        widget_enabled=dict(model.initial_widget_enabled),
         fields=dict(model.fields),
     )
     try:
@@ -298,7 +316,7 @@ def fire_event(state: GuiState, event: str) -> FireOutcome:
     The caller is expected to have checked availability; firing an
     unavailable event is a harness bug and raises.
     """
-    if event not in available_events(state):
+    if not is_available(state, event):
         raise GuiseqError(f"event {event!r} fired while not available")
     state.entered_handlers.add(event)
     try:

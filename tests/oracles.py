@@ -3,14 +3,16 @@
 Everything here deliberately uses a *different* algorithm from the package
 code: effect closures by fixpoint iteration instead of a call-graph walk,
 distances by Floyd-Warshall instead of seeded BFS, path enumeration by plain
-recursion instead of budgeted ordered search.  Slow is fine — these run on
-graphs of at most a dozen events.
+recursion instead of budgeted ordered search, available events by a scan of
+every declared window instead of the windows above the topmost modal one.
+Slow is fine — these run on graphs of at most a dozen events.
 """
 
 from __future__ import annotations
 
 from guiseq.graphs import Edg, Efg
 from guiseq.programdb import ProgramModel
+from guiseq.simulator import GuiState
 
 INF = float("inf")
 
@@ -150,3 +152,25 @@ def reachable_from(g: Efg, starts: tuple[str, ...]) -> frozenset[str]:
                 seen.add(v)
                 frontier.append(v)
     return frozenset(seen)
+
+
+def scanned_available_events(state: GuiState) -> tuple[str, ...]:
+    """Available events by a declaration-order scan of the model's windows,
+    rescanning the stack above each open window for a modal one."""
+    if state.exited:
+        return ()
+    out: list[str] = []
+    for w in state.model.windows:
+        if w.name not in state.open_windows:
+            continue
+        above = state.open_windows[state.open_windows.index(w.name) + 1 :]
+        if any(state.model.window_by_name[v].modal for v in above):
+            continue
+        if w.window_event is not None:
+            out.append(w.window_event)
+        for widget in w.widgets:
+            if state.widget_enabled[(w.name, widget.id)]:
+                out.append(widget.event)
+    index = {e: i for i, e in enumerate(state.model.events)}
+    out.sort(key=index.__getitem__)
+    return tuple(out)

@@ -154,3 +154,16 @@ def test_invalid_operand_is_reported_with_the_file(tmp_path, doc, message):
     path.write_text(json.dumps(_model_doc([doc])))
     with pytest.raises(GuiseqError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
         load_app_model(path)
+
+
+def test_events_without_a_handler_are_reported_in_declaration_order(tmp_path):
+    doc = json.loads(corpus.model_path("example-app").read_text())
+    doc["handlers"] = {"e4": doc["handlers"]["e4"]}
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GuiseqError) as exc:
+        load_app_model(path)
+    assert str(exc.value) == (
+        f"{path}: event 'e1' has no handler; event 'e2' has no handler; "
+        "event 'e3' has no handler"
+    )

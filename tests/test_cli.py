@@ -143,6 +143,30 @@ def test_replay_broken_handling(workdir, capsys):
     assert json.loads(report.read_text())["tests"][0]["brokenAt"] == 1
 
 
+@pytest.mark.parametrize(
+    ("events", "targets", "message"),
+    [
+        (["e9"], [0], "event 'e9' is not an event of model 'example-app'"),
+        ([7], [0], "event 7 is not an event of model 'example-app'"),
+        ([[]], [0], "event [] is not an event of model 'example-app'"),
+        (["e1"], [7], "target 7 is outside its 1 events"),
+        (["e1"], [-1], "target -1 is outside its 1 events"),
+    ],
+    ids=["unknown-event", "number-event", "list-event", "target-past-the-end", "negative-target"],
+)
+def test_replay_rejects_a_sequence_that_does_not_fit_the_model(workdir, capsys, events, targets, message):
+    seqs = workdir / "handmade.jsonl"
+    good = {"schemaVersion": 1, "id": "s0001", "events": ["e1"], "targets": [0], "origin": "blackbox"}
+    bad = {**good, "id": "s0002", "events": events, "targets": targets}
+    seqs.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    report = workdir / "report.json"
+    assert main(["replay", "--model", str(corpus.model_path("example-app")),
+                 "--sequences", str(seqs), "--report", str(report)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {seqs}: sequence 's0002': {message}"]
+    assert not report.exists()
+
+
 def test_replay_parallel_output_is_identical(workdir):
     model = str(corpus.model_path("rachota-scenario"))
     efg = workdir / "rachota-efg.json"
@@ -304,6 +328,9 @@ def _drop(path):
         ("app", b"\xff\xfe{}"),
         ("efg", _replace(("schemaVersion",), True)),
         ("app", b"[" * 100_000),
+        ("app", _replace(("windows", 0, "modal"), "false")),
+        ("app", _replace(("windows", 0, "main"), 1)),
+        ("app", _replace(("windows", 0, "widgets", 0, "enabled"), "false")),
     ],
     ids=[
         "efg-event-without-id",
@@ -316,6 +343,9 @@ def _drop(path):
         "not-utf8",
         "schema-version-true",
         "nested-too-deeply",
+        "app-modal-as-string",
+        "app-main-as-number",
+        "app-enabled-as-string",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from guiseq import corpus
 from guiseq.appmodel import InvalidModelError, load_app_model
 from guiseq.graphs import GuiseqError
 from guiseq.simulator import (
@@ -13,8 +16,11 @@ from guiseq.simulator import (
     SettingsStore,
     available_events,
     fire_event,
+    is_available,
     launch,
 )
+
+from oracles import scanned_available_events
 
 
 def write_model(tmp_path, doc):
@@ -92,6 +98,26 @@ def test_modeless_window_blocks_nothing(jabref_app):
     fire_event(state, "Manage content selectors")
     # the selector dialog is modeless, so main-window events stay live
     assert available_events(state) == ("Close database", "OK")
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_availability_matches_the_scanning_oracle(name, data):
+    """Random walks that fire available events and relaunch against the same
+    settings; at every step both availability checks agree with the oracle."""
+    model = corpus.app_model(name)
+    store = SettingsStore()
+    state, _ = launch(model, store)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
+        expected = scanned_available_events(state)
+        assert available_events(state) == expected
+        for event in model.events + ("no such event",):
+            assert is_available(state, event) == (event in expected)
+        if not expected or data.draw(st.integers(min_value=0, max_value=9)) == 0:
+            state, _ = launch(model, store)
+        else:
+            fire_event(state, data.draw(st.sampled_from(expected)))
 
 
 def test_reopen_and_close_missing_are_noops(tmp_path):
