@@ -197,7 +197,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     model = load_app_model(args.model)
     records = load_sequences(args.sequences)
     _check_sequences(model, records, args.sequences)
-    cases = group_test_cases(records)
+    try:
+        cases = group_test_cases(records)
+    except GuiseqError as exc:
+        raise GuiseqError(f"{args.sequences}: {exc}") from None
     suite = run_suite(model, cases, parallelism=args.parallel)
     save_report(suite, args.report)
     summary = report_to_json(suite)["summary"]

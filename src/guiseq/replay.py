@@ -1,10 +1,10 @@
 """Sequence replay: execute generated sequences against an application model.
 
 Each test case walks five steps: select the sequence (grouping split parts
-back into one case), prepare a pristine environment (fresh settings store —
-nothing leaks between cases), execute the events, restart the application
-once after a clean run to let launch-time code meet whatever the sequence
-persisted, and classify the outcome:
+back into one case), prepare a pristine environment (a launch against a
+fresh settings store — nothing leaks between cases), execute the events,
+restart the application once after a clean run to let launch-time code meet
+whatever the sequence persisted, and classify the outcome:
 
 * **failed** — a crash, either while firing an event, in the launch block of
   one of the case's launches, or in the post-sequence restart;
@@ -20,9 +20,24 @@ verdicts are cumulative across parts.  Coverage is the union over all
 launches and firings of all cases, reported as statement and branch
 fractions of the model's coverage universe, rounded to four decimals.
 
-Cases are independent (own settings store, own GUI instances), which is what
-makes parallel replay safe: a thread pool only reorders the computation,
-never the results.
+**Prefix sharing.**  The simulator is deterministic, so a case whose first
+part begins with the same events as the previous case's need not launch and
+fire them again.  :func:`run_suite` walks the cases in order and, before the
+previous case fires past the point where the two first parts part ways, it
+forks that state (:meth:`~guiseq.simulator.GuiState.fork`: own settings
+store, windows, widget flags, fields and coverage); the case resumes from the
+fork.  The one launch against fresh settings is shared the same way.  Nothing
+is shared past a crash or a broken event, nor when the launch itself
+crashes, and later parts never are: each launches against its own case's
+settings.  Every case's result equals what :func:`run_test_case` computes
+from scratch.
+
+Cases are still independent (own settings store, own GUI instances), which
+is what makes parallel replay safe: ``parallelism`` N splits the cases into
+N contiguous chunks, each replayed by the same prefix-sharing loop on a
+thread of its own, and the results come back in case order.  The threads
+do not run Python in parallel; the chunks only change where sharing starts
+again, never the results.
 """
 
 from __future__ import annotations
@@ -33,13 +48,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
 from .graphs import SCHEMA_VERSION, GuiseqError, read_document
 from .simulator import (
     CrashRecord,
+    GuiState,
     SettingsStore,
     fire_event,
     is_available,
@@ -118,12 +134,30 @@ class CaseResult:
 
 
 def run_test_case(model: AppModel, case: TestCase) -> CaseResult:
-    settings = SettingsStore()
+    """Replay one case from a launch against a fresh settings store."""
+    state, crash = launch(model, SettingsStore(), phase="launch")
+    return _finish_case(model, case, state, crash)
+
+
+def _finish_case(
+    model: AppModel,
+    case: TestCase,
+    state: GuiState,
+    crash: CrashRecord | None,
+    start: int = 0,
+    fork_at: Container[int] = (),
+    saved: list[tuple[int, GuiState]] | None = None,
+) -> CaseResult:
+    """Replay ``case`` on from ``state``, a live instance of its first part
+    that has fired that part's first ``start`` events (``crash`` is its launch
+    crash, if any).  At each first-part position in ``fork_at`` — before the
+    event there, or after the part's last event — a fork of the state is
+    pushed onto ``saved`` as ``(position, state)``."""
     statements: set[str] = set()
     branches: set[str] = set()
     handlers: set[str] = set()
 
-    def absorb(state) -> None:
+    def absorb(state: GuiState) -> None:
         statements.update(state.covered_statements)
         branches.update(state.covered_branches)
         handlers.update(state.entered_handlers)
@@ -140,12 +174,16 @@ def run_test_case(model: AppModel, case: TestCase) -> CaseResult:
         )
 
     offset = 0
-    for part in case.parts:
-        state, crash = launch(model, settings, phase="launch")
+    for n, part in enumerate(case.parts):
+        if n:
+            state, crash = launch(model, state.settings, phase="launch")
         if crash is not None:
             absorb(state)
             return result("failed", crash=crash)
-        for k, event in enumerate(part.events):
+        for k in range(start, len(part.events)):
+            if k in fork_at:
+                saved.append((k, state.fork()))
+            event = part.events[k]
             if not is_available(state, event):
                 absorb(state)
                 return result("broken", broken_at=offset + k)
@@ -156,13 +194,67 @@ def run_test_case(model: AppModel, case: TestCase) -> CaseResult:
                     "failed",
                     crash=dataclasses.replace(outcome.crash, position=offset + k),
                 )
+        if len(part.events) in fork_at:
+            saved.append((len(part.events), state.fork()))
         absorb(state)
         offset += len(part.events)
-    state, crash = launch(model, settings, phase="restart")
+        start, fork_at = 0, ()
+    state, crash = launch(model, state.settings, phase="restart")
     absorb(state)
     if crash is not None:
         return result("failed", crash=crash)
     return result("passed")
+
+
+def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _run_chunk(model: AppModel, cases: Sequence[TestCase]) -> list[CaseResult]:
+    """Replay ``cases`` in order, each case resuming from a fork of the state
+    where its first part stops sharing events with the previous case's.
+
+    ``saved`` holds untouched states as ``(events fired, state)``, the depth
+    rising, the root (the one launch against fresh settings) at the bottom.
+    A state stays only while a later case will resume at exactly its depth,
+    so every saved state lies on the next case's path and the top one is
+    where it resumes.
+    """
+    if not cases:
+        return []
+    root, crash = launch(model, SettingsStore(), phase="launch")
+    if crash is not None:  # every case fails the same way; nothing to share
+        return [run_test_case(model, case) for case in cases]
+    firsts = [case.parts[0].events for case in cases]
+    # shared[i]: first-part events case i has in common with case i + 1
+    shared = [_common_prefix(a, b) for a, b in zip(firsts, firsts[1:])] + [-1]
+    saved: list[tuple[int, GuiState]] = [(0, root)]
+    results = []
+    for i, case in enumerate(cases):
+        depth, state = saved[-1]
+        # Later cases resume where the running minimum of shared[i:] steps
+        # down.  It steps to this depth again only if a later case resumes
+        # here too; otherwise this case may use up the saved state.  The
+        # root always stays: a case that breaks or crashes saves nothing
+        # deeper for the cases after it.
+        fork_at: set[int] = set()
+        low, j = len(firsts[i]) + 1, i
+        while shared[j] > depth:
+            if shared[j] < low:
+                low = shared[j]
+                fork_at.add(low)
+            j += 1
+        if shared[j] == depth or depth == 0:
+            state = state.fork()
+        else:
+            saved.pop()
+        results.append(_finish_case(model, case, state, None, depth, fork_at, saved))
+    return results
 
 
 @dataclass(frozen=True)
@@ -212,13 +304,17 @@ class SuiteResult:
 def run_suite(
     model: AppModel, cases: Sequence[TestCase], parallelism: int = 1
 ) -> SuiteResult:
-    """Replay all cases.  ``parallelism`` > 1 uses a thread pool; results
-    come back in case order either way, so reports do not depend on it."""
-    if parallelism <= 1:
-        results = [run_test_case(model, case) for case in cases]
+    """Replay all cases.  ``parallelism`` > 1 splits them into that many
+    contiguous chunks and replays each on a thread of its own; results come
+    back in case order either way, so reports do not depend on it."""
+    size = max(1, -(-len(cases) // parallelism))
+    chunks = [cases[i : i + size] for i in range(0, len(cases), size)]
+    if len(chunks) <= 1:
+        results = _run_chunk(model, cases)
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(lambda c: run_test_case(model, c), cases))
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            done = pool.map(lambda chunk: _run_chunk(model, chunk), chunks)
+            results = [r for chunk_results in done for r in chunk_results]
     statements, branches = model.coverage_universe
     return SuiteResult(
         model_name=model.name,

@@ -14,9 +14,11 @@ finite:
   other handler flipped application state may behave differently (take the
   other branch, skip opening its dialog), and the structural record would
   mix observations from incompatible states.
-* **Every firing starts from a pristine instance.**  The ripper relaunches
-  the application with fresh settings and replays the context prefix before
-  firing, so an observation is never contaminated by a sibling probe.
+* **Every firing starts from a fork of the context's settled state.**  The
+  application is launched once, with fresh settings; each context keeps the
+  state it settled in, and each probe fires on its own copy of that state
+  (:meth:`~guiseq.simulator.GuiState.fork`), so an observation is never
+  contaminated by a sibling probe and no context prefix is fired twice.
 
 A firing that crashes is recorded (that is a finding, not a failure of the
 rip) but contributes no flow edges and its resulting state is not explored.
@@ -120,20 +122,6 @@ class GuiStructure:
         return tuple(out)
 
 
-def _replay(model: AppModel, context: tuple[str, ...]) -> GuiState:
-    state, crash = launch(model, SettingsStore())
-    if crash is not None:
-        raise GuiseqError(
-            f"application {model.name!r} crashed in its launch block "
-            f"({crash.kind} at {crash.statement}); cannot rip"
-        )
-    for event in context:
-        outcome = fire_event(state, event)
-        if outcome.crash is not None:  # pragma: no cover - contexts are crash-free
-            raise GuiseqError(f"replaying context {context!r} crashed at {event!r}")
-    return state
-
-
 def _enabled_events_of(model: AppModel, state: GuiState, window: str) -> tuple[str, ...]:
     spec = model.window_by_name[window]
     out: list[str] = []
@@ -165,6 +153,59 @@ def _discover(model: AppModel, state: GuiState, window: str) -> WindowDiscovery:
     )
 
 
+def _fire_and_record(
+    model: AppModel,
+    state: GuiState,
+    event: str,
+    context: tuple[str, ...],
+    discoveries: dict[str, WindowDiscovery],
+) -> Firing:
+    """Fire ``event`` on ``state``, a live instance that settled after
+    ``context``, note the windows it shows for the first time, and return
+    the structural record of the firing."""
+    pre_open = list(state.open_windows)
+    outcome = fire_event(state, event)
+    own = model.event_window[event]
+    if outcome.crash is not None:
+        return Firing(
+            event=event,
+            context=context,
+            crashed=True,
+            crash=outcome.crash,
+            exited=True,
+            own_window=own,
+            own_window_persists=False,
+            own_window_unblocked=False,
+            opened=(),
+            closed_any=False,
+            post_available=(),
+            post_enabled_own=(),
+        )
+    post_open = list(state.open_windows)
+    for w in post_open:
+        if w not in discoveries:
+            discoveries[w] = _discover(model, state, w)
+    own_persists = own in post_open
+    return Firing(
+        event=event,
+        context=context,
+        crashed=False,
+        crash=None,
+        exited=outcome.exited,
+        own_window=own,
+        own_window_persists=own_persists,
+        own_window_unblocked=(
+            own_persists and not state.exited and not state.window_blocked(own)
+        ),
+        opened=tuple(
+            (w, _enabled_events_of(model, state, w)) for w in post_open if w not in pre_open
+        ),
+        closed_any=any(w not in post_open for w in pre_open),
+        post_available=available_events(state),
+        post_enabled_own=_enabled_events_of(model, state, own) if own_persists else (),
+    )
+
+
 def rip(model: AppModel) -> GuiStructure:
     """Explore ``model`` and return its observed structure."""
     probe, crash = launch(model, SettingsStore())
@@ -173,74 +214,24 @@ def rip(model: AppModel) -> GuiStructure:
             f"application {model.name!r} crashed in its launch block "
             f"({crash.kind} at {crash.statement}); cannot rip"
         )
-    discoveries: dict[str, WindowDiscovery] = {}
-    for w in probe.open_windows:
-        discoveries[w] = _discover(model, probe, w)
+    discoveries = {w: _discover(model, probe, w) for w in probe.open_windows}
     initials = available_events(probe)
 
     fired: set[str] = set()
     firings: list[Firing] = []
-    queue: deque[tuple[str, ...]] = deque([()])
+    # Each context travels with the state it settled in; probes fire on forks.
+    queue: deque[tuple[tuple[str, ...], GuiState]] = deque([((), probe)])
     while queue:
-        context = queue.popleft()
-        base = _replay(model, context)
-        for event in available_events(base):
+        context, settled = queue.popleft()
+        for event in available_events(settled):
             if event in fired:
                 continue
             fired.add(event)
-            state = _replay(model, context)
-            pre_open = list(state.open_windows)
-            outcome = fire_event(state, event)
-            own = model.event_window[event]
-            if outcome.crash is not None:
-                firings.append(
-                    Firing(
-                        event=event,
-                        context=context,
-                        crashed=True,
-                        crash=outcome.crash,
-                        exited=True,
-                        own_window=own,
-                        own_window_persists=False,
-                        own_window_unblocked=False,
-                        opened=(),
-                        closed_any=False,
-                        post_available=(),
-                        post_enabled_own=(),
-                    )
-                )
-                continue
-            post_open = list(state.open_windows)
-            for w in post_open:
-                if w not in discoveries:
-                    discoveries[w] = _discover(model, state, w)
-            own_persists = own in post_open
-            firings.append(
-                Firing(
-                    event=event,
-                    context=context,
-                    crashed=False,
-                    crash=None,
-                    exited=outcome.exited,
-                    own_window=own,
-                    own_window_persists=own_persists,
-                    own_window_unblocked=(
-                        own_persists and not state.exited and not state.window_blocked(own)
-                    ),
-                    opened=tuple(
-                        (w, _enabled_events_of(model, state, w))
-                        for w in post_open
-                        if w not in pre_open
-                    ),
-                    closed_any=any(w not in post_open for w in pre_open),
-                    post_available=available_events(state),
-                    post_enabled_own=(
-                        _enabled_events_of(model, state, own) if own_persists else ()
-                    ),
-                )
-            )
+            state = settled.fork()
+            firing = _fire_and_record(model, state, event, context, discoveries)
+            firings.append(firing)
             if not state.exited:
-                queue.append(context + (event,))
+                queue.append((context + (event,), state))
     return GuiStructure(
         app=model.name,
         windows=tuple(discoveries.values()),

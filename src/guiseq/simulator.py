@@ -23,6 +23,9 @@ Execution semantics worth spelling out:
   ``throwArrayOob`` stops the handler mid-flight, as does ``exit``.  The
   crashing statement still counts as executed for coverage — the program got
   there, after all.
+* **Fork.**  :meth:`GuiState.fork` copies a running instance, so the
+  ripper and the replayer continue from a shared state instead of
+  relaunching and firing its events again.
 * **Launch.**  :func:`launch` builds a fresh GUI (main window open, widget
   flags reset to their declared values, fields reset to their initial
   values) and runs the model's launch block against the *given* settings
@@ -118,8 +121,11 @@ class SettingsStore:
     def set(self, key: str, value: str | None) -> None:
         self._data[key] = value
 
-    def clear(self) -> None:
-        self._data.clear()
+    def copy(self) -> SettingsStore:
+        """An independent store holding the same values."""
+        store = SettingsStore()
+        store._data = dict(self._data)
+        return store
 
     def as_dict(self) -> dict[str, str | None]:
         return dict(self._data)
@@ -138,6 +144,25 @@ class GuiState:
     covered_branches: set[str] = dc_field(default_factory=set)
     entered_handlers: set[str] = dc_field(default_factory=set)
     exited: bool = False
+
+    def fork(self) -> GuiState:
+        """An independent copy of this instance, settings store included.
+
+        The simulator is deterministic, so continuing a fork is observably
+        the same as relaunching against the same settings and firing the
+        events that led here again, only without that work.
+        """
+        return GuiState(
+            model=self.model,
+            settings=self.settings.copy(),
+            open_windows=list(self.open_windows),
+            widget_enabled=dict(self.widget_enabled),
+            fields=dict(self.fields),
+            covered_statements=set(self.covered_statements),
+            covered_branches=set(self.covered_branches),
+            entered_handlers=set(self.entered_handlers),
+            exited=self.exited,
+        )
 
     def window_blocked(self, window: str) -> bool:
         """True while a modal window sits strictly above ``window``, or

@@ -4,15 +4,20 @@ Everything here deliberately uses a *different* algorithm from the package
 code: effect closures by fixpoint iteration instead of a call-graph walk,
 distances by Floyd-Warshall instead of seeded BFS, path enumeration by plain
 recursion instead of budgeted ordered search, available events by a scan of
-every declared window instead of the windows above the topmost modal one.
+every declared window instead of the windows above the topmost modal one,
+the rip by relaunching and firing each context again instead of forking.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
+from guiseq.appmodel import AppModel
 from guiseq.graphs import Edg, Efg
 from guiseq.programdb import ProgramModel
-from guiseq.simulator import GuiState
+from guiseq.ripper import GuiStructure, _discover, _fire_and_record
+from guiseq.simulator import GuiState, SettingsStore, available_events, fire_event, launch
 
 INF = float("inf")
 
@@ -174,3 +179,39 @@ def scanned_available_events(state: GuiState) -> tuple[str, ...]:
     index = {e: i for i, e in enumerate(state.model.events)}
     out.sort(key=index.__getitem__)
     return tuple(out)
+
+
+def relaunching_rip(model: AppModel) -> GuiStructure:
+    """The rip with a relaunch per probe: every state, the one a context's
+    available events are read from included, is rebuilt by launching against
+    fresh settings and firing the context again.  Firing records come from
+    the ripper's own ``_fire_and_record``; only how a state is reached differs."""
+
+    def relaunched(context: tuple[str, ...]) -> GuiState:
+        state, crash = launch(model, SettingsStore())
+        assert crash is None
+        for event in context:
+            assert fire_event(state, event).ok
+        return state
+
+    probe = relaunched(())
+    discoveries = {w: _discover(model, probe, w) for w in probe.open_windows}
+    fired: set[str] = set()
+    firings = []
+    queue: deque[tuple[str, ...]] = deque([()])
+    while queue:
+        context = queue.popleft()
+        for event in available_events(relaunched(context)):
+            if event in fired:
+                continue
+            fired.add(event)
+            state = relaunched(context)
+            firings.append(_fire_and_record(model, state, event, context, discoveries))
+            if not state.exited:
+                queue.append(context + (event,))
+    return GuiStructure(
+        app=model.name,
+        windows=tuple(discoveries.values()),
+        initials=available_events(probe),
+        firings=tuple(firings),
+    )

@@ -167,6 +167,26 @@ def test_replay_rejects_a_sequence_that_does_not_fit_the_model(workdir, capsys, 
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    ("second", "message"),
+    [
+        ({"id": "s0001"}, "duplicate sequence id 's0001'"),
+        ({"id": "s0002", "splitOf": "zz"}, "sequence 's0002' continues unknown sequence 'zz'"),
+    ],
+    ids=["duplicate-id", "unknown-split-of"],
+)
+def test_replay_grouping_errors_name_the_file(workdir, capsys, second, message):
+    seqs = workdir / "handmade.jsonl"
+    good = {"schemaVersion": 1, "id": "s0001", "events": ["e1"], "targets": [0], "origin": "blackbox"}
+    seqs.write_text(json.dumps(good) + "\n" + json.dumps({**good, **second}) + "\n")
+    report = workdir / "report.json"
+    assert main(["replay", "--model", str(corpus.model_path("example-app")),
+                 "--sequences", str(seqs), "--report", str(report)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {seqs}: {message}"]
+    assert not report.exists()
+
+
 def test_replay_parallel_output_is_identical(workdir):
     model = str(corpus.model_path("rachota-scenario"))
     efg = workdir / "rachota-efg.json"

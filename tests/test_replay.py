@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import sys
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from guiseq import corpus
 from guiseq.appmodel import load_app_model
 from guiseq.generate import PRESETS, SequenceRecord, generate_sequences
+from guiseq import replay as replay_module
 from guiseq.graphs import GuiseqError
+from guiseq.programdb import build_class_db, build_edg
+from guiseq.ripper import build_efg_from_structure, rip
 from guiseq.replay import (
     TestCase as Case,
     group_test_cases,
@@ -222,6 +230,133 @@ def test_parallel_replay_is_observationally_equal(rachota_app, rachota_efg, rach
     serial = run_suite(rachota_app, cases, parallelism=1)
     threaded = run_suite(rachota_app, cases, parallelism=8)
     assert report_to_json(serial) == report_to_json(threaded)
+
+
+@cache
+def generated_cases(name):
+    """The cases of configurations A-F on a bundled model, in file order."""
+    model = corpus.app_model(name)
+    efg = build_efg_from_structure(rip(model))
+    edg, _warnings = build_edg(build_class_db(corpus.program_model(corpus.DEFAULT_IR[name])), efg)
+    return tuple(
+        case
+        for config in "ABCDEF"
+        for case in group_test_cases(generate_sequences(PRESETS[config], efg, edg).records)
+    )
+
+
+@st.composite
+def case_lists(draw, model, pool):
+    """Generated cases, and variants of them that keep a prefix, append any
+    of the model's events (so break, exit or crash) and split the result into
+    parts; shuffled and duplicated, or sorted so prefixes meet."""
+    cases = []
+    for n in range(draw(st.integers(min_value=0, max_value=20))):
+        base = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            cases.append(base)
+            continue
+        events = base.events[: draw(st.integers(min_value=0, max_value=len(base.events)))]
+        events += tuple(draw(st.lists(st.sampled_from(model.events), max_size=4)))
+        cut = st.integers(min_value=1, max_value=max(1, len(events) - 1))
+        cuts = sorted(draw(st.sets(cut, max_size=2)))
+        bounds = [0] + [c for c in cuts if c < len(events)] + [len(events)]
+        cases.append(Case(parts=tuple(
+            record(f"x{n}.{k}", events[a:b], split_of=None if k == 0 else f"x{n}.0")
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        )))
+    if draw(st.booleans()):
+        cases.sort(key=lambda c: c.events)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prefix_sharing_replay_equals_replaying_each_case_alone(name, data):
+    model = corpus.app_model(name)
+    cases = data.draw(case_lists(model, generated_cases(name)))
+    parallelism = data.draw(st.integers(min_value=1, max_value=3))
+    alone = tuple(run_test_case(model, case) for case in cases)
+    assert run_suite(model, cases, parallelism).results == alone
+
+
+def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
+    doc = {
+        "schemaVersion": 1,
+        "name": "keypad",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "modal": False,
+                "widgets": [{"id": f"w{e}", "event": e, "enabled": True} for e in "abc"],
+            }
+        ],
+        "fields": {"Main.x": "v"},
+        "onLaunch": [],
+        "handlers": {e: [{"op": "log", "field": "Main.x"}] for e in "abc"},
+        "methods": {},
+    }
+    p = tmp_path / "keypad.json"
+    p.write_text(json.dumps(doc))
+    model = load_app_model(p)
+    words = [(x, y, z) for x in "abc" for y in "abc" for z in "abc"]
+    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+
+    calls = {"launch": 0, "fire_event": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(replay_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(replay_module, name, counted)
+    suite = run_suite(model, cases)
+    assert {r.verdict for r in suite.results} == {"passed"}
+    # one fire per node of the prefix tree: 3 + 9 + 27; one shared launch
+    # against fresh settings, then one restart per case
+    assert calls == {"fire_event": 39, "launch": 1 + 27}
+
+
+def test_a_crashing_launch_fails_every_case_alike(tmp_path):
+    doc = {
+        "schemaVersion": 1,
+        "name": "dead-on-arrival",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "modal": False,
+                "widgets": [{"id": "w", "event": "e", "enabled": True}],
+            }
+        ],
+        "fields": {"Main.hole": None},
+        "onLaunch": [{"op": "deref", "field": "Main.hole"}],
+        "handlers": {"e": []},
+        "methods": {},
+    }
+    p = tmp_path / "doa.json"
+    p.write_text(json.dumps(doc))
+    model = load_app_model(p)
+    cases = [Case(parts=(record("s0001", ["e", "e"]),)), Case(parts=(record("s0002", ["e"]),))]
+    suite = run_suite(model, cases)
+    assert suite.results == tuple(run_test_case(model, case) for case in cases)
+    assert [(r.verdict, r.crash.phase, r.crash.statement) for r in suite.results] == [
+        ("failed", "launch", "launch/0"),
+    ] * 2
+
+
+def test_chunked_replay_survives_frequent_thread_switches(rachota_efg, rachota_edg):
+    """More chunks than cores on a freshly loaded model, whose cached maps the
+    threads then build concurrently, with a thread switch forced very often."""
+    cases = greybox_cases(rachota_efg, rachota_edg) * 4
+    serial = run_suite(corpus.app_model("rachota-scenario"), cases)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_suite(corpus.app_model("rachota-scenario"), cases, parallelism=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.results == serial.results
 
 
 # ---------------------------------------------------------------------------

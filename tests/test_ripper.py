@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from guiseq import corpus
 from guiseq.appmodel import load_app_model
 from guiseq.graphs import GuiseqError
 from guiseq.ripper import build_efg_from_structure, rip, save_structure, structure_to_json
 from guiseq.simulator import CRASH_NULL_DEREF
+
+from oracles import relaunching_rip
 
 EXAMPLE_EDGES = {
     ("e1", "e1"), ("e1", "e2"), ("e1", "e3"),
@@ -71,7 +74,8 @@ def test_rachota_flow_graph(rachota_app, rachota_efg):
     }
 
 
-def test_crashing_event_is_recorded_but_contributes_nothing(tmp_path):
+def crasher_model(tmp_path):
+    """Event ``a`` opens a window and then crashes; ``b`` and ``c`` are harmless."""
     doc = {
         "schemaVersion": 1,
         "name": "crasher",
@@ -103,8 +107,11 @@ def test_crashing_event_is_recorded_but_contributes_nothing(tmp_path):
     }
     p = tmp_path / "crasher.json"
     p.write_text(json.dumps(doc))
-    model = load_app_model(p)
+    return load_app_model(p)
 
+
+def test_crashing_event_is_recorded_but_contributes_nothing(tmp_path):
+    model = crasher_model(tmp_path)
     s = rip(model)
     by_event = {f.event: f for f in s.firings}
     assert by_event["a"].crashed
@@ -116,6 +123,17 @@ def test_crashing_event_is_recorded_but_contributes_nothing(tmp_path):
     g = build_efg_from_structure(s)
     assert g.events == ("a", "b")  # c belongs to the undiscovered window
     assert set(g.edge_set) == {("b", "a"), ("b", "b")}
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+def test_rip_equals_the_relaunching_oracle(name):
+    model = corpus.app_model(name)
+    assert rip(model) == relaunching_rip(model)
+
+
+def test_rip_of_a_crashing_model_equals_the_relaunching_oracle(tmp_path):
+    model = crasher_model(tmp_path)
+    assert rip(model) == relaunching_rip(model)
 
 
 def test_rip_refuses_an_app_that_crashes_on_launch(tmp_path):

@@ -120,6 +120,79 @@ def test_availability_matches_the_scanning_oracle(name, data):
             fire_event(state, data.draw(st.sampled_from(expected)))
 
 
+def observed(state):
+    """Everything about a running instance that later events can see or report."""
+    return (
+        dict(state.fields),
+        list(state.open_windows),
+        dict(state.widget_enabled),
+        state.settings.as_dict(),
+        set(state.covered_statements),
+        set(state.covered_branches),
+        set(state.entered_handlers),
+        state.exited,
+    )
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data):
+    """Fork a state after a random walk; continuing the fork and continuing a
+    fresh launch that fired the same walk again stay equal, through a final
+    relaunch against the settings each one carries, and the forked state
+    itself does not change."""
+    model = corpus.app_model(name)
+    original, _ = launch(model, SettingsStore())
+    prefix = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        available = available_events(original)
+        if not available:
+            break
+        prefix.append(data.draw(st.sampled_from(available)))
+        fire_event(original, prefix[-1])
+    before = observed(original)
+
+    fork = original.fork()
+    relaunched, _ = launch(model, SettingsStore())
+    for event in prefix:
+        fire_event(relaunched, event)
+    assert observed(fork) == observed(relaunched) == before
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        available = available_events(fork)
+        if not available:
+            break
+        event = data.draw(st.sampled_from(available))
+        assert fire_event(fork, event) == fire_event(relaunched, event)
+        assert observed(fork) == observed(relaunched)
+    fork_again, fork_crash = launch(model, fork.settings, phase="restart")
+    relaunched_again, relaunched_crash = launch(model, relaunched.settings, phase="restart")
+    assert fork_crash == relaunched_crash
+    assert observed(fork_again) == observed(relaunched_again)
+    assert observed(original) == before
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+def test_mutating_a_fork_leaves_the_original_untouched(name):
+    model = corpus.app_model(name)
+    original, _ = launch(model, SettingsStore())
+    fire_event(original, available_events(original)[0])
+    before = observed(original)
+    fork = original.fork()
+    fork.settings.set("a key", "a value")
+    fork.open_windows.append("a window")
+    for key, enabled in fork.widget_enabled.items():
+        fork.widget_enabled[key] = not enabled
+    for field in fork.fields:
+        fork.fields[field] = "changed"
+    fork.covered_statements.add("a statement")
+    fork.covered_branches.add("a branch")
+    fork.entered_handlers.add("a handler")
+    fork.exited = True
+    assert observed(original) == before
+    assert observed(original.fork()) == before
+
+
 def test_reopen_and_close_missing_are_noops(tmp_path):
     doc = two_window_doc()
     doc["handlers"]["open"] = [
