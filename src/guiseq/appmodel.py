@@ -497,7 +497,7 @@ def _parse_block(docs: list, where: str) -> tuple[Statement, ...]:
 def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
     windows = tuple(
         WindowSpec(
-            name=w["name"],
+            name=typed(w["name"], str, "window name"),
             modal=typed(w.get("modal", False), bool, f"window {w['name']!r} modal"),
             main=typed(w.get("main", False), bool, f"window {w['name']!r} main"),
             window_event=w.get("windowEvent"),
@@ -515,7 +515,7 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
         for w in doc.get("windows", [])
     )
     model = AppModel(
-        name=doc.get("name", default_name),
+        name=typed(doc.get("name", default_name), str, "model name"),
         windows=windows,
         fields=dict(doc.get("fields", {})),
         handlers={

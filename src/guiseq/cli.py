@@ -30,7 +30,6 @@ from .replay import (
     group_test_cases,
     load_report,
     render_report_table,
-    report_to_json,
     run_suite,
     save_report,
 )
@@ -203,16 +202,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise GuiseqError(f"{args.sequences}: {exc}") from None
     suite = run_suite(model, cases, parallelism=args.parallel)
     save_report(suite, args.report)
-    summary = report_to_json(suite)["summary"]
+    failed, broken = suite.count("failed"), suite.count("broken")
     print(
-        f"replayed {summary['total']} test cases: {summary['passed']} passed, "
-        f"{summary['failed']} failed, {summary['broken']} broken; "
-        f"statement coverage {summary['statementCoverage']:.4f}, "
-        f"branch coverage {summary['branchCoverage']:.4f}"
+        f"replayed {len(suite.results)} test cases: {suite.count('passed')} passed, "
+        f"{failed} failed, {broken} broken; "
+        f"statement coverage {suite.statement_coverage:.4f}, "
+        f"branch coverage {suite.branch_coverage:.4f}"
     )
-    if summary["failed"] > 0:
+    if failed > 0:
         return 1
-    if summary["broken"] > 0 and not args.allow_broken:
+    if broken > 0 and not args.allow_broken:
         return 1
     return 0
 

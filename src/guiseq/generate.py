@@ -39,10 +39,10 @@ hop or entry walks that tree instead of searching the graph again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     SCHEMA_VERSION,
@@ -50,6 +50,7 @@ from .graphs import (
     Edg,
     Efg,
     GuiseqError,
+    QuotedStrings,
     read_document_lines,
     shortest_path,
     typed,
@@ -370,27 +371,28 @@ def generate_sequences(
 # ---------------------------------------------------------------------------
 
 
-def _record_to_json(record: SequenceRecord) -> dict:
-    doc: dict = {
-        "schemaVersion": SCHEMA_VERSION,
-        "id": record.id,
-        "events": list(record.events),
-        "targets": list(record.targets),
-        "origin": record.origin,
-    }
-    if record.abstract is not None:
-        doc["abstract"] = list(record.abstract)
-    if record.split_of is not None:
-        doc["splitOf"] = record.split_of
-    return doc
-
-
-def save_sequences(records: Sequence[SequenceRecord], path: Path | str) -> None:
-    lines = [
-        json.dumps(_record_to_json(r), sort_keys=True, separators=(",", ":"))
-        for r in records
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def save_sequences(records: Iterable[SequenceRecord], path: Path | str) -> None:
+    """Write one record per line, each line the bytes of ``json.dumps`` with
+    sorted keys and no spaces (keys ``abstract`` when set, ``events``, ``id``,
+    ``origin``, ``schemaVersion``, ``splitOf`` when set, ``targets``).  Lines
+    are rendered directly, each event quoted once, and written one by one, so
+    the whole file's text is never held at once."""
+    quoted = QuotedStrings()
+    with open(path, "w", encoding="utf-8") as out:
+        for r in records:
+            abstract = (
+                "" if r.abstract is None
+                else '"abstract":[' + ",".join(map(quoted.__getitem__, r.abstract)) + "],"
+            )
+            split_of = (
+                "" if r.split_of is None else ',"splitOf":' + encode_basestring_ascii(r.split_of)
+            )
+            out.write(
+                f'{{{abstract}"events":[{",".join(map(quoted.__getitem__, r.events))}],'
+                f'"id":{encode_basestring_ascii(r.id)},"origin":{quoted[r.origin]},'
+                f'"schemaVersion":{SCHEMA_VERSION}{split_of},'
+                f'"targets":[{",".join(map(str, r.targets))}]}}\n'
+            )
 
 
 def _record_from_json(doc: dict) -> SequenceRecord:

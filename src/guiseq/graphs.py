@@ -20,7 +20,9 @@ on the GUI; :func:`guiseq.generate.to_executable` repairs it into EFG paths.
 This module also holds the one reader of the package's JSON files
 (:func:`read_document`, :func:`read_document_lines`): every loader hands it a
 per-format ``parse(doc)`` callback, and every malformed input comes out of it
-as a :class:`GuiseqError` that names the file.
+as a :class:`GuiseqError` that names the file.  The writers of the two large
+files, sequences and reports, render their text directly and quote strings
+through :class:`QuotedStrings`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -383,8 +386,18 @@ def typed_list(value, kind: type, what: str) -> tuple:
     raise TypeError(f"{what} is {value!r}, not a list of {kind.__name__}")
 
 
+class QuotedStrings(dict):
+    """Texts mapped to their JSON string literals, as ``json.dumps`` writes
+    them by default (ASCII with escapes, quoted in C), each computed on first
+    lookup: an event quoted once serves every sequence that holds it."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = quoted = encode_basestring_ascii(text)
+        return quoted
+
+
 def _graph_from_json(doc: dict) -> Efg | Edg:
-    events = [entry["id"] for entry in doc.get("events", [])]
+    events = [typed(entry["id"], str, "event id") for entry in doc.get("events", [])]
     edges = doc.get("edges", [])
     if "initials" in doc:
         g = Efg(
@@ -414,22 +427,27 @@ def export_dot(g: Efg | Edg) -> str:
     """Graphviz rendering; initial events get a double border.
 
     The output is fully ordered (nodes then edges, both by declaration index)
-    so repeated exports are byte-identical.
+    so repeated exports are byte-identical.  A ``"`` in an event id is
+    escaped as ``\\"``, so every id stays one quoted DOT id.
     """
+
+    def node(e: str) -> str:
+        return '"' + e.replace('"', '\\"') + '"'
+
     lines: list[str] = []
     if isinstance(g, Efg):
         lines.append("digraph efg {")
         initial = set(g.initials)
         for e in g.events:
             attrs = ' [peripheries=2]' if e in initial else ""
-            lines.append(f'  "{e}"{attrs};')
+            lines.append(f"  {node(e)}{attrs};")
         for src, dst in g.edges:
-            lines.append(f'  "{src}" -> "{dst}";')
+            lines.append(f"  {node(src)} -> {node(dst)};")
     else:
         lines.append("digraph edg {")
         for e in g.events:
-            lines.append(f'  "{e}";')
+            lines.append(f"  {node(e)};")
         for src, weight, dst in g.edges:
-            lines.append(f'  "{src}" -> "{dst}" [label="{weight}"];')
+            lines.append(f'  {node(src)} -> {node(dst)} [label="{weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -43,16 +43,16 @@ again, never the results.
 from __future__ import annotations
 
 import dataclasses
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Container, Sequence
+from typing import Container, Iterable, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
-from .graphs import SCHEMA_VERSION, GuiseqError, read_document
+from .graphs import SCHEMA_VERSION, GuiseqError, QuotedStrings, read_document
 from .simulator import (
     CrashRecord,
     GuiState,
@@ -89,11 +89,15 @@ class TestCase:
     @property
     def events(self) -> tuple[str, ...]:
         """All events across parts, in execution order."""
+        if len(self.parts) == 1:
+            return self.parts[0].events
         return tuple(e for part in self.parts for e in part.events)
 
     @property
     def targets(self) -> tuple[int, ...]:
         """Target positions rebased onto the cumulative event list."""
+        if len(self.parts) == 1:
+            return self.parts[0].targets
         out: list[int] = []
         offset = 0
         for part in self.parts:
@@ -370,10 +374,61 @@ def report_to_json(suite: SuiteResult) -> dict:
 
 
 def save_report(suite: SuiteResult, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_json(suite), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    """Write the report of ``suite``: the bytes of
+    ``json.dumps(report_to_json(suite), indent=2, sort_keys=True)`` and a
+    final newline, rendered straight from ``suite`` without building the
+    document.  Keys come in sorted order, each event is quoted once, integers
+    are written by ``str`` and the coverage fractions by ``repr``, as
+    ``json`` writes them."""
+    quoted = QuotedStrings()
+
+    def array(items: Iterable[str]) -> str:
+        body = ",\n        ".join(items)
+        return "[\n        " + body + "\n      ]" if body else "[]"
+
+    tests = []
+    for r in suite.results:
+        case, crash = r.case, r.crash
+        fields = []  # "key": value, in sorted key order
+        if r.broken_at is not None:
+            fields.append(f'"brokenAt": {r.broken_at}')
+        if crash is not None:
+            position = "null" if crash.position is None else str(crash.position)
+            fields.append(
+                f'"crash": {{\n        "kind": {quoted[crash.kind]},'
+                f'\n        "phase": {quoted[crash.phase]},'
+                f'\n        "position": {position},'
+                f'\n        "statement": {quoted[crash.statement]}\n      }}'
+            )
+        fields.append('"events": ' + array(map(quoted.__getitem__, case.events)))
+        fields.append('"id": ' + encode_basestring_ascii(case.id))
+        if len(case.parts) > 1:
+            fields.append('"parts": ' + array(encode_basestring_ascii(p.id) for p in case.parts))
+        fields.append('"targets": ' + array(map(str, case.targets)))
+        fields.append('"verdict": ' + quoted[r.verdict])
+        tests.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+    summary = (
+        ("branchCoverage", repr(suite.branch_coverage)),
+        ("branchesCovered", len(suite.covered_branches)),
+        ("branchesTotal", suite.branches_total),
+        ("broken", suite.count("broken")),
+        ("failed", suite.count("failed")),
+        ("passed", suite.count("passed")),
+        ("statementCoverage", repr(suite.statement_coverage)),
+        ("statementsCovered", len(suite.covered_statements)),
+        ("statementsTotal", suite.statements_total),
+        ("total", len(suite.results)),
     )
+    text = "".join((
+        '{\n  "model": ', encode_basestring_ascii(suite.model_name),
+        f',\n  "schemaVersion": {SCHEMA_VERSION}',
+        ',\n  "summary": {\n    ',
+        ",\n    ".join(f'"{key}": {value}' for key, value in summary),
+        '\n  },\n  "tests": ',
+        "[\n    " + ",\n    ".join(tests) + "\n  ]" if tests else "[]",
+        "\n}\n",
+    ))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _report_from_json(doc: dict) -> dict:

@@ -5,7 +5,8 @@ code: effect closures by fixpoint iteration instead of a call-graph walk,
 distances by Floyd-Warshall instead of seeded BFS, path enumeration by plain
 recursion instead of budgeted ordered search, available events by a scan of
 every declared window instead of the windows above the topmost modal one,
-the rip by relaunching and firing each context again instead of forking.
+the rip by relaunching and firing each context again instead of forking,
+a sequence record as a document for ``json.dumps`` instead of rendered text.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
@@ -14,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 
 from guiseq.appmodel import AppModel
-from guiseq.graphs import Edg, Efg
+from guiseq.generate import SequenceRecord
+from guiseq.graphs import SCHEMA_VERSION, Edg, Efg
 from guiseq.programdb import ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
 from guiseq.simulator import GuiState, SettingsStore, available_events, fire_event, launch
@@ -215,3 +217,19 @@ def relaunching_rip(model: AppModel) -> GuiStructure:
         initials=available_events(probe),
         firings=tuple(firings),
     )
+
+
+def oracle_record(record: SequenceRecord) -> dict:
+    """A sequence record as the document its line in a sequence file holds."""
+    doc: dict = {
+        "schemaVersion": SCHEMA_VERSION,
+        "id": record.id,
+        "events": list(record.events),
+        "targets": list(record.targets),
+        "origin": record.origin,
+    }
+    if record.abstract is not None:
+        doc["abstract"] = list(record.abstract)
+    if record.split_of is not None:
+        doc["splitOf"] = record.split_of
+    return doc

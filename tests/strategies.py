@@ -29,3 +29,12 @@ def edgs(draw, max_events: int = 6) -> Edg:
         (src, draw(st.integers(min_value=1, max_value=3)), dst) for src, dst in chosen
     ]
     return Edg.of(events, edges)
+
+
+#: Short strings that JSON must escape: quotes, backslashes, control and
+#: non-ASCII characters (line separators and astral ones included), mixed with
+#: any other character.
+awkward_text = st.text(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f\x85 é€😀') | st.characters(),
+    max_size=5,
+)

@@ -143,6 +143,32 @@ def test_replay_broken_handling(workdir, capsys):
     assert json.loads(report.read_text())["tests"][0]["brokenAt"] == 1
 
 
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+def test_replay_summary_line_and_exit_code_agree_with_the_report(tmp_path, capsys, name):
+    model = str(corpus.model_path(name))
+    efg, edg = str(tmp_path / "efg.json"), str(tmp_path / "edg.json")
+    assert main(["rip", "--model", model, "--out", efg]) == 0
+    assert main(["edg", "--ir", str(corpus.ir_path(corpus.DEFAULT_IR[name])),
+                 "--efg", efg, "--out", edg]) == 0
+    seqs, report = tmp_path / "seqs.jsonl", tmp_path / "report.json"
+    for config in "ABCDEF":
+        assert main(["gen", "--config", config, "--efg", efg, "--edg", edg,
+                     "--out", str(seqs)]) == 0
+        for allow_broken in ([], ["--allow-broken"]):
+            capsys.readouterr()
+            code = main(["replay", "--model", model, "--sequences", str(seqs),
+                         "--report", str(report), *allow_broken])
+            s = json.loads(report.read_text())["summary"]
+            assert capsys.readouterr().out == (
+                f"replayed {s['total']} test cases: {s['passed']} passed, "
+                f"{s['failed']} failed, {s['broken']} broken; "
+                f"statement coverage {s['statementCoverage']:.4f}, "
+                f"branch coverage {s['branchCoverage']:.4f}\n"
+            )
+            failing = s["failed"] > 0 or (s["broken"] > 0 and not allow_broken)
+            assert code == (1 if failing else 0), (config, allow_broken)
+
+
 @pytest.mark.parametrize(
     ("events", "targets", "message"),
     [
@@ -351,6 +377,11 @@ def _drop(path):
         ("app", _replace(("windows", 0, "modal"), "false")),
         ("app", _replace(("windows", 0, "main"), 1)),
         ("app", _replace(("windows", 0, "widgets", 0, "enabled"), "false")),
+        ("app", _replace(("name",), 5)),
+        ("app", _replace(("name",), None)),
+        ("app", _replace(("name",), ["x"])),
+        ("app", _replace(("windows", 0, "name"), 7)),
+        ("efg", b'{"schemaVersion": 1, "events": [{"id": 5}], "initials": [5], "edges": []}'),
     ],
     ids=[
         "efg-event-without-id",
@@ -366,6 +397,11 @@ def _drop(path):
         "app-modal-as-string",
         "app-main-as-number",
         "app-enabled-as-string",
+        "app-model-name-as-number",
+        "app-model-name-null",
+        "app-model-name-as-list",
+        "app-window-name-as-number",
+        "efg-event-id-as-number",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from guiseq.graphs import AbstractSequence, Edg, Efg, GuiseqError, is_executable
 from guiseq.generate import (
     PRESETS,
     GenConfig,
+    SequenceRecord,
     gen_abstract,
     gen_blackbox,
     generate_sequences,
@@ -16,8 +19,14 @@ from guiseq.generate import (
     to_executable,
 )
 
-from oracles import enumerate_exact_paths, floyd_warshall, maximal_paths, reachable_from
-from strategies import edgs, efgs
+from oracles import (
+    enumerate_exact_paths,
+    floyd_warshall,
+    maximal_paths,
+    oracle_record,
+    reachable_from,
+)
+from strategies import awkward_text, edgs, efgs
 
 
 def events_of(result):
@@ -334,3 +343,26 @@ def test_converted_parts_are_executable_and_cover_the_abstract(
         assert tuple(hit) == conv.abstract[: len(hit)]
         if not result.diagnostics:
             assert tuple(hit) == conv.abstract
+
+
+@st.composite
+def sequence_records(draw) -> SequenceRecord:
+    texts = st.lists(awkward_text, max_size=4).map(tuple)
+    return SequenceRecord(
+        id=draw(awkward_text),
+        events=draw(texts),
+        targets=tuple(draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=4))),
+        origin=draw(st.sampled_from(["blackbox", "greybox"]) | awkward_text),
+        abstract=draw(st.none() | texts),
+        split_of=draw(st.none() | awkward_text),
+    )
+
+
+@given(st.lists(sequence_records(), max_size=8))
+@settings(max_examples=100)
+def test_each_written_line_is_the_records_json_document(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    save_sequences(records, path)
+    assert path.read_text(encoding="utf-8").split("\n") == [
+        json.dumps(oracle_record(r), sort_keys=True, separators=(",", ":")) for r in records
+    ] + [""]

@@ -182,6 +182,22 @@ def test_export_dot_marks_initials_and_weights():
     assert '"a" -> "b" [label="3"];' in export_dot(d)
 
 
+def test_export_dot_escapes_quotes_in_ids():
+    g = Efg.of(['a"b', "c"], ['a"b'], [('a"b', "c"), ("c", 'a"b')])
+    assert export_dot(g).splitlines()[1:5] == [
+        '  "a\\"b" [peripheries=2];',
+        '  "c";',
+        '  "a\\"b" -> "c";',
+        '  "c" -> "a\\"b";',
+    ]
+    d = Edg.of(['a"b', "c"], [('a"b', 2, "c")])
+    assert export_dot(d).splitlines()[1:4] == [
+        '  "a\\"b";',
+        '  "c";',
+        '  "a\\"b" -> "c" [label="2"];',
+    ]
+
+
 def test_graph_json_shapes():
     doc = graph_to_json(DEMO)
     assert doc["schemaVersion"] == 1

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from guiseq import corpus
 from guiseq.appmodel import load_app_model
-from guiseq.generate import PRESETS, SequenceRecord, generate_sequences
+from guiseq.generate import PRESETS, SequenceRecord, generate_sequences, save_sequences
 from guiseq import replay as replay_module
 from guiseq.graphs import GuiseqError
 from guiseq.programdb import build_class_db, build_edg
 from guiseq.ripper import build_efg_from_structure, rip
 from guiseq.replay import (
+    CaseResult,
+    SuiteResult,
     TestCase as Case,
     group_test_cases,
     render_report_table,
@@ -24,7 +26,10 @@ from guiseq.replay import (
     run_test_case,
     save_report,
 )
-from guiseq.simulator import CRASH_NULL_DEREF
+from guiseq.simulator import CRASH_NULL_DEREF, CrashRecord
+
+from oracles import oracle_record
+from strategies import awkward_text
 
 
 def record(rid, events, targets=None, split_of=None):
@@ -413,6 +418,86 @@ def test_report_lists_split_parts_and_break_positions(rachota_app, rachota_efg, 
     )
     assert bdoc["tests"][0]["brokenAt"] == 1
     assert bdoc["summary"]["broken"] == 1
+
+
+def oracle_report(suite):
+    return json.dumps(report_to_json(suite), indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def case_results(draw):
+    """A case of one to three parts, any of them empty, and any verdict."""
+    texts = st.lists(awkward_text, max_size=4).map(tuple)
+    parts = tuple(
+        SequenceRecord(
+            id=draw(awkward_text),
+            events=draw(texts),
+            targets=tuple(draw(st.lists(st.integers(min_value=0, max_value=99), max_size=3))),
+            origin="greybox",
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    verdict = draw(st.sampled_from(["passed", "failed", "broken"]))
+    crash = broken_at = None
+    if verdict == "failed":
+        crash = CrashRecord(
+            kind=draw(awkward_text),
+            statement=draw(awkward_text),
+            phase=draw(st.sampled_from(["event", "launch", "restart"])),
+            position=draw(st.none() | st.integers(min_value=0, max_value=99)),
+        )
+    elif verdict == "broken":
+        broken_at = draw(st.integers(min_value=0, max_value=99))
+    return CaseResult(
+        case=Case(parts=parts),
+        verdict=verdict,
+        crash=crash,
+        broken_at=broken_at,
+        covered_statements=frozenset(draw(st.sets(awkward_text, max_size=4))),
+        covered_branches=frozenset(draw(st.sets(awkward_text, max_size=4))),
+    )
+
+
+@given(
+    model_name=awkward_text,
+    results=st.lists(case_results(), max_size=6),
+    totals=st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20)),
+)
+@settings(max_examples=100)
+def test_rendered_report_is_the_json_document(tmp_path_factory, model_name, results, totals):
+    suite = SuiteResult(model_name, tuple(results), *totals)
+    path = tmp_path_factory.getbasetemp() / "report.json"
+    save_report(suite, path)
+    assert path.read_text(encoding="utf-8") == oracle_report(suite)
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_report_of_replayed_cases_is_the_json_document(tmp_path_factory, name, data):
+    model = corpus.app_model(name)
+    suite = run_suite(model, data.draw(case_lists(model, generated_cases(name))))
+    path = tmp_path_factory.getbasetemp() / f"{name}.report.json"
+    save_report(suite, path)
+    assert path.read_text(encoding="utf-8") == oracle_report(suite)
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+def test_written_files_are_the_oracles_bytes_on_the_corpus(tmp_path, name):
+    model = corpus.app_model(name)
+    efg = build_efg_from_structure(rip(model))
+    edg, _warnings = build_edg(build_class_db(corpus.program_model(corpus.DEFAULT_IR[name])), efg)
+    seqs, report = tmp_path / "seqs.jsonl", tmp_path / "report.json"
+    for config in "ABCDEF":
+        records = generate_sequences(PRESETS[config], efg, edg).records
+        save_sequences(records, seqs)
+        assert seqs.read_bytes() == "".join(
+            json.dumps(oracle_record(r), sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records
+        ).encode("utf-8"), config
+        suite = run_suite(model, group_test_cases(records))
+        save_report(suite, report)
+        assert report.read_bytes() == oracle_report(suite).encode("utf-8"), config
 
 
 def test_report_table_rendering():
