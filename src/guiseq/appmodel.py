@@ -3,8 +3,8 @@
 An :class:`AppModel` describes a small reactive application precisely enough
 to simulate it: windows with widgets, object fields with initial values, and
 event handlers written in a tiny statement language.  The simulator
-(:mod:`guiseq.simulator`) interprets the statements; this module only defines
-and validates them.
+(:mod:`guiseq.simulator`) runs the statements, compiled once per model
+(:attr:`AppModel.program`); this module only defines and validates them.
 
 The statement language is deliberately minimal — just enough to express the
 behaviours that matter for event-interaction testing:
@@ -22,7 +22,8 @@ behaviours that matter for event-interaction testing:
 Each op is defined in one place, the op table ``_OPS``: its dataclass, its
 JSON keys, and what each operand names.  Parsing, dumping, validation and
 the static effects (:func:`statement_effects`) all read the table; the
-simulator's interpreter is the one per-op dispatch outside it.
+simulator's table of step builders, keyed by the same classes, is the one
+per-op dispatch outside it.
 
 Field names are owner-qualified strings such as ``"MainWindow.text"``; the
 owner prefix groups fields the way a class would, which is also how
@@ -35,9 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .graphs import SCHEMA_VERSION, GuiseqError, read_document, typed
+
+if TYPE_CHECKING:
+    from .simulator import Program
 
 __all__ = [
     "FieldValue",
@@ -355,11 +359,14 @@ class AppModel:
             (w.name, widget.id): widget.enabled for w in self.windows for widget in w.widgets
         }
 
-    def handler(self, event: str) -> tuple[Statement, ...]:
-        try:
-            return self.handlers[event]
-        except KeyError:
-            raise GuiseqError(f"event {event!r} has no handler") from None
+    @cached_property
+    def program(self) -> Program:
+        """The handlers, methods and launch block compiled for the simulator
+        (:class:`guiseq.simulator.Program`), built on the first launch or
+        fire, not when the model is loaded."""
+        from .simulator import Program  # that module imports this one
+
+        return Program(self)
 
     @cached_property
     def coverage_universe(self) -> tuple[frozenset[str], frozenset[str]]:

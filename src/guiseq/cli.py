@@ -126,11 +126,12 @@ def _cmd_rip(args: argparse.Namespace) -> int:
     model = load_app_model(args.model)
     structure = rip(model)
     efg = build_efg_from_structure(structure)
+    dot = None if args.dot is None else export_dot(efg)  # before any file is written
     save_graph(efg, args.out)
     if args.structure is not None:
         save_structure(structure, args.structure)
-    if args.dot is not None:
-        args.dot.write_text(export_dot(efg), encoding="utf-8")
+    if dot is not None:
+        args.dot.write_text(dot, encoding="utf-8")
     print(
         f"ripped {model.name}: {len(efg.events)} events, "
         f"{len(efg.initials)} initial, {len(efg.edges)} edges -> {args.out}"
@@ -144,9 +145,10 @@ def _cmd_edg(args: argparse.Namespace) -> int:
     edg, warnings = build_edg(db, efg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+    dot = None if args.dot is None else export_dot(edg)  # before any file is written
     save_graph(edg, args.out)
-    if args.dot is not None:
-        args.dot.write_text(export_dot(edg), encoding="utf-8")
+    if dot is not None:
+        args.dot.write_text(dot, encoding="utf-8")
     print(f"built dependency graph: {len(edg.edges)} edges -> {args.out}")
     return 0
 

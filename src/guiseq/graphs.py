@@ -418,9 +418,34 @@ def load_graph(path: Path | str) -> Efg | Edg:
 
 
 def save_graph(g: Efg | Edg, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write ``g``: the bytes of ``json.dumps(graph_to_json(g), indent=2,
+    sort_keys=True)`` and a final newline, rendered straight from the graph
+    with each event quoted once."""
+    quoted = QuotedStrings()
+
+    def array(items: Iterable[str]) -> str:
+        body = ",\n    ".join(items)
+        return "[\n    " + body + "\n  ]" if body else "[]"
+
+    if isinstance(g, Efg):
+        edges = (
+            f'{{\n      "from": {quoted[src]},\n      "to": {quoted[dst]}\n    }}'
+            for src, dst in g.edges
+        )
+    else:
+        edges = (
+            f'{{\n      "from": {quoted[src]},\n      "to": {quoted[dst]},'
+            f'\n      "weight": {weight}\n    }}'
+            for src, weight, dst in g.edges
+        )
+    fields = [
+        '"edges": ' + array(edges),
+        '"events": ' + array(f'{{\n      "id": {quoted[e]}\n    }}' for e in g.events),
+    ]
+    if isinstance(g, Efg):
+        fields.append('"initials": ' + array(map(quoted.__getitem__, g.initials)))
+    fields.append(f'"schemaVersion": {SCHEMA_VERSION}')
+    Path(path).write_text("{\n  " + ",\n  ".join(fields) + "\n}\n", encoding="utf-8")
 
 
 def export_dot(g: Efg | Edg) -> str:
@@ -428,10 +453,14 @@ def export_dot(g: Efg | Edg) -> str:
 
     The output is fully ordered (nodes then edges, both by declaration index)
     so repeated exports are byte-identical.  A ``"`` in an event id is
-    escaped as ``\\"``, so every id stays one quoted DOT id.
+    escaped as ``\\"``, so every id stays one quoted DOT id.  DOT has no
+    way to quote an id that ends in a backslash, so such an id raises
+    :class:`GuiseqError`.
     """
 
     def node(e: str) -> str:
+        if e.endswith("\\"):
+            raise GuiseqError(f"event id {e!r} ends in a backslash, which DOT cannot quote")
         return '"' + e.replace('"', '\\"') + '"'
 
     lines: list[str] = []

@@ -29,8 +29,13 @@ store, windows, widget flags, fields and coverage); the case resumes from the
 fork.  The one launch against fresh settings is shared the same way.  Nothing
 is shared past a crash or a broken event, nor when the launch itself
 crashes, and later parts never are: each launches against its own case's
-settings.  Every case's result equals what :func:`run_test_case` computes
-from scratch.
+settings.  The restart probe is shared too: a launch depends only on the
+model and the settings' contents, so each chunk keeps the outcome of a
+restart (covered statements and branches, and the crash) by a snapshot of
+the settings (:meth:`~guiseq.simulator.SettingsStore.snapshot`) and
+launches again only for a snapshot it has not seen.  Every case's result
+equals what :func:`run_test_case`, which shares nothing, computes from
+scratch.
 
 Cases are still independent (own settings store, own GUI instances), which
 is what makes parallel replay safe: ``parallelism`` N splits the cases into
@@ -137,10 +142,19 @@ class CaseResult:
     entered_handlers: frozenset[str] = frozenset()
 
 
+#: What a restart leaves: its covered statements and branches, and its crash.
+Restart = tuple[frozenset[str], frozenset[str], CrashRecord | None]
+
+
 def run_test_case(model: AppModel, case: TestCase) -> CaseResult:
     """Replay one case from a launch against a fresh settings store."""
     state, crash = launch(model, SettingsStore(), phase="launch")
     return _finish_case(model, case, state, crash)
+
+
+def _restart(model: AppModel, settings: SettingsStore) -> Restart:
+    state, crash = launch(model, settings, phase="restart")
+    return frozenset(state.covered_statements), frozenset(state.covered_branches), crash
 
 
 def _finish_case(
@@ -151,12 +165,15 @@ def _finish_case(
     start: int = 0,
     fork_at: Container[int] = (),
     saved: list[tuple[int, GuiState]] | None = None,
+    restarts: dict[frozenset, Restart] | None = None,
 ) -> CaseResult:
     """Replay ``case`` on from ``state``, a live instance of its first part
     that has fired that part's first ``start`` events (``crash`` is its launch
     crash, if any).  At each first-part position in ``fork_at`` — before the
     event there, or after the part's last event — a fork of the state is
-    pushed onto ``saved`` as ``(position, state)``."""
+    pushed onto ``saved`` as ``(position, state)``.  ``restarts`` memoises
+    the restart by :meth:`~guiseq.simulator.SettingsStore.snapshot`; without
+    it, the restart is a launch."""
     statements: set[str] = set()
     branches: set[str] = set()
     handlers: set[str] = set()
@@ -203,8 +220,16 @@ def _finish_case(
         absorb(state)
         offset += len(part.events)
         start, fork_at = 0, ()
-    state, crash = launch(model, state.settings, phase="restart")
-    absorb(state)
+    if restarts is None:
+        restart = _restart(model, state.settings)
+    else:
+        key = state.settings.snapshot()
+        restart = restarts.get(key)
+        if restart is None:
+            restart = restarts[key] = _restart(model, state.settings)
+    restart_statements, restart_branches, crash = restart
+    statements.update(restart_statements)
+    branches.update(restart_branches)
     if crash is not None:
         return result("failed", crash=crash)
     return result("passed")
@@ -238,6 +263,7 @@ def _run_chunk(model: AppModel, cases: Sequence[TestCase]) -> list[CaseResult]:
     # shared[i]: first-part events case i has in common with case i + 1
     shared = [_common_prefix(a, b) for a, b in zip(firsts, firsts[1:])] + [-1]
     saved: list[tuple[int, GuiState]] = [(0, root)]
+    restarts: dict[frozenset, Restart] = {}
     results = []
     for i, case in enumerate(cases):
         depth, state = saved[-1]
@@ -257,7 +283,7 @@ def _run_chunk(model: AppModel, cases: Sequence[TestCase]) -> list[CaseResult]:
             state = state.fork()
         else:
             saved.pop()
-        results.append(_finish_case(model, case, state, None, depth, fork_at, saved))
+        results.append(_finish_case(model, case, state, None, depth, fork_at, saved, restarts))
     return results
 
 

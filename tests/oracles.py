@@ -6,7 +6,8 @@ distances by Floyd-Warshall instead of seeded BFS, path enumeration by plain
 recursion instead of budgeted ordered search, available events by a scan of
 every declared window instead of the windows above the topmost modal one,
 the rip by relaunching and firing each context again instead of forking,
-a sequence record as a document for ``json.dumps`` instead of rendered text.
+a sequence record as a document for ``json.dumps`` instead of rendered text,
+handlers run by walking their statements instead of compiled steps.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
@@ -14,12 +15,46 @@ from __future__ import annotations
 
 from collections import deque
 
-from guiseq.appmodel import AppModel
+from typing import Iterable
+
+from guiseq.appmodel import (
+    AppModel,
+    Call,
+    CloseWindow,
+    Condition,
+    CopyField,
+    Deref,
+    ExitApp,
+    If,
+    OpenWindow,
+    ReadField,
+    ReadSetting,
+    SetField,
+    SetNull,
+    SetWidgetEnabled,
+    Statement,
+    ThrowArrayOob,
+    WriteSetting,
+)
 from guiseq.generate import SequenceRecord
-from guiseq.graphs import SCHEMA_VERSION, Edg, Efg
+from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError
 from guiseq.programdb import ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
-from guiseq.simulator import GuiState, SettingsStore, available_events, fire_event, launch
+from guiseq.simulator import (
+    CRASH_ARRAY_OOB,
+    CRASH_NULL_DEREF,
+    MAX_CALL_DEPTH,
+    CrashRecord,
+    FireOutcome,
+    GuiState,
+    SettingsStore,
+    _CrashSignal,
+    _ExitSignal,
+    available_events,
+    fire_event,
+    is_available,
+    launch,
+)
 
 INF = float("inf")
 
@@ -233,3 +268,113 @@ def oracle_record(record: SequenceRecord) -> dict:
     if record.split_of is not None:
         doc["splitOf"] = record.split_of
     return doc
+
+
+def _evaluate(cond: Condition, state: GuiState) -> bool:
+    value = state.fields[cond.field]
+    if cond.kind == "isNull":
+        return value is None
+    if cond.kind == "isTrue":
+        return value is True
+    return value == cond.value  # "equals"
+
+
+def _close_window(state: GuiState, window: str) -> None:
+    if window not in state.open_windows:
+        return
+    state.open_windows.remove(window)
+    if window == state.model.main_window:
+        state.exited = True
+        raise _ExitSignal()
+
+
+def interpret_block(
+    state: GuiState, block: Iterable[Statement], prefix: str, depth: int
+) -> None:
+    """Run ``block`` statement by statement, formatting each id as it goes."""
+    if depth > MAX_CALL_DEPTH:
+        raise GuiseqError(
+            f"call depth exceeded {MAX_CALL_DEPTH} at {prefix!r}; "
+            "the model likely has unbounded recursion"
+        )
+    for i, stmt in enumerate(block):
+        sid = f"{prefix}{i}"
+        state.covered_statements.add(sid)
+        if isinstance(stmt, SetField):
+            state.fields[stmt.field] = stmt.value
+        elif isinstance(stmt, SetNull):
+            state.fields[stmt.field] = None
+        elif isinstance(stmt, ReadField):  # log too
+            state.fields[stmt.field]  # an observation, no effect
+        elif isinstance(stmt, CopyField):
+            state.fields[stmt.dst] = state.fields[stmt.src]
+        elif isinstance(stmt, If):
+            if _evaluate(stmt.cond, state):
+                state.covered_branches.add(f"{sid}:then")
+                interpret_block(state, stmt.then, f"{sid}.t.", depth)
+            else:
+                state.covered_branches.add(f"{sid}:else")
+                interpret_block(state, stmt.orelse, f"{sid}.e.", depth)
+        elif isinstance(stmt, OpenWindow):
+            if stmt.window not in state.open_windows:
+                state.open_windows.append(stmt.window)
+        elif isinstance(stmt, CloseWindow):
+            _close_window(state, stmt.window)
+        elif isinstance(stmt, ExitApp):
+            state.exited = True
+            raise _ExitSignal()
+        elif isinstance(stmt, Call):
+            interpret_block(state, state.model.methods[stmt.method], f"m:{stmt.method}/", depth + 1)
+        elif isinstance(stmt, WriteSetting):
+            value = state.fields[stmt.field]
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            state.settings.set(stmt.key, value)
+        elif isinstance(stmt, ReadSetting):
+            state.fields[stmt.field] = state.settings.get(stmt.key)
+        elif isinstance(stmt, SetWidgetEnabled):
+            state.widget_enabled[(stmt.window, stmt.widget)] = stmt.enabled
+        elif isinstance(stmt, Deref):
+            if state.fields[stmt.field] is None:
+                raise _CrashSignal(CRASH_NULL_DEREF, sid)
+        elif isinstance(stmt, ThrowArrayOob):
+            raise _CrashSignal(CRASH_ARRAY_OOB, sid)
+        else:
+            raise AssertionError(f"unknown statement {stmt!r}")
+
+
+def interpreted_launch(
+    model: AppModel, settings: SettingsStore, *, phase: str = "launch"
+) -> tuple[GuiState, CrashRecord | None]:
+    """``simulator.launch`` with the launch block interpreted."""
+    state = GuiState(
+        model=model,
+        settings=settings,
+        open_windows=[model.main_window],
+        widget_enabled=dict(model.initial_widget_enabled),
+        fields=dict(model.fields),
+    )
+    try:
+        interpret_block(state, model.on_launch, "launch/", 0)
+    except _CrashSignal as crash:
+        state.exited = True
+        return state, CrashRecord(kind=crash.kind, statement=crash.statement, phase=phase)
+    except _ExitSignal:
+        pass
+    return state, None
+
+
+def interpreted_fire(state: GuiState, event: str) -> FireOutcome:
+    """``simulator.fire_event`` with the handler interpreted."""
+    assert is_available(state, event)
+    state.entered_handlers.add(event)
+    try:
+        interpret_block(state, state.model.handlers[event], f"h:{event}/", 0)
+    except _CrashSignal as crash:
+        state.exited = True
+        return FireOutcome(
+            crash=CrashRecord(kind=crash.kind, statement=crash.statement), exited=True
+        )
+    except _ExitSignal:
+        return FireOutcome(crash=None, exited=True)
+    return FireOutcome(crash=None, exited=state.exited)

@@ -267,6 +267,36 @@ def test_export_dot_to_stdout_and_file(workdir, capsys):
     assert target.read_text() == out
 
 
+def test_dot_of_an_id_ending_in_a_backslash_exits_2(tmp_path, capsys):
+    doc = json.loads(corpus.model_path("example-app").read_text())
+    doc["windows"][0]["widgets"][0]["event"] = "e1\\"
+    doc["handlers"]["e1\\"] = doc["handlers"].pop("e1")
+    model = tmp_path / "app.json"
+    model.write_text(json.dumps(doc))
+    efg, dot = tmp_path / "efg.json", tmp_path / "efg.dot"
+
+    def error_lines():
+        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+
+    expected = ["error: event id 'e1\\\\' ends in a backslash, which DOT cannot quote"]
+    rip = ["rip", "--model", str(model), "--out", str(efg)]
+    assert main([*rip, "--dot", str(dot)]) == 2
+    assert error_lines() == expected
+    assert not efg.exists() and not dot.exists()
+
+    assert main(rip) == 0
+    assert main(["export-dot", "--graph", str(efg)]) == 2
+    assert error_lines() == expected
+
+    edg = tmp_path / "edg.json"
+    assert main([
+        "edg", "--ir", str(corpus.ir_path("example-app-curated")),
+        "--efg", str(efg), "--out", str(edg), "--dot", str(dot),
+    ]) == 2
+    assert error_lines() == expected
+    assert not edg.exists() and not dot.exists()
+
+
 def test_usage_and_io_errors_exit_2(workdir, capsys):
     efg = str(workdir / "efg.json")
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guiseq.graphs import (
     Edg,
@@ -19,7 +22,7 @@ from guiseq.graphs import (
 )
 
 from oracles import floyd_warshall, lexmin_shortest_path, strict_cycle_length
-from strategies import efgs
+from strategies import awkward_text, edgs, efgs
 
 # A two-window application's flow graph: three events always reachable from
 # the main window, e4 only via the dialog e3 opens.
@@ -160,6 +163,30 @@ def test_graph_io_double_save_is_byte_identical(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+def renamed(g, names):
+    """``g`` with its events renamed to ``names``, in declaration order."""
+    name = dict(zip(g.events, names))
+    if isinstance(g, Efg):
+        return Efg(
+            tuple(names), tuple(map(name.get, g.initials)),
+            tuple((name[a], name[b]) for a, b in g.edges),
+        )
+    return Edg(tuple(names), tuple((name[a], w, name[b]) for a, w, b in g.edges))
+
+
+@settings(max_examples=150)
+@given(g=st.one_of(efgs(), edgs()), data=st.data())
+def test_saved_graph_is_the_json_document(tmp_path_factory, g, data):
+    """Both flavours, empty edge lists included, with ids JSON must escape."""
+    n = len(g.events)
+    g = renamed(g, data.draw(st.lists(awkward_text, min_size=n, max_size=n, unique=True)))
+    path = tmp_path_factory.getbasetemp() / "graph.json"
+    save_graph(g, path)
+    assert path.read_bytes() == (
+        json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
+    ).encode("utf-8")
+
+
 def test_load_graph_rejects_bad_documents(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -196,6 +223,12 @@ def test_export_dot_escapes_quotes_in_ids():
         '  "c";',
         '  "a\\"b" -> "c" [label="2"];',
     ]
+
+
+def test_export_dot_rejects_an_id_ending_in_a_backslash():
+    for g in (Efg.of(["a", "b\\"], ["a"], [("a", "b\\")]), Edg.of(["a\\"], [])):
+        with pytest.raises(GuiseqError, match=r"event id '\w\\\\' ends in a backslash"):
+            export_dot(g)
 
 
 def test_graph_json_shapes():

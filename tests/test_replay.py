@@ -318,8 +318,66 @@ def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
     suite = run_suite(model, cases)
     assert {r.verdict for r in suite.results} == {"passed"}
     # one fire per node of the prefix tree: 3 + 9 + 27; one shared launch
-    # against fresh settings, then one restart per case
-    assert calls == {"fire_event": 39, "launch": 1 + 27}
+    # against fresh settings, then one restart per distinct settings
+    # snapshot, and every case leaves the settings empty
+    assert calls == {"fire_event": 39, "launch": 1 + 1}
+
+
+def test_one_restart_per_distinct_settings_snapshot(tmp_path, monkeypatch):
+    # each event persists its own value; "c"'s crashes the launch block
+    doc = {
+        "schemaVersion": 1,
+        "name": "dial",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "modal": False,
+                "widgets": [{"id": f"w{e}", "event": e, "enabled": True} for e in "abc"],
+            }
+        ],
+        "fields": {
+            "Main.a": "1",
+            "Main.b": "2",
+            "Main.c": "poison",
+            "Main.got": None,
+            "Main.hole": None,
+        },
+        "onLaunch": [
+            {"op": "readSetting", "key": "k", "field": "Main.got"},
+            {
+                "op": "if",
+                "cond": {"kind": "equals", "field": "Main.got", "value": "poison"},
+                "then": [{"op": "deref", "field": "Main.hole"}],
+                "else": [],
+            },
+        ],
+        "handlers": {e: [{"op": "writeSetting", "key": "k", "field": f"Main.{e}"}] for e in "abc"},
+        "methods": {},
+    }
+    p = tmp_path / "dial.json"
+    p.write_text(json.dumps(doc))
+    model = load_app_model(p)
+    words = [(x, y) for x in "abc" for y in "abc"]
+    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+
+    phases = []
+
+    def counted(*args, _launch=replay_module.launch, **kwargs):
+        phases.append(kwargs["phase"])
+        return _launch(*args, **kwargs)
+
+    monkeypatch.setattr(replay_module, "launch", counted)
+    suite = run_suite(model, cases)
+    # one launch against fresh settings, then one restart for each of the
+    # three values the cases leave behind
+    assert phases == ["launch"] + ["restart"] * 3
+    monkeypatch.undo()
+    assert suite.results == tuple(run_test_case(model, case) for case in cases)
+    assert [r.verdict for r in suite.results] == ["passed", "passed", "failed"] * 3
+    assert {(r.crash.phase, r.crash.statement) for r in suite.results if r.crash} == {
+        ("restart", "launch/1.t.0")
+    }
 
 
 def test_a_crashing_launch_fails_every_case_alike(tmp_path):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guiseq import corpus
-from guiseq.appmodel import InvalidModelError, load_app_model
+from guiseq.appmodel import _OPS, If, InvalidModelError, load_app_model
 from guiseq.graphs import GuiseqError
 from guiseq.simulator import (
+    _STEPS,
     CRASH_ARRAY_OOB,
     CRASH_NULL_DEREF,
     MAX_CALL_DEPTH,
@@ -20,7 +21,7 @@ from guiseq.simulator import (
     launch,
 )
 
-from oracles import scanned_available_events
+from oracles import interpreted_fire, interpreted_launch, scanned_available_events
 
 
 def write_model(tmp_path, doc):
@@ -170,6 +171,170 @@ def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data
     assert fork_crash == relaunched_crash
     assert observed(fork_again) == observed(relaunched_again)
     assert observed(original) == before
+
+
+def widget(event, enabled=True):
+    return {"id": f"w_{event}", "event": event, "enabled": enabled}
+
+
+#: A model for what the corpus does not do: a method that calls itself until
+#: a field runs down, closing the main window, ``exit``, a boolean written to
+#: the settings that crashes the launch block of the next launch, a modal
+#: window with a window event, and a widget enabled at run time.
+FEATURES_DOC = {
+    "windows": [
+        {
+            "name": "Main",
+            "main": True,
+            "widgets": [widget(e) for e in ("count", "save", "quit", "stop", "dialog")]
+            + [widget("boom", enabled=False)],
+        },
+        {"name": "Dialog", "modal": True, "windowEvent": "focus", "widgets": [widget("ok")]},
+    ],
+    "fields": {
+        "Main.n": "2",
+        "Main.flag": True,
+        "Main.got": None,
+        "Main.hole": None,
+        "Main.text": "x",
+    },
+    "onLaunch": [
+        {"op": "readSetting", "key": "flag", "field": "Main.got"},
+        {
+            "op": "if",
+            "cond": {"kind": "equals", "field": "Main.got", "value": "false"},
+            "then": [{"op": "deref", "field": "Main.hole"}],
+            "else": [{"op": "log", "field": "Main.got"}],
+        },
+    ],
+    "methods": {
+        "countdown": [
+            {
+                "op": "if",
+                "cond": {"kind": "equals", "field": "Main.n", "value": "2"},
+                "then": [
+                    {"op": "set", "field": "Main.n", "value": "1"},
+                    {"op": "call", "method": "countdown"},
+                ],
+                "else": [
+                    {
+                        "op": "if",
+                        "cond": {"kind": "equals", "field": "Main.n", "value": "1"},
+                        "then": [
+                            {"op": "set", "field": "Main.n", "value": "0"},
+                            {"op": "call", "method": "countdown"},
+                        ],
+                        "else": [{"op": "copy", "from": "Main.n", "to": "Main.text"}],
+                    }
+                ],
+            }
+        ],
+    },
+    "handlers": {
+        "count": [
+            {"op": "call", "method": "countdown"},
+            {"op": "set", "field": "Main.n", "value": "2"},
+        ],
+        "save": [
+            {"op": "writeSetting", "key": "flag", "field": "Main.flag"},
+            {
+                "op": "if",
+                "cond": {"kind": "isTrue", "field": "Main.flag"},
+                "then": [{"op": "set", "field": "Main.flag", "value": False}],
+                "else": [{"op": "set", "field": "Main.flag", "value": True}],
+            },
+        ],
+        "quit": [
+            {"op": "close", "window": "Main"},
+            {"op": "set", "field": "Main.text", "value": "late"},
+        ],
+        "stop": [{"op": "exit"}, {"op": "set", "field": "Main.text", "value": "late"}],
+        "dialog": [
+            {"op": "open", "window": "Dialog"},
+            {"op": "enable", "window": "Main", "widget": "w_boom", "enabled": True},
+        ],
+        "focus": [{"op": "read", "field": "Main.n"}],
+        "ok": [{"op": "close", "window": "Dialog"}, {"op": "setNull", "field": "Main.text"}],
+        "boom": [
+            {
+                "op": "if",
+                "cond": {"kind": "isNull", "field": "Main.text"},
+                "then": [{"op": "throwArrayOob"}],
+                "else": [{"op": "deref", "field": "Main.text"}],
+            }
+        ],
+    },
+}
+
+
+def test_every_op_has_a_step_builder():
+    assert set(_STEPS) == {cls for cls, _operands in _OPS.values()} | {If}
+
+
+def walk_both(model, picks):
+    """Walk a compiled and an interpreted instance of ``model`` in step and
+    assert after every step that they are equal.  ``picks(available)`` gives
+    the next event to fire, or None to relaunch both against the settings
+    each carries.  Returns the crashes seen and the coverage reached."""
+    (compiled, crash), (interpreted, crash_again) = (
+        launch(model, SettingsStore()), interpreted_launch(model, SettingsStore())
+    )
+    crashes, statements = [crash], set()
+    assert crash == crash_again
+    assert observed(compiled) == observed(interpreted)
+    while (event := picks(available_events(compiled))) is not False:
+        if event is None:
+            statements |= compiled.covered_statements
+            compiled, crash = launch(model, compiled.settings, phase="restart")
+            interpreted, crash_again = interpreted_launch(
+                model, interpreted.settings, phase="restart"
+            )
+            assert crash == crash_again
+        else:
+            outcome = fire_event(compiled, event)
+            assert outcome == interpreted_fire(interpreted, event)
+            crash = outcome.crash
+        crashes.append(crash)
+        assert observed(compiled) == observed(interpreted)
+    return crashes, statements | compiled.covered_statements
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario", "features"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_handlers_run_like_the_interpreter(tmp_path_factory, name, data):
+    """Random walks of events and relaunches give equal fields, window stack,
+    widget flags, settings, coverage, entered handlers, crashes and exit
+    flags under the compiled steps and the statement-walking oracle."""
+    if name == "features":
+        model = write_model(tmp_path_factory.getbasetemp(), FEATURES_DOC)
+    else:
+        model = corpus.app_model(name)
+    steps = iter(range(data.draw(st.integers(min_value=0, max_value=30))))
+
+    def picks(available):
+        if next(steps, None) is None:
+            return False
+        if not available or data.draw(st.integers(min_value=0, max_value=7)) == 0:
+            return None
+        return data.draw(st.sampled_from(available))
+
+    walk_both(model, picks)
+
+
+def test_the_features_model_reaches_each_feature_under_both(tmp_path):
+    model = write_model(tmp_path, FEATURES_DOC)
+    script = iter([
+        "count", "dialog", "focus", "ok", "boom", None,  # throwArrayOob
+        "dialog", "ok", "count", "boom", "save", "stop", None,  # a deref that holds, exit
+        "save", "save", "quit", None,  # a boolean persisted as "false"
+    ])
+    crashes, statements = walk_both(model, lambda available: next(script, False))
+    assert [c.statement for c in crashes if c is not None] == ["h:boom/0.t.0", "launch/1.t.0"]
+    assert crashes[-1].phase == "restart"
+    assert {"m:countdown/0.t.1", "m:countdown/0.e.0.t.1", "m:countdown/0.e.0.e.0"} <= statements
+    assert {"h:stop/0", "h:quit/0"} <= statements
+    assert not {"h:stop/1", "h:quit/1"} & statements
 
 
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
