@@ -76,7 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
     p.add_argument("--sequences", required=True, type=Path, help="sequence file (JSON lines)")
     p.add_argument("--report", required=True, type=Path, help="report output (JSON)")
-    p.add_argument("--parallel", type=_positive_int, default=1, help="worker threads (default 1)")
+    p.add_argument(
+        "--parallel",
+        type=_positive_int,
+        default=1,
+        help="accepted and ignored: replay runs in one thread",
+    )
     p.add_argument(
         "--allow-broken",
         action="store_true",

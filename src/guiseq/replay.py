@@ -18,39 +18,33 @@ Split parts run back to back within one case — every part gets a fresh GUI
 launch, while the settings store carries over — and event positions in
 verdicts are cumulative across parts.  Coverage is the union over all
 launches and firings of all cases, reported as statement and branch
-fractions of the model's coverage universe, rounded to four decimals.
+fractions of the model's coverage universe, rounded to four decimals.  It
+is recorded in one :class:`~guiseq.simulator.Coverage` sink per suite, which
+every launch and fork of the replay writes into; no case keeps its own.
 
 **Prefix sharing.**  The simulator is deterministic, so a case whose first
 part begins with the same events as the previous case's need not launch and
 fire them again.  :func:`run_suite` walks the cases in order and, before the
 previous case fires past the point where the two first parts part ways, it
 forks that state (:meth:`~guiseq.simulator.GuiState.fork`: own settings
-store, windows, widget flags, fields and coverage); the case resumes from the
-fork.  The one launch against fresh settings is shared the same way.  Nothing
-is shared past a crash or a broken event, nor when the launch itself
-crashes, and later parts never are: each launches against its own case's
-settings.  The restart probe is shared too: a launch depends only on the
-model and the settings' contents, so each chunk keeps the outcome of a
-restart (covered statements and branches, and the crash) by a snapshot of
-the settings (:meth:`~guiseq.simulator.SettingsStore.snapshot`) and
-launches again only for a snapshot it has not seen.  Every case's result
-equals what :func:`run_test_case`, which shares nothing, computes from
-scratch.
-
-Cases are still independent (own settings store, own GUI instances), which
-is what makes parallel replay safe: ``parallelism`` N splits the cases into
-N contiguous chunks, each replayed by the same prefix-sharing loop on a
-thread of its own, and the results come back in case order.  The threads
-do not run Python in parallel; the chunks only change where sharing starts
-again, never the results.
+store, windows, widget flags and fields); the case resumes from the fork.
+The one launch against fresh settings is shared the same way; when it
+crashes, every case fails with that crash and nothing more runs.  Nothing is
+shared past a crash or a broken event, and later parts never are: each
+launches against its own case's settings.  The restart probe is shared too:
+a launch depends only on the model and the settings' contents, so the
+replay keeps each restart's crash by a snapshot of the settings
+(:meth:`~guiseq.simulator.SettingsStore.snapshot`) and launches again only
+for a snapshot it has not seen; what a seen restart covers is already in
+the sink.  Every case's verdict equals what :func:`run_test_case`, which
+shares nothing, computes from scratch, and the suite's coverage equals the
+union of what it covers per case.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Container, Iterable, Sequence
@@ -59,6 +53,7 @@ from .appmodel import AppModel
 from .generate import SequenceRecord
 from .graphs import SCHEMA_VERSION, GuiseqError, QuotedStrings, read_document
 from .simulator import (
+    Coverage,
     CrashRecord,
     GuiState,
     SettingsStore,
@@ -114,21 +109,21 @@ class TestCase:
 def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
     """Regroup a record stream into test cases, attaching split parts to
     their first part."""
-    groups: dict[str, list[SequenceRecord]] = {}
-    order: list[str] = []
+    groups: dict[str, list[SequenceRecord]] = {}  # by first part's id, in order
+    ids: set[str] = set()
     for record in records:
+        if record.id in ids:
+            raise GuiseqError(f"duplicate sequence id {record.id!r}")
+        ids.add(record.id)
         if record.split_of is None:
-            if record.id in groups:
-                raise GuiseqError(f"duplicate sequence id {record.id!r}")
             groups[record.id] = [record]
-            order.append(record.id)
         else:
             if record.split_of not in groups:
                 raise GuiseqError(
                     f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
                 )
             groups[record.split_of].append(record)
-    return [TestCase(parts=tuple(groups[i])) for i in order]
+    return [TestCase(parts=tuple(parts)) for parts in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -137,24 +132,13 @@ class CaseResult:
     verdict: str  # "passed" | "failed" | "broken"
     crash: CrashRecord | None = None
     broken_at: int | None = None
-    covered_statements: frozenset[str] = frozenset()
-    covered_branches: frozenset[str] = frozenset()
-    entered_handlers: frozenset[str] = frozenset()
 
 
-#: What a restart leaves: its covered statements and branches, and its crash.
-Restart = tuple[frozenset[str], frozenset[str], CrashRecord | None]
-
-
-def run_test_case(model: AppModel, case: TestCase) -> CaseResult:
-    """Replay one case from a launch against a fresh settings store."""
-    state, crash = launch(model, SettingsStore(), phase="launch")
-    return _finish_case(model, case, state, crash)
-
-
-def _restart(model: AppModel, settings: SettingsStore) -> Restart:
-    state, crash = launch(model, settings, phase="restart")
-    return frozenset(state.covered_statements), frozenset(state.covered_branches), crash
+def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseResult:
+    """Replay one case from a launch against a fresh settings store, sharing
+    nothing, and record what it covers in ``coverage``."""
+    state, crash = launch(model, SettingsStore(), phase="launch", coverage=coverage)
+    return _finish_case(model, case, state, crash, {})
 
 
 def _finish_case(
@@ -162,77 +146,44 @@ def _finish_case(
     case: TestCase,
     state: GuiState,
     crash: CrashRecord | None,
+    restarts: dict[frozenset, CrashRecord | None],
     start: int = 0,
     fork_at: Container[int] = (),
     saved: list[tuple[int, GuiState]] | None = None,
-    restarts: dict[frozenset, Restart] | None = None,
 ) -> CaseResult:
     """Replay ``case`` on from ``state``, a live instance of its first part
     that has fired that part's first ``start`` events (``crash`` is its launch
-    crash, if any).  At each first-part position in ``fork_at`` — before the
-    event there, or after the part's last event — a fork of the state is
-    pushed onto ``saved`` as ``(position, state)``.  ``restarts`` memoises
-    the restart by :meth:`~guiseq.simulator.SettingsStore.snapshot`; without
-    it, the restart is a launch."""
-    statements: set[str] = set()
-    branches: set[str] = set()
-    handlers: set[str] = set()
-
-    def absorb(state: GuiState) -> None:
-        statements.update(state.covered_statements)
-        branches.update(state.covered_branches)
-        handlers.update(state.entered_handlers)
-
-    def result(verdict: str, crash: CrashRecord | None = None, broken_at: int | None = None) -> CaseResult:
-        return CaseResult(
-            case=case,
-            verdict=verdict,
-            crash=crash,
-            broken_at=broken_at,
-            covered_statements=frozenset(statements),
-            covered_branches=frozenset(branches),
-            entered_handlers=frozenset(handlers),
-        )
-
+    crash, if any), recording into the state's coverage sink.  At each
+    first-part position in ``fork_at`` — before the event there, or after the
+    part's last event — a fork of the state is pushed onto ``saved`` as
+    ``(position, state)``.  ``restarts`` memoises the restart's crash by
+    :meth:`~guiseq.simulator.SettingsStore.snapshot`; a snapshot missing from
+    it is launched, into the same sink."""
     offset = 0
     for n, part in enumerate(case.parts):
         if n:
-            state, crash = launch(model, state.settings, phase="launch")
+            state, crash = launch(model, state.settings, phase="launch", coverage=state.coverage)
         if crash is not None:
-            absorb(state)
-            return result("failed", crash=crash)
+            return CaseResult(case, "failed", crash)
         for k in range(start, len(part.events)):
             if k in fork_at:
                 saved.append((k, state.fork()))
             event = part.events[k]
             if not is_available(state, event):
-                absorb(state)
-                return result("broken", broken_at=offset + k)
+                return CaseResult(case, "broken", broken_at=offset + k)
             outcome = fire_event(state, event)
             if outcome.crash is not None:
-                absorb(state)
-                return result(
-                    "failed",
-                    crash=dataclasses.replace(outcome.crash, position=offset + k),
-                )
+                crash = dataclasses.replace(outcome.crash, position=offset + k)
+                return CaseResult(case, "failed", crash)
         if len(part.events) in fork_at:
             saved.append((len(part.events), state.fork()))
-        absorb(state)
         offset += len(part.events)
         start, fork_at = 0, ()
-    if restarts is None:
-        restart = _restart(model, state.settings)
-    else:
-        key = state.settings.snapshot()
-        restart = restarts.get(key)
-        if restart is None:
-            restart = restarts[key] = _restart(model, state.settings)
-    restart_statements, restart_branches, crash = restart
-    statements.update(restart_statements)
-    branches.update(restart_branches)
-    if crash is not None:
-        return result("failed", crash=crash)
-    return result("passed")
+    key = state.settings.snapshot()
+    if key not in restarts:
+        restarts[key] = launch(model, state.settings, phase="restart", coverage=state.coverage)[1]
+    crash = restarts[key]
+    return CaseResult(case, "passed" if crash is None else "failed", crash)
 
 
 def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
@@ -244,9 +195,12 @@ def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
     return n
 
 
-def _run_chunk(model: AppModel, cases: Sequence[TestCase]) -> list[CaseResult]:
-    """Replay ``cases`` in order, each case resuming from a fork of the state
-    where its first part stops sharing events with the previous case's.
+def _replay_in_order(
+    model: AppModel, cases: Sequence[TestCase], coverage: Coverage
+) -> list[CaseResult]:
+    """Replay ``cases`` in order into ``coverage``, each case resuming from a
+    fork of the state where its first part stops sharing events with the
+    previous case's.
 
     ``saved`` holds untouched states as ``(events fired, state)``, the depth
     rising, the root (the one launch against fresh settings) at the bottom.
@@ -256,14 +210,14 @@ def _run_chunk(model: AppModel, cases: Sequence[TestCase]) -> list[CaseResult]:
     """
     if not cases:
         return []
-    root, crash = launch(model, SettingsStore(), phase="launch")
-    if crash is not None:  # every case fails the same way; nothing to share
-        return [run_test_case(model, case) for case in cases]
+    root, crash = launch(model, SettingsStore(), phase="launch", coverage=coverage)
+    if crash is not None:  # every case fails the same way; nothing more runs
+        return [CaseResult(case, "failed", crash) for case in cases]
     firsts = [case.parts[0].events for case in cases]
     # shared[i]: first-part events case i has in common with case i + 1
     shared = [_common_prefix(a, b) for a, b in zip(firsts, firsts[1:])] + [-1]
     saved: list[tuple[int, GuiState]] = [(0, root)]
-    restarts: dict[frozenset, Restart] = {}
+    restarts: dict[frozenset, CrashRecord | None] = {}
     results = []
     for i, case in enumerate(cases):
         depth, state = saved[-1]
@@ -283,7 +237,7 @@ def _run_chunk(model: AppModel, cases: Sequence[TestCase]) -> list[CaseResult]:
             state = state.fork()
         else:
             saved.pop()
-        results.append(_finish_case(model, case, state, None, depth, fork_at, saved, restarts))
+        results.append(_finish_case(model, case, state, None, restarts, depth, fork_at, saved))
     return results
 
 
@@ -293,27 +247,9 @@ class SuiteResult:
     results: tuple[CaseResult, ...]
     statements_total: int
     branches_total: int
-
-    @cached_property
-    def covered_statements(self) -> frozenset[str]:
-        out: set[str] = set()
-        for r in self.results:
-            out.update(r.covered_statements)
-        return frozenset(out)
-
-    @cached_property
-    def covered_branches(self) -> frozenset[str]:
-        out: set[str] = set()
-        for r in self.results:
-            out.update(r.covered_branches)
-        return frozenset(out)
-
-    @cached_property
-    def entered_handlers(self) -> frozenset[str]:
-        out: set[str] = set()
-        for r in self.results:
-            out.update(r.entered_handlers)
-        return frozenset(out)
+    covered_statements: frozenset[str]
+    covered_branches: frozenset[str]
+    entered_handlers: frozenset[str]
 
     def count(self, verdict: str) -> int:
         return sum(1 for r in self.results if r.verdict == verdict)
@@ -334,23 +270,20 @@ class SuiteResult:
 def run_suite(
     model: AppModel, cases: Sequence[TestCase], parallelism: int = 1
 ) -> SuiteResult:
-    """Replay all cases.  ``parallelism`` > 1 splits them into that many
-    contiguous chunks and replays each on a thread of its own; results come
-    back in case order either way, so reports do not depend on it."""
-    size = max(1, -(-len(cases) // parallelism))
-    chunks = [cases[i : i + size] for i in range(0, len(cases), size)]
-    if len(chunks) <= 1:
-        results = _run_chunk(model, cases)
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            done = pool.map(lambda chunk: _run_chunk(model, chunk), chunks)
-            results = [r for chunk_results in done for r in chunk_results]
+    """Replay all cases, sharing prefixes, with one coverage sink for the
+    suite.  ``parallelism`` is accepted and ignored: replay runs in one
+    thread."""
+    coverage = Coverage()
+    results = _replay_in_order(model, cases, coverage)
     statements, branches = model.coverage_universe
     return SuiteResult(
         model_name=model.name,
         results=tuple(results),
         statements_total=len(statements),
         branches_total=len(branches),
+        covered_statements=frozenset(coverage.statements),
+        covered_branches=frozenset(coverage.branches),
+        entered_handlers=frozenset(coverage.handlers),
     )
 
 

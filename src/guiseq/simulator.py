@@ -33,17 +33,19 @@ Execution semantics worth spelling out:
   there, after all.
 * **Fork.**  :meth:`GuiState.fork` copies a running instance, so the
   ripper and the replayer continue from a shared state instead of
-  relaunching and firing its events again.
+  relaunching and firing its events again.  The fork writes into the same
+  coverage sink as the original; everything else is its own.
 * **Launch.**  :func:`launch` builds a fresh GUI (main window open, widget
   flags reset to their declared values, fields reset to their initial
   values) and runs the model's launch block against the *given* settings
   store.  Settings are the only state that survives a relaunch; a crash in
   the launch block is how a bad persisted value takes the application down
   on restart.
-* **Coverage.**  Each executed statement records its statement id and each
-  evaluated conditional records the branch taken (ids as defined by
-  :meth:`~guiseq.appmodel.AppModel.coverage_universe`), accumulated on the
-  state.
+* **Coverage.**  Each executed statement records its statement id, each
+  evaluated conditional the branch taken (ids as defined by
+  :meth:`~guiseq.appmodel.AppModel.coverage_universe`) and each fired event
+  its handler, in the state's :class:`Coverage` sink.  A launch writes into
+  the sink it is given, so several launches and their forks can share one.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ __all__ = [
     "CRASH_ARRAY_OOB",
     "MAX_CALL_DEPTH",
     "CrashRecord",
+    "Coverage",
     "SettingsStore",
     "GuiState",
     "FireOutcome",
@@ -139,12 +142,19 @@ class SettingsStore:
         store._data = dict(self._data)
         return store
 
-    def as_dict(self) -> dict[str, str | None]:
-        return dict(self._data)
-
     def snapshot(self) -> frozenset[tuple[str, str | None]]:
         """The stored values as a hashable key: equal for equal contents."""
         return frozenset(self._data.items())
+
+
+@dataclass
+class Coverage:
+    """A sink for what ran: statement ids, branch ids and the events whose
+    handler was entered."""
+
+    statements: set[str] = dc_field(default_factory=set)
+    branches: set[str] = dc_field(default_factory=set)
+    handlers: set[str] = dc_field(default_factory=set)
 
 
 @dataclass
@@ -156,13 +166,12 @@ class GuiState:
     open_windows: list[str]
     widget_enabled: dict[tuple[str, str], bool]
     fields: dict[str, FieldValue]
-    covered_statements: set[str] = dc_field(default_factory=set)
-    covered_branches: set[str] = dc_field(default_factory=set)
-    entered_handlers: set[str] = dc_field(default_factory=set)
+    coverage: Coverage
     exited: bool = False
 
     def fork(self) -> GuiState:
-        """An independent copy of this instance, settings store included.
+        """An independent copy of this instance, settings store included,
+        that writes into the same coverage sink.
 
         The simulator is deterministic, so continuing a fork is observably
         the same as relaunching against the same settings and firing the
@@ -174,9 +183,7 @@ class GuiState:
             open_windows=list(self.open_windows),
             widget_enabled=dict(self.widget_enabled),
             fields=dict(self.fields),
-            covered_statements=set(self.covered_statements),
-            covered_branches=set(self.covered_branches),
-            entered_handlers=set(self.entered_handlers),
+            coverage=self.coverage,
             exited=self.exited,
         )
 
@@ -272,7 +279,7 @@ Block = tuple[tuple[str, Step], ...]
 
 
 def _run(state: GuiState, block: Block, depth: int) -> None:
-    cover = state.covered_statements.add
+    cover = state.coverage.statements.add
     for sid, step in block:
         cover(sid)
         step(state, depth)
@@ -341,10 +348,10 @@ def _if(stmt: If, sid: str, program: Program) -> Step:
 
     def step(state: GuiState, depth: int) -> None:
         if test(state.fields[field]):
-            state.covered_branches.add(then_id)
+            state.coverage.branches.add(then_id)
             _run(state, then, depth)
         else:
-            state.covered_branches.add(else_id)
+            state.coverage.branches.add(else_id)
             _run(state, orelse, depth)
     return step
 
@@ -452,14 +459,19 @@ _STEPS: dict[type, Callable[[Any, str, Program], Step]] = {
 
 
 def launch(
-    model: AppModel, settings: SettingsStore, *, phase: str = "launch"
+    model: AppModel,
+    settings: SettingsStore,
+    *,
+    phase: str = "launch",
+    coverage: Coverage | None = None,
 ) -> tuple[GuiState, CrashRecord | None]:
     """Start a fresh application instance against ``settings``.
 
     GUI state (windows, widget flags, fields) is rebuilt from the model's
-    declarations; only the settings store carries history.  Returns the state
-    and the crash record if the launch block crashed (the state is then dead:
-    ``exited`` is set).
+    declarations; only the settings store carries history.  The instance
+    records what runs in ``coverage``, or in a fresh sink if none is given.
+    Returns the state and the crash record if the launch block crashed (the
+    state is then dead: ``exited`` is set).
     """
     state = GuiState(
         model=model,
@@ -467,6 +479,7 @@ def launch(
         open_windows=[model.main_window],
         widget_enabled=dict(model.initial_widget_enabled),
         fields=dict(model.fields),
+        coverage=Coverage() if coverage is None else coverage,
     )
     try:
         _run(state, model.program.on_launch, 0)
@@ -486,7 +499,7 @@ def fire_event(state: GuiState, event: str) -> FireOutcome:
     """
     if not is_available(state, event):
         raise GuiseqError(f"event {event!r} fired while not available")
-    state.entered_handlers.add(event)
+    state.coverage.handlers.add(event)
     try:
         block = state.model.program.handlers[event]
     except KeyError:

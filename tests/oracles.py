@@ -44,6 +44,7 @@ from guiseq.simulator import (
     CRASH_ARRAY_OOB,
     CRASH_NULL_DEREF,
     MAX_CALL_DEPTH,
+    Coverage,
     CrashRecord,
     FireOutcome,
     GuiState,
@@ -299,7 +300,7 @@ def interpret_block(
         )
     for i, stmt in enumerate(block):
         sid = f"{prefix}{i}"
-        state.covered_statements.add(sid)
+        state.coverage.statements.add(sid)
         if isinstance(stmt, SetField):
             state.fields[stmt.field] = stmt.value
         elif isinstance(stmt, SetNull):
@@ -310,10 +311,10 @@ def interpret_block(
             state.fields[stmt.dst] = state.fields[stmt.src]
         elif isinstance(stmt, If):
             if _evaluate(stmt.cond, state):
-                state.covered_branches.add(f"{sid}:then")
+                state.coverage.branches.add(f"{sid}:then")
                 interpret_block(state, stmt.then, f"{sid}.t.", depth)
             else:
-                state.covered_branches.add(f"{sid}:else")
+                state.coverage.branches.add(f"{sid}:else")
                 interpret_block(state, stmt.orelse, f"{sid}.e.", depth)
         elif isinstance(stmt, OpenWindow):
             if stmt.window not in state.open_windows:
@@ -344,7 +345,11 @@ def interpret_block(
 
 
 def interpreted_launch(
-    model: AppModel, settings: SettingsStore, *, phase: str = "launch"
+    model: AppModel,
+    settings: SettingsStore,
+    *,
+    phase: str = "launch",
+    coverage: Coverage | None = None,
 ) -> tuple[GuiState, CrashRecord | None]:
     """``simulator.launch`` with the launch block interpreted."""
     state = GuiState(
@@ -353,6 +358,7 @@ def interpreted_launch(
         open_windows=[model.main_window],
         widget_enabled=dict(model.initial_widget_enabled),
         fields=dict(model.fields),
+        coverage=Coverage() if coverage is None else coverage,
     )
     try:
         interpret_block(state, model.on_launch, "launch/", 0)
@@ -367,7 +373,7 @@ def interpreted_launch(
 def interpreted_fire(state: GuiState, event: str) -> FireOutcome:
     """``simulator.fire_event`` with the handler interpreted."""
     assert is_available(state, event)
-    state.entered_handlers.add(event)
+    state.coverage.handlers.add(event)
     try:
         interpret_block(state, state.model.handlers[event], f"h:{event}/", 0)
     except _CrashSignal as crash:

@@ -198,8 +198,9 @@ def test_replay_rejects_a_sequence_that_does_not_fit_the_model(workdir, capsys, 
     [
         ({"id": "s0001"}, "duplicate sequence id 's0001'"),
         ({"id": "s0002", "splitOf": "zz"}, "sequence 's0002' continues unknown sequence 'zz'"),
+        ({"id": "s0001", "splitOf": "s0001"}, "duplicate sequence id 's0001'"),
     ],
-    ids=["duplicate-id", "unknown-split-of"],
+    ids=["duplicate-id", "unknown-split-of", "split-part-repeats-an-id"],
 )
 def test_replay_grouping_errors_name_the_file(workdir, capsys, second, message):
     seqs = workdir / "handmade.jsonl"

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from functools import cache
 
 import pytest
@@ -26,7 +25,7 @@ from guiseq.replay import (
     run_test_case,
     save_report,
 )
-from guiseq.simulator import CRASH_NULL_DEREF, CrashRecord
+from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord
 
 from oracles import oracle_record
 from strategies import awkward_text
@@ -44,6 +43,35 @@ def record(rid, events, targets=None, split_of=None):
 
 def greybox_cases(efg, edg):
     return group_test_cases(generate_sequences(PRESETS["D"], efg, edg).records)
+
+
+def replayed_alone(model, cases):
+    """Each case replayed from scratch into a sink of its own: the results,
+    and the union of the sinks as a suite's three coverage fields."""
+    results, statements, branches, handlers = [], set(), set(), set()
+    for case in cases:
+        coverage = Coverage()
+        results.append(run_test_case(model, case, coverage))
+        statements |= coverage.statements
+        branches |= coverage.branches
+        handlers |= coverage.handlers
+    return tuple(results), (frozenset(statements), frozenset(branches), frozenset(handlers))
+
+
+def suite_coverage(suite):
+    return suite.covered_statements, suite.covered_branches, suite.entered_handlers
+
+
+def launch_phases(monkeypatch):
+    """The phase of every launch replay makes from now on, in order."""
+    phases = []
+
+    def counted(*args, _launch=replay_module.launch, **kwargs):
+        phases.append(kwargs["phase"])
+        return _launch(*args, **kwargs)
+
+    monkeypatch.setattr(replay_module, "launch", counted)
+    return phases
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +171,14 @@ def test_replay_flags_infeasible_sequences_as_broken(tmp_path):
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
 
-    result = run_test_case(model, Case(parts=(record("s0001", ["a", "a", "b"]),)))
+    coverage = Coverage()
+    result = run_test_case(model, Case(parts=(record("s0001", ["a", "a", "b"]),)), coverage)
     assert result.verdict == "broken"
     assert result.broken_at == 2
     assert result.crash is None
     # the prefix that did run still counts
-    assert "h:a/0" in result.covered_statements
-    assert result.entered_handlers == frozenset({"a"})
+    assert "h:a/0" in coverage.statements
+    assert coverage.handlers == {"a"}
 
 
 def test_split_case_carries_settings_across_parts(tmp_path):
@@ -184,14 +213,16 @@ def test_split_case_carries_settings_across_parts(tmp_path):
     model = load_app_model(p)
 
     parts = (record("s0001", ["p"]), record("s0002", ["p"], split_of="s0001"))
-    result = run_test_case(model, Case(parts=parts))
+    coverage = Coverage()
+    result = run_test_case(model, Case(parts=parts), coverage)
     assert result.verdict == "failed"
     assert result.crash.phase == "launch"
     assert result.crash.position is None
     assert result.crash.statement == "launch/1.t.0"
+    assert "launch/1:then" in coverage.branches  # part 2's launch records into the sink
 
     # a single part passes its events but the restart probe meets the poison
-    single = run_test_case(model, Case(parts=(record("s0001", ["p"]),)))
+    single = run_test_case(model, Case(parts=(record("s0001", ["p"]),)), Coverage())
     assert single.verdict == "failed"
     assert single.crash.phase == "restart"
 
@@ -282,8 +313,19 @@ def test_prefix_sharing_replay_equals_replaying_each_case_alone(name, data):
     model = corpus.app_model(name)
     cases = data.draw(case_lists(model, generated_cases(name)))
     parallelism = data.draw(st.integers(min_value=1, max_value=3))
-    alone = tuple(run_test_case(model, case) for case in cases)
-    assert run_suite(model, cases, parallelism).results == alone
+    suite = run_suite(model, cases, parallelism)
+    results, coverage = replayed_alone(model, cases)
+    assert suite.results == results
+    assert suite_coverage(suite) == coverage
+
+
+def test_an_empty_suite_launches_nothing_and_covers_nothing(example_app, monkeypatch):
+    phases = launch_phases(monkeypatch)
+    suite = run_suite(example_app, [])
+    assert phases == []
+    assert suite.results == ()
+    assert suite_coverage(suite) == (frozenset(),) * 3
+    assert suite.statement_coverage == suite.branch_coverage == 0.0
 
 
 def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
@@ -361,26 +403,22 @@ def test_one_restart_per_distinct_settings_snapshot(tmp_path, monkeypatch):
     words = [(x, y) for x in "abc" for y in "abc"]
     cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
 
-    phases = []
-
-    def counted(*args, _launch=replay_module.launch, **kwargs):
-        phases.append(kwargs["phase"])
-        return _launch(*args, **kwargs)
-
-    monkeypatch.setattr(replay_module, "launch", counted)
+    phases = launch_phases(monkeypatch)
     suite = run_suite(model, cases)
     # one launch against fresh settings, then one restart for each of the
     # three values the cases leave behind
     assert phases == ["launch"] + ["restart"] * 3
+    # only a restart meets the poison, and what it covers reaches the sink
+    assert "launch/1:then" in suite.covered_branches
     monkeypatch.undo()
-    assert suite.results == tuple(run_test_case(model, case) for case in cases)
+    assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
     assert [r.verdict for r in suite.results] == ["passed", "passed", "failed"] * 3
     assert {(r.crash.phase, r.crash.statement) for r in suite.results if r.crash} == {
         ("restart", "launch/1.t.0")
     }
 
 
-def test_a_crashing_launch_fails_every_case_alike(tmp_path):
+def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
     doc = {
         "schemaVersion": 1,
         "name": "dead-on-arrival",
@@ -401,25 +439,14 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path):
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
     cases = [Case(parts=(record("s0001", ["e", "e"]),)), Case(parts=(record("s0002", ["e"]),))]
+    phases = launch_phases(monkeypatch)
     suite = run_suite(model, cases)
-    assert suite.results == tuple(run_test_case(model, case) for case in cases)
+    assert phases == ["launch"]
+    monkeypatch.undo()
+    assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
     assert [(r.verdict, r.crash.phase, r.crash.statement) for r in suite.results] == [
         ("failed", "launch", "launch/0"),
     ] * 2
-
-
-def test_chunked_replay_survives_frequent_thread_switches(rachota_efg, rachota_edg):
-    """More chunks than cores on a freshly loaded model, whose cached maps the
-    threads then build concurrently, with a thread switch forced very often."""
-    cases = greybox_cases(rachota_efg, rachota_edg) * 4
-    serial = run_suite(corpus.app_model("rachota-scenario"), cases)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_suite(corpus.app_model("rachota-scenario"), cases, parallelism=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded.results == serial.results
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +495,7 @@ def test_report_lists_split_parts_and_break_positions(rachota_app, rachota_efg, 
     assert split["parts"] == ["s0007", "s0008"]
 
     broken = run_test_case(
-        rachota_app, Case(parts=(record("x0001", ["System settings", "OK2"]),))
+        rachota_app, Case(parts=(record("x0001", ["System settings", "OK2"]),)), Coverage()
     )
     assert broken.verdict == "broken"
     bdoc = report_to_json(
@@ -506,24 +533,20 @@ def case_results(draw):
         )
     elif verdict == "broken":
         broken_at = draw(st.integers(min_value=0, max_value=99))
-    return CaseResult(
-        case=Case(parts=parts),
-        verdict=verdict,
-        crash=crash,
-        broken_at=broken_at,
-        covered_statements=frozenset(draw(st.sets(awkward_text, max_size=4))),
-        covered_branches=frozenset(draw(st.sets(awkward_text, max_size=4))),
-    )
+    return CaseResult(case=Case(parts=parts), verdict=verdict, crash=crash, broken_at=broken_at)
 
 
 @given(
     model_name=awkward_text,
     results=st.lists(case_results(), max_size=6),
     totals=st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20)),
+    covered=st.tuples(*[st.frozensets(awkward_text, max_size=4)] * 3),
 )
 @settings(max_examples=100)
-def test_rendered_report_is_the_json_document(tmp_path_factory, model_name, results, totals):
-    suite = SuiteResult(model_name, tuple(results), *totals)
+def test_rendered_report_is_the_json_document(
+    tmp_path_factory, model_name, results, totals, covered
+):
+    suite = SuiteResult(model_name, tuple(results), *totals, *covered)
     path = tmp_path_factory.getbasetemp() / "report.json"
     save_report(suite, path)
     assert path.read_text(encoding="utf-8") == oracle_report(suite)

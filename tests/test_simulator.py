@@ -122,15 +122,13 @@ def test_availability_matches_the_scanning_oracle(name, data):
 
 
 def observed(state):
-    """Everything about a running instance that later events can see or report."""
+    """Everything about a running instance that later events can see.  Its
+    coverage sink is compared on its own, since forks share it."""
     return (
         dict(state.fields),
         list(state.open_windows),
         dict(state.widget_enabled),
-        state.settings.as_dict(),
-        set(state.covered_statements),
-        set(state.covered_branches),
-        set(state.entered_handlers),
+        dict(state.settings.snapshot()),
         state.exited,
     )
 
@@ -142,7 +140,7 @@ def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data
     """Fork a state after a random walk; continuing the fork and continuing a
     fresh launch that fired the same walk again stay equal, through a final
     relaunch against the settings each one carries, and the forked state
-    itself does not change."""
+    itself does not change but for the coverage sink it shares."""
     model = corpus.app_model(name)
     original, _ = launch(model, SettingsStore())
     prefix = []
@@ -159,6 +157,7 @@ def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data
     for event in prefix:
         fire_event(relaunched, event)
     assert observed(fork) == observed(relaunched) == before
+    assert fork.coverage == relaunched.coverage
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
         available = available_events(fork)
         if not available:
@@ -166,11 +165,14 @@ def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data
         event = data.draw(st.sampled_from(available))
         assert fire_event(fork, event) == fire_event(relaunched, event)
         assert observed(fork) == observed(relaunched)
+        assert fork.coverage == relaunched.coverage
     fork_again, fork_crash = launch(model, fork.settings, phase="restart")
     relaunched_again, relaunched_crash = launch(model, relaunched.settings, phase="restart")
     assert fork_crash == relaunched_crash
     assert observed(fork_again) == observed(relaunched_again)
+    assert fork_again.coverage == relaunched_again.coverage
     assert observed(original) == before
+    assert original.coverage is fork.coverage
 
 
 def widget(event, enabled=True):
@@ -275,19 +277,22 @@ def walk_both(model, picks):
     """Walk a compiled and an interpreted instance of ``model`` in step and
     assert after every step that they are equal.  ``picks(available)`` gives
     the next event to fire, or None to relaunch both against the settings
-    each carries.  Returns the crashes seen and the coverage reached."""
+    and into the coverage sink each carries.  Returns the crashes seen and
+    the statements covered."""
     (compiled, crash), (interpreted, crash_again) = (
         launch(model, SettingsStore()), interpreted_launch(model, SettingsStore())
     )
-    crashes, statements = [crash], set()
+    crashes = [crash]
     assert crash == crash_again
     assert observed(compiled) == observed(interpreted)
+    assert compiled.coverage == interpreted.coverage
     while (event := picks(available_events(compiled))) is not False:
         if event is None:
-            statements |= compiled.covered_statements
-            compiled, crash = launch(model, compiled.settings, phase="restart")
+            compiled, crash = launch(
+                model, compiled.settings, phase="restart", coverage=compiled.coverage
+            )
             interpreted, crash_again = interpreted_launch(
-                model, interpreted.settings, phase="restart"
+                model, interpreted.settings, phase="restart", coverage=interpreted.coverage
             )
             assert crash == crash_again
         else:
@@ -296,7 +301,8 @@ def walk_both(model, picks):
             crash = outcome.crash
         crashes.append(crash)
         assert observed(compiled) == observed(interpreted)
-    return crashes, statements | compiled.covered_statements
+        assert compiled.coverage == interpreted.coverage
+    return crashes, compiled.coverage.statements
 
 
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario", "features"])
@@ -350,12 +356,10 @@ def test_mutating_a_fork_leaves_the_original_untouched(name):
         fork.widget_enabled[key] = not enabled
     for field in fork.fields:
         fork.fields[field] = "changed"
-    fork.covered_statements.add("a statement")
-    fork.covered_branches.add("a branch")
-    fork.entered_handlers.add("a handler")
     fork.exited = True
     assert observed(original) == before
     assert observed(original.fork()) == before
+    assert fork.coverage is original.coverage
 
 
 def test_reopen_and_close_missing_are_noops(tmp_path):
@@ -398,7 +402,7 @@ def test_exit_aborts_the_running_handler(tmp_path):
     outcome = fire_event(state, "quit")
     assert outcome.ok and outcome.exited
     assert state.fields["Main.mark"] is None
-    assert "h:quit/1" not in state.covered_statements
+    assert "h:quit/1" not in state.coverage.statements
 
 
 def test_null_dereference_crash_names_the_statement(example_app):
@@ -411,8 +415,8 @@ def test_null_dereference_crash_names_the_statement(example_app):
     assert outcome.crash.statement == "h:e2/0"
     assert outcome.crash.phase == "event"
     # the crashing statement itself counts as covered, its successor does not
-    assert "h:e2/0" in state.covered_statements
-    assert "h:e2/1" not in state.covered_statements
+    assert "h:e2/0" in state.coverage.statements
+    assert "h:e2/1" not in state.coverage.statements
 
 
 def test_array_bounds_crash_in_else_branch(jabref_app):
@@ -423,7 +427,7 @@ def test_array_bounds_crash_in_else_branch(jabref_app):
     assert outcome.crash is not None
     assert outcome.crash.kind == CRASH_ARRAY_OOB
     assert outcome.crash.statement == "h:OK/0.e.0"
-    assert "h:OK/0:else" in state.covered_branches
+    assert "h:OK/0:else" in state.coverage.branches
 
 
 def test_settings_survive_relaunch_and_coerce_booleans(tmp_path):
@@ -442,7 +446,7 @@ def test_settings_survive_relaunch_and_coerce_booleans(tmp_path):
     # a later launch against the same store sees what the first one wrote
     state2, _ = launch(model, settings)
     assert state2.settings.get("k") == "true"
-    assert settings.as_dict() == {"k": "true"}
+    assert dict(settings.snapshot()) == {"k": "true"}
 
 
 def test_widget_flags_survive_window_close_but_not_relaunch(tmp_path):
@@ -485,7 +489,7 @@ def test_launch_block_runs_and_can_crash(rachota_app):
     # nothing stored: the guarded branch stays cold
     state, crash = launch(rachota_app, SettingsStore())
     assert crash is None
-    assert "launch/1.t.0" not in state.covered_statements
+    assert "launch/1.t.0" not in state.coverage.statements
 
     # a count of "1" with no stored task dereferences null during startup
     poisoned = SettingsStore()
