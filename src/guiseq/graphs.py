@@ -28,6 +28,7 @@ through :class:`QuotedStrings`.
 from __future__ import annotations
 
 import json
+import json.scanner
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -316,16 +317,39 @@ def read_document(path: Path | str, kind: str, parse: Callable[[dict], T]) -> T:
     return _parse_document(_read_text(path), path, None, kind, parse)
 
 
+#: The C scanner behind :func:`json.loads`, called at an offset of a whole
+#: file's text so that a line that holds one object is decoded in place.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def read_document_lines(
     path: Path | str, kind: str, parse: Callable[[dict], T]
 ) -> list[T]:
-    """:func:`read_document` for a JSON-lines file: one document per
-    non-blank line, errors naming the file and the line."""
-    return [
-        _parse_document(line, path, lineno, kind, parse)
-        for lineno, line in enumerate(_read_text(path).splitlines(), start=1)
-        if line.strip()
-    ]
+    r""":func:`read_document` for a JSON-lines file: one document per
+    non-blank line, errors naming the file and the line.
+
+    Lines end at ``"\n"`` only (reading turns ``"\r\n"`` and ``"\r"`` into
+    it), so a raw U+2028, U+2029 or U+0085 inside a JSON string stays in its
+    line.  An object that fills its line exactly is decoded in place by the
+    C scanner of :mod:`json`; any other line goes to :func:`json.loads`,
+    which decodes it or raises its own error."""
+    text = _read_text(path)
+    docs = []
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        try:
+            source, stop = _scan_once(text, start)
+        except (StopIteration, ValueError, RecursionError):
+            stop = -1
+        if stop != end or type(source) is not dict:
+            source = text[start:end]
+        if type(source) is dict or source.strip():
+            docs.append(_parse_document(source, path, lineno, kind, parse))
+        start, lineno = end + 1, lineno + 1
+    return docs
 
 
 def _read_text(path: Path | str) -> str:
@@ -336,10 +360,17 @@ def _read_text(path: Path | str) -> str:
 
 
 def _parse_document(
-    text: str, path: Path | str, lineno: int | None, kind: str, parse: Callable[[dict], T]
+    source: str | dict,
+    path: Path | str,
+    lineno: int | None,
+    kind: str,
+    parse: Callable[[dict], T],
 ) -> T:
+    """``parse`` the document ``source``, given as JSON text or already
+    decoded, mapping what goes wrong to a :class:`GuiseqError` (see
+    :func:`read_document`)."""
     try:
-        doc = json.loads(text)
+        doc = source if type(source) is dict else json.loads(source)
         if not isinstance(doc, dict):
             raise GuiseqError("expected a JSON object at top level")
         version = doc.get("schemaVersion")

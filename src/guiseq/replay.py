@@ -38,7 +38,17 @@ replay keeps each restart's crash by a snapshot of the settings
 for a snapshot it has not seen; what a seen restart covers is already in
 the sink.  Every case's verdict equals what :func:`run_test_case`, which
 shares nothing, computes from scratch, and the suite's coverage equals the
-union of what it covers per case.
+union of what it covers per case.  Where each case forks for the cases after
+it is read off the common-prefix lengths of neighbouring cases in time
+linear in the suite, by jumps to the next smaller length.  Each event's
+availability is checked once, by :func:`~guiseq.simulator.fire_event`,
+whose :class:`~guiseq.simulator.UnavailableEventError` marks the case
+broken.
+
+**Memory.**  What replay holds grows with the number of cases, not with the
+report's text or with how often an event repeats.
+:func:`~guiseq.generate.load_sequences` keeps one string per distinct event,
+and :func:`save_report` writes each test's text as soon as it is rendered.
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ from .simulator import (
     CrashRecord,
     GuiState,
     SettingsStore,
+    UnavailableEventError,
     fire_event,
-    is_available,
     launch,
 )
 
@@ -123,7 +133,7 @@ def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
                     f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
                 )
             groups[record.split_of].append(record)
-    return [TestCase(parts=tuple(parts)) for parts in groups.values()]
+    return [TestCase(tuple(parts)) for parts in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -168,10 +178,10 @@ def _finish_case(
         for k in range(start, len(part.events)):
             if k in fork_at:
                 saved.append((k, state.fork()))
-            event = part.events[k]
-            if not is_available(state, event):
+            try:
+                outcome = fire_event(state, part.events[k])
+            except UnavailableEventError:
                 return CaseResult(case, "broken", broken_at=offset + k)
-            outcome = fire_event(state, event)
             if outcome.crash is not None:
                 crash = dataclasses.replace(outcome.crash, position=offset + k)
                 return CaseResult(case, "failed", crash)
@@ -195,6 +205,38 @@ def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
     return n
 
 
+def _next_smaller(values: Sequence[int]) -> list[int]:
+    """For each position, the next position holding a strictly smaller
+    value, or ``len(values)`` if none: one backward pass with a stack."""
+    out = [len(values)] * len(values)
+    stack: list[int] = []  # positions after j, their values rising to the top
+    for j in range(len(values) - 1, -1, -1):
+        while stack and values[stack[-1]] >= values[j]:
+            stack.pop()
+        if stack:
+            out[j] = stack[-1]
+        stack.append(j)
+    return out
+
+
+def _fork_points(
+    shared: Sequence[int], smaller: Sequence[int], i: int, depth: int
+) -> tuple[set[int], int]:
+    """The depths where case ``i``, resuming at ``depth``, forks for later
+    cases, and the first position ``j >= i`` with ``shared[j] <= depth``.
+
+    Later cases resume where the running minimum of ``shared[i:]`` steps
+    down.  ``smaller`` (see :func:`_next_smaller`) jumps from one step to
+    the next, so only the steps are visited.  ``shared`` must end with a
+    value below any depth."""
+    fork_at: set[int] = set()
+    j = i
+    while shared[j] > depth:
+        fork_at.add(shared[j])
+        j = smaller[j]
+    return fork_at, j
+
+
 def _replay_in_order(
     model: AppModel, cases: Sequence[TestCase], coverage: Coverage
 ) -> list[CaseResult]:
@@ -216,23 +258,17 @@ def _replay_in_order(
     firsts = [case.parts[0].events for case in cases]
     # shared[i]: first-part events case i has in common with case i + 1
     shared = [_common_prefix(a, b) for a, b in zip(firsts, firsts[1:])] + [-1]
+    smaller = _next_smaller(shared)
     saved: list[tuple[int, GuiState]] = [(0, root)]
     restarts: dict[frozenset, CrashRecord | None] = {}
     results = []
     for i, case in enumerate(cases):
         depth, state = saved[-1]
-        # Later cases resume where the running minimum of shared[i:] steps
-        # down.  It steps to this depth again only if a later case resumes
-        # here too; otherwise this case may use up the saved state.  The
-        # root always stays: a case that breaks or crashes saves nothing
-        # deeper for the cases after it.
-        fork_at: set[int] = set()
-        low, j = len(firsts[i]) + 1, i
-        while shared[j] > depth:
-            if shared[j] < low:
-                low = shared[j]
-                fork_at.add(low)
-            j += 1
+        # The running minimum of shared[i:] steps to this depth again only
+        # if a later case resumes here too; otherwise this case may use up
+        # the saved state.  The root always stays: a case that breaks or
+        # crashes saves nothing deeper for the cases after it.
+        fork_at, j = _fork_points(shared, smaller, i, depth)
         if shared[j] == depth or depth == 0:
             state = state.fork()
         else:
@@ -338,34 +374,16 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
     final newline, rendered straight from ``suite`` without building the
     document.  Keys come in sorted order, each event is quoted once, integers
     are written by ``str`` and the coverage fractions by ``repr``, as
-    ``json`` writes them."""
+    ``json`` writes them.  The suite holds every figure of the summary, which
+    sorts before the tests, so the header and summary go out first and each
+    test's text is written through one file handle as soon as it is rendered:
+    the whole report's text is never held at once."""
     quoted = QuotedStrings()
 
     def array(items: Iterable[str]) -> str:
         body = ",\n        ".join(items)
         return "[\n        " + body + "\n      ]" if body else "[]"
 
-    tests = []
-    for r in suite.results:
-        case, crash = r.case, r.crash
-        fields = []  # "key": value, in sorted key order
-        if r.broken_at is not None:
-            fields.append(f'"brokenAt": {r.broken_at}')
-        if crash is not None:
-            position = "null" if crash.position is None else str(crash.position)
-            fields.append(
-                f'"crash": {{\n        "kind": {quoted[crash.kind]},'
-                f'\n        "phase": {quoted[crash.phase]},'
-                f'\n        "position": {position},'
-                f'\n        "statement": {quoted[crash.statement]}\n      }}'
-            )
-        fields.append('"events": ' + array(map(quoted.__getitem__, case.events)))
-        fields.append('"id": ' + encode_basestring_ascii(case.id))
-        if len(case.parts) > 1:
-            fields.append('"parts": ' + array(encode_basestring_ascii(p.id) for p in case.parts))
-        fields.append('"targets": ' + array(map(str, case.targets)))
-        fields.append('"verdict": ' + quoted[r.verdict])
-        tests.append("{\n      " + ",\n      ".join(fields) + "\n    }")
     summary = (
         ("branchCoverage", repr(suite.branch_coverage)),
         ("branchesCovered", len(suite.covered_branches)),
@@ -378,16 +396,36 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
         ("statementsTotal", suite.statements_total),
         ("total", len(suite.results)),
     )
-    text = "".join((
-        '{\n  "model": ', encode_basestring_ascii(suite.model_name),
-        f',\n  "schemaVersion": {SCHEMA_VERSION}',
-        ',\n  "summary": {\n    ',
-        ",\n    ".join(f'"{key}": {value}' for key, value in summary),
-        '\n  },\n  "tests": ',
-        "[\n    " + ",\n    ".join(tests) + "\n  ]" if tests else "[]",
-        "\n}\n",
-    ))
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(
+            '{\n  "model": ' + encode_basestring_ascii(suite.model_name)
+            + f',\n  "schemaVersion": {SCHEMA_VERSION},\n  "summary": {{\n    '
+            + ",\n    ".join(f'"{key}": {value}' for key, value in summary)
+            + '\n  },\n  "tests": '
+        )
+        separator = "[\n    "
+        for r in suite.results:
+            case, crash = r.case, r.crash
+            fields = []  # "key": value, in sorted key order
+            if r.broken_at is not None:
+                fields.append(f'"brokenAt": {r.broken_at}')
+            if crash is not None:
+                position = "null" if crash.position is None else str(crash.position)
+                fields.append(
+                    f'"crash": {{\n        "kind": {quoted[crash.kind]},'
+                    f'\n        "phase": {quoted[crash.phase]},'
+                    f'\n        "position": {position},'
+                    f'\n        "statement": {quoted[crash.statement]}\n      }}'
+                )
+            fields.append('"events": ' + array(map(quoted.__getitem__, case.events)))
+            fields.append('"id": ' + encode_basestring_ascii(case.id))
+            if len(case.parts) > 1:
+                fields.append('"parts": ' + array(encode_basestring_ascii(p.id) for p in case.parts))
+            fields.append('"targets": ' + array(map(str, case.targets)))
+            fields.append('"verdict": ' + quoted[r.verdict])
+            out.write(separator + "{\n      " + ",\n      ".join(fields) + "\n    }")
+            separator = ",\n    "
+        out.write("\n  ]\n}\n" if suite.results else "[]\n}\n")
 
 
 def _report_from_json(doc: dict) -> dict:

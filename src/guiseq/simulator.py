@@ -24,9 +24,10 @@ Execution semantics worth spelling out:
 * **Availability.**  :func:`available_events` lists what the user could
   trigger now, in declaration order; :func:`is_available` answers for one
   event from the model's event-to-window and event-to-widget maps, so its
-  cost grows with the window stack's depth, not with the model.  Replay
-  checks each event with it, and :func:`fire_event` refuses an unavailable
-  one.
+  cost grows with the window stack's depth, not with the model.
+  :func:`fire_event` checks it and refuses an unavailable event with
+  :class:`UnavailableEventError`, which replay, firing without a check of
+  its own, reads as a broken sequence.
 * **Crashes and exits abort.**  A ``deref`` of a null field or a
   ``throwArrayOob`` stops the handler mid-flight, as does ``exit``.  The
   crashing statement still counts as executed for coverage — the program got
@@ -88,6 +89,7 @@ __all__ = [
     "GuiState",
     "FireOutcome",
     "Program",
+    "UnavailableEventError",
     "launch",
     "fire_event",
     "available_events",
@@ -491,14 +493,19 @@ def launch(
     return state, None
 
 
+class UnavailableEventError(GuiseqError):
+    """An event was fired while :func:`is_available` said no."""
+
+
 def fire_event(state: GuiState, event: str) -> FireOutcome:
     """Trigger ``event``'s handler on a live state.
 
-    The caller is expected to have checked availability; firing an
-    unavailable event is a harness bug and raises.
+    An unavailable event raises :class:`UnavailableEventError` before
+    anything runs: a harness bug for the ripper, which fires only what
+    :func:`available_events` lists, and a broken sequence for replay.
     """
     if not is_available(state, event):
-        raise GuiseqError(f"event {event!r} fired while not available")
+        raise UnavailableEventError(f"event {event!r} fired while not available")
     state.coverage.handlers.add(event)
     try:
         block = state.model.program.handlers[event]

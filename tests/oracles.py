@@ -7,15 +7,18 @@ recursion instead of budgeted ordered search, available events by a scan of
 every declared window instead of the windows above the topmost modal one,
 the rip by relaunching and firing each context again instead of forking,
 a sequence record as a document for ``json.dumps`` instead of rendered text,
-handlers run by walking their statements instead of compiled steps.
+handlers run by walking their statements instead of compiled steps, a
+JSON-lines file cut into line strings for ``json.loads`` instead of scanned
+in place, and replay's fork points by a forward scan instead of jumps to the
+next smaller value.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-from typing import Iterable
+from pathlib import Path
+from typing import Callable, Iterable
 
 from guiseq.appmodel import (
     AppModel,
@@ -37,7 +40,7 @@ from guiseq.appmodel import (
     WriteSetting,
 )
 from guiseq.generate import SequenceRecord
-from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError
+from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document
 from guiseq.programdb import ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
 from guiseq.simulator import (
@@ -269,6 +272,32 @@ def oracle_record(record: SequenceRecord) -> dict:
     if record.split_of is not None:
         doc["splitOf"] = record.split_of
     return doc
+
+
+def split_document_lines(path: Path | str, kind: str, parse: Callable[[dict], object]) -> list:
+    """The documents of a JSON-lines file: the text cut into lines on
+    ``"\n"`` and each non-blank one decoded by ``json.loads``."""
+    text = Path(path).read_text(encoding="utf-8")
+    return [
+        _parse_document(line, path, lineno, kind, parse)
+        for lineno, line in enumerate(text.split("\n"), start=1)
+        if line.strip()
+    ]
+
+
+def scanned_fork_points(shared: list[int], i: int, depth: int) -> tuple[set[int], int]:
+    """Where case ``i``, resuming at ``depth``, forks for later cases, and the
+    position the scan stops at: ``shared`` is walked forward one position at
+    a time while it stays above ``depth``, and each new running minimum is a
+    fork point."""
+    fork_at: set[int] = set()
+    low, j = INF, i
+    while shared[j] > depth:
+        if shared[j] < low:
+            low = shared[j]
+            fork_at.add(low)
+        j += 1
+    return fork_at, j
 
 
 def _evaluate(cond: Condition, state: GuiState) -> bool:

@@ -214,6 +214,24 @@ def test_replay_grouping_errors_name_the_file(workdir, capsys, second, message):
     assert not report.exists()
 
 
+def test_replay_reads_raw_line_separators_inside_strings(workdir, capsys):
+    seqs = workdir / "raw.jsonl"
+    docs = [
+        {"schemaVersion": 1, "id": "s\u2028\u2029\x851", "events": ["e1"], "targets": [0],
+         "origin": "blackbox"},
+        {"schemaVersion": 1, "id": "s0002", "events": ["e4"], "targets": [0], "origin": "blackbox"},
+    ]
+    seqs.write_text("".join(json.dumps(d, ensure_ascii=False) + "\n" for d in docs), encoding="utf-8")
+    report = workdir / "report.json"
+    assert main(["replay", "--model", str(corpus.model_path("example-app")),
+                 "--sequences", str(seqs), "--report", str(report), "--allow-broken"]) == 0
+    assert capsys.readouterr().err == ""
+    tests = json.loads(report.read_text(encoding="utf-8"))["tests"]
+    assert [(t["id"], t["verdict"]) for t in tests] == [
+        ("s\u2028\u2029\x851", "passed"), ("s0002", "broken"),
+    ]
+
+
 def test_replay_parallel_output_is_identical(workdir):
     model = str(corpus.model_path("rachota-scenario"))
     efg = workdir / "rachota-efg.json"

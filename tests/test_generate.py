@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guiseq import graphs
 from guiseq.graphs import AbstractSequence, Edg, Efg, GuiseqError, is_executable
 from guiseq.generate import (
     PRESETS,
@@ -261,6 +263,48 @@ def test_load_sequences_rejects_garbage(tmp_path):
         load_sequences(p)
 
 
+def test_raw_line_separators_inside_strings_stay_in_their_line(tmp_path):
+    # str.splitlines would cut these lines inside the strings.
+    event = "a\u2028b\u2029c\x85d"
+    doc = {"schemaVersion": 1, "id": "s\u20281", "events": [event], "targets": [0],
+           "origin": "greybox", "abstract": [event, "e\u2028"]}
+    p = tmp_path / "raw.jsonl"
+    p.write_text(
+        json.dumps(doc, ensure_ascii=False) + "\n"
+        + json.dumps({**doc, "id": "s0002", "splitOf": "s\u20281"}, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+    records = load_sequences(p)
+    assert records == [
+        SequenceRecord("s\u20281", (event,), (0,), "greybox", (event, "e\u2028")),
+        SequenceRecord("s0002", (event,), (0,), "greybox", (event, "e\u2028"), "s\u20281"),
+    ]
+    save_sequences(records, tmp_path / "again.jsonl")
+    assert load_sequences(tmp_path / "again.jsonl") == records
+    with p.open("a", encoding="utf-8") as out:
+        out.write("\u2028not json\n")
+    with pytest.raises(GuiseqError, match="line 3: Expecting value"):
+        load_sequences(p)
+
+
+def test_loaded_records_share_one_string_per_event(tmp_path):
+    p = tmp_path / "suite.jsonl"
+    p.write_text(
+        '{"schemaVersion":1,"id":"s1","events":["open","ok","open"],"targets":[2],'
+        '"origin":"greybox","abstract":["open"]}\n'
+        '{"schemaVersion":1,"id":"s2","events":["ok",true,1],"targets":[0],"origin":"greybox"}\n'
+        '{"schemaVersion":1,"id":"s3","events":["ok",[]],"targets":[0],"origin":true}\n'
+    )
+    first, second, third = load_sequences(p)
+    assert first.events[0] is first.events[2] is first.abstract[0]
+    assert first.events[1] is second.events[0]
+    assert first.origin is second.origin
+    # Only strings are shared: true and 1 stay what they were, and a list
+    # holding an unhashable item is kept as it is.
+    assert [type(e) for e in second.events] == [str, bool, int]
+    assert third.events == ("ok", []) and third.origin is True
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -366,3 +410,17 @@ def test_each_written_line_is_the_records_json_document(tmp_path_factory, record
     assert path.read_text(encoding="utf-8").split("\n") == [
         json.dumps(oracle_record(r), sort_keys=True, separators=(",", ":")) for r in records
     ] + [""]
+
+
+@given(st.lists(sequence_records(), max_size=8))
+@settings(max_examples=100)
+def test_every_written_line_is_decoded_in_place(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    save_sequences(records, path)
+
+    def refuse(text):
+        raise AssertionError(f"json.loads called on {text!r}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "json", SimpleNamespace(loads=refuse))
+        assert load_sequences(path) == records

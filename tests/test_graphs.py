@@ -16,12 +16,18 @@ from guiseq.graphs import (
     graph_to_json,
     is_executable,
     load_graph,
+    read_document_lines,
     save_graph,
     shortest_path,
     validate_efg,
 )
 
-from oracles import floyd_warshall, lexmin_shortest_path, strict_cycle_length
+from oracles import (
+    floyd_warshall,
+    lexmin_shortest_path,
+    split_document_lines,
+    strict_cycle_length,
+)
 from strategies import awkward_text, edgs, efgs
 
 # A two-window application's flow graph: three events always reachable from
@@ -289,3 +295,57 @@ def test_shortest_path_is_the_declaration_order_least(g: Efg):
             for strict in (False, True):
                 expected = lexmin_shortest_path(g, dist, src, dst, strict)
                 assert shortest_path(g, src, dst, strict=strict) == expected
+
+
+# Text a file can hold as UTF-8 (no lone surrogates) within one line,
+# heavy on the other characters ``str.splitlines`` splits on.
+line_text = st.text(
+    st.sampled_from("\u2028\u2029\x85\x0b\x0c\x1c\r")
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | line_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(line_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def document_lines(draw) -> str:
+    """One line of a JSON-lines file, good or bad: a JSON text, most often
+    an object of the current schema, written compactly or not and in ASCII
+    or not (raw U+2028 and U+0085 included); or a cut, a doubling or a
+    padding of one; or any text at all."""
+    doc = draw(
+        st.dictionaries(line_text, json_values, max_size=3).map(
+            lambda d: {"schemaVersion": 1, **d}
+        )
+        | json_values
+    )
+    text = json.dumps(
+        doc,
+        ensure_ascii=draw(st.booleans()),
+        separators=draw(st.sampled_from([None, (",", ":")])),
+    )
+    cut = draw(st.integers(min_value=0, max_value=len(text)))
+    return draw(
+        st.sampled_from([
+            text, text[:cut], text[cut:], text + text, text + "," + text, " " + text, text + "\t",
+        ])
+        | line_text
+    )
+
+
+@given(st.lists(document_lines(), max_size=5), st.sampled_from(["", "\n", "\n\n"]))
+@settings(max_examples=300)
+def test_line_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, end):
+    path = tmp_path_factory.getbasetemp() / "documents.jsonl"
+    path.write_text("\n".join(lines) + end, encoding="utf-8")
+
+    def outcome(read):
+        try:
+            return json.dumps(read(path, "document", lambda doc: doc))
+        except GuiseqError as exc:
+            return f"error: {exc}"
+
+    assert outcome(read_document_lines) == outcome(split_document_lines)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guiseq import corpus
+from guiseq import corpus, simulator
 from guiseq.appmodel import load_app_model
 from guiseq.generate import PRESETS, SequenceRecord, generate_sequences, save_sequences
 from guiseq import replay as replay_module
@@ -27,7 +28,7 @@ from guiseq.replay import (
 )
 from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord
 
-from oracles import oracle_record
+from oracles import oracle_record, scanned_fork_points
 from strategies import awkward_text
 
 
@@ -449,6 +450,40 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
     ] * 2
 
 
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=12))
+@settings(max_examples=300)
+def test_fork_points_jump_to_where_the_forward_scan_steps_down(values):
+    shared = values + [-1]
+    smaller = replay_module._next_smaller(shared)
+    # each jump lands on the first strictly smaller value, so a run of equal
+    # values costs one jump, not one per position
+    assert smaller == [
+        next((k for k in range(j + 1, len(shared)) if shared[k] < shared[j]), len(shared))
+        for j in range(len(shared))
+    ]
+    for i in range(len(shared)):
+        for depth in range(7):
+            assert replay_module._fork_points(shared, smaller, i, depth) == scanned_fork_points(
+                shared, i, depth
+            )
+
+
+def test_each_replayed_fire_checks_availability_once(example_app, example_efg, monkeypatch):
+    cases = group_test_cases(generate_sequences(PRESETS["C"], example_efg).records)
+    cases.append(Case(parts=(record("x0001", ["e1", "e4", "e1"]),)))
+    calls = {"is_available": 0, "fire_event": 0}
+    # every binding replay could reach each function through
+    bound = [(m, n) for m in (simulator, replay_module) for n in calls if hasattr(m, n)]
+    for module, name in bound:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    suite = run_suite(example_app, cases)
+    assert suite.count("broken") >= 1
+    assert calls["is_available"] == calls["fire_event"] > len(cases)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -579,6 +614,32 @@ def test_written_files_are_the_oracles_bytes_on_the_corpus(tmp_path, name):
         suite = run_suite(model, group_test_cases(records))
         save_report(suite, report)
         assert report.read_bytes() == oracle_report(suite).encode("utf-8"), config
+
+
+def test_saving_a_report_holds_a_small_part_of_its_text(tmp_path):
+    events = [f"Window{i % 7}.event{i}" for i in range(40)]
+    results = []
+    for i in range(2400):
+        parts = (record(f"s{i:05d}", events[i % 37 : i % 37 + 3]),)
+        if i % 5 == 0:
+            parts += (record(f"p{i:05d}", events[:2], split_of=parts[0].id),)
+        if i % 3 == 0:
+            crash = CrashRecord(CRASH_NULL_DEREF, f"h:{events[i % 40]}/0", "event", i % 4)
+            results.append(CaseResult(Case(parts), "failed", crash=crash))
+        elif i % 3 == 1:
+            results.append(CaseResult(Case(parts), "broken", broken_at=1))
+        else:
+            results.append(CaseResult(Case(parts), "passed"))
+    suite = SuiteResult("wide", tuple(results), 90, 12, frozenset(events), frozenset("ab"), frozenset())
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        save_report(suite, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * path.stat().st_size
+    assert path.read_text(encoding="utf-8") == oracle_report(suite)
 
 
 def test_report_table_rendering():
