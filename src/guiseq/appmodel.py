@@ -524,7 +524,7 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
     model = AppModel(
         name=typed(doc.get("name", default_name), str, "model name"),
         windows=windows,
-        fields=dict(doc.get("fields", {})),
+        fields=typed(doc.get("fields", {}), dict, "fields"),
         handlers={
             event: _parse_block(block, f"handler {event!r}")
             for event, block in doc.get("handlers", {}).items()

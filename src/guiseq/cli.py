@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -113,6 +114,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _naming(path: Path):
+    """Prefix ``path`` to a :class:`GuiseqError` raised inside: the input
+    file whose content caused it, such as a model's unbounded recursion."""
+    try:
+        yield
+    except GuiseqError as exc:
+        raise GuiseqError(f"{path}: {exc}") from None
+
+
 def _load_efg(path: Path) -> Efg:
     g = load_graph(path)
     if not isinstance(g, Efg):
@@ -129,7 +140,8 @@ def _load_edg(path: Path) -> Edg:
 
 def _cmd_rip(args: argparse.Namespace) -> int:
     model = load_app_model(args.model)
-    structure = rip(model)
+    with _naming(args.model):
+        structure = rip(model)
     efg = build_efg_from_structure(structure)
     dot = None if args.dot is None else export_dot(efg)  # before any file is written
     save_graph(efg, args.out)
@@ -203,11 +215,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     model = load_app_model(args.model)
     records = load_sequences(args.sequences)
     _check_sequences(model, records, args.sequences)
-    try:
+    with _naming(args.sequences):
         cases = group_test_cases(records)
-    except GuiseqError as exc:
-        raise GuiseqError(f"{args.sequences}: {exc}") from None
-    suite = run_suite(model, cases, parallelism=args.parallel)
+    with _naming(args.model):
+        suite = run_suite(model, cases, parallelism=args.parallel)
     save_report(suite, args.report)
     failed, broken = suite.count("failed"), suite.count("broken")
     print(

@@ -331,15 +331,8 @@ def generate_sequences(
                 f"event {event!r} is unreachable from the initial events; "
                 "no sequence can exercise it"
             )
-        for events, targets in sequences:
-            records.append(
-                SequenceRecord(
-                    id=_next_id(counter),
-                    events=events,
-                    targets=targets,
-                    origin="blackbox",
-                )
-            )
+        for events, targets in sequences:  # records by position: cheaper than by keyword
+            records.append(SequenceRecord(_next_id(counter), events, targets, "blackbox"))
     elif config.mode == "greybox":
         if edg is None:
             raise GuiseqError("grey-box generation needs an event-dependency graph")
@@ -350,16 +343,9 @@ def generate_sequences(
             root_id: str | None = None
             for part in conversion.parts:
                 rid = _next_id(counter)
-                records.append(
-                    SequenceRecord(
-                        id=rid,
-                        events=part.events,
-                        targets=part.targets,
-                        origin="greybox",
-                        abstract=conversion.abstract,
-                        split_of=root_id,
-                    )
-                )
+                records.append(SequenceRecord(
+                    rid, part.events, part.targets, "greybox", conversion.abstract, root_id
+                ))
                 if root_id is None:
                     root_id = rid
     else:

@@ -188,10 +188,6 @@ class Edg:
             for e, pairs in succ.items()
         }
 
-    def require_event(self, event: str) -> None:
-        if event not in self.decl_index:
-            raise UnknownEventError(f"event {event!r} is not declared in the graph")
-
 
 @dataclass(frozen=True)
 class AbstractSequence:

@@ -22,15 +22,17 @@ fractions of the model's coverage universe, rounded to four decimals.  It
 is recorded in one :class:`~guiseq.simulator.Coverage` sink per suite, which
 every launch and fork of the replay writes into; no case keeps its own.
 
-**Prefix sharing.**  The simulator is deterministic, so a case whose first
-part begins with the same events as the previous case's need not launch and
-fire them again.  :func:`run_suite` walks the cases in order and, before the
-previous case fires past the point where the two first parts part ways, it
-forks that state (:meth:`~guiseq.simulator.GuiState.fork`: own settings
-store, windows, widget flags and fields); the case resumes from the fork.
-The one launch against fresh settings is shared the same way; when it
-crashes, every case fails with that crash and nothing more runs.  Nothing is
-shared past a crash or a broken event, and later parts never are: each
+**Prefix sharing.**  The simulator is deterministic, so cases whose first
+parts begin with the same events need not launch and fire them once each.
+:func:`run_suite` walks the tree the cases' first parts form, depth first,
+from one launch against fresh settings: each distinct first-part prefix is
+fired once, whatever order the cases come in.  Where the cases below a
+state go separate ways, or where one of them ends, each gets its own fork
+of the state (:meth:`~guiseq.simulator.GuiState.fork`: own settings store,
+windows, widget flags and fields) but the last, which takes the state
+itself.  When the launch crashes, every case fails with that crash and
+nothing more runs; when an event breaks or crashes, every case below it
+gets the same verdict at that position.  Later parts are never shared: each
 launches against its own case's settings.  The restart probe is shared too:
 a launch depends only on the model and the settings' contents, so the
 replay keeps each restart's crash by a snapshot of the settings
@@ -38,12 +40,10 @@ replay keeps each restart's crash by a snapshot of the settings
 for a snapshot it has not seen; what a seen restart covers is already in
 the sink.  Every case's verdict equals what :func:`run_test_case`, which
 shares nothing, computes from scratch, and the suite's coverage equals the
-union of what it covers per case.  Where each case forks for the cases after
-it is read off the common-prefix lengths of neighbouring cases in time
-linear in the suite, by jumps to the next smaller length.  Each event's
-availability is checked once, by :func:`~guiseq.simulator.fire_event`,
-whose :class:`~guiseq.simulator.UnavailableEventError` marks the case
-broken.
+union of what it covers per case, so the order cases run in does not show.
+Each event's availability is checked once, by
+:func:`~guiseq.simulator.fire_event`, whose
+:class:`~guiseq.simulator.UnavailableEventError` marks the case broken.
 
 **Memory.**  What replay holds grows with the number of cases, not with the
 report's text or with how often an event repeats.
@@ -57,7 +57,7 @@ import dataclasses
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
@@ -148,47 +148,46 @@ def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseRe
     """Replay one case from a launch against a fresh settings store, sharing
     nothing, and record what it covers in ``coverage``."""
     state, crash = launch(model, SettingsStore(), phase="launch", coverage=coverage)
-    return _finish_case(model, case, state, crash, {})
+    if crash is not None:
+        return CaseResult(case, "failed", crash)
+    return _finish_case(model, case, state, {})
+
+
+def _fire(state: GuiState, event: str, position: int) -> tuple | None:
+    """Fire ``event`` on ``state`` as the event at ``position`` of a case:
+    None if it ran, otherwise the case's ``(verdict, crash, broken_at)``."""
+    try:
+        outcome = fire_event(state, event)
+    except UnavailableEventError:
+        return "broken", None, position
+    if outcome.crash is not None:
+        return "failed", dataclasses.replace(outcome.crash, position=position), None
+    return None
 
 
 def _finish_case(
     model: AppModel,
     case: TestCase,
     state: GuiState,
-    crash: CrashRecord | None,
     restarts: dict[frozenset, CrashRecord | None],
     start: int = 0,
-    fork_at: Container[int] = (),
-    saved: list[tuple[int, GuiState]] | None = None,
 ) -> CaseResult:
     """Replay ``case`` on from ``state``, a live instance of its first part
-    that has fired that part's first ``start`` events (``crash`` is its launch
-    crash, if any), recording into the state's coverage sink.  At each
-    first-part position in ``fork_at`` — before the event there, or after the
-    part's last event — a fork of the state is pushed onto ``saved`` as
-    ``(position, state)``.  ``restarts`` memoises the restart's crash by
+    that has fired that part's first ``start`` events, recording into the
+    state's coverage sink.  ``restarts`` memoises the restart's crash by
     :meth:`~guiseq.simulator.SettingsStore.snapshot`; a snapshot missing from
     it is launched, into the same sink."""
     offset = 0
     for n, part in enumerate(case.parts):
         if n:
             state, crash = launch(model, state.settings, phase="launch", coverage=state.coverage)
-        if crash is not None:
-            return CaseResult(case, "failed", crash)
-        for k in range(start, len(part.events)):
-            if k in fork_at:
-                saved.append((k, state.fork()))
-            try:
-                outcome = fire_event(state, part.events[k])
-            except UnavailableEventError:
-                return CaseResult(case, "broken", broken_at=offset + k)
-            if outcome.crash is not None:
-                crash = dataclasses.replace(outcome.crash, position=offset + k)
+            if crash is not None:
                 return CaseResult(case, "failed", crash)
-        if len(part.events) in fork_at:
-            saved.append((len(part.events), state.fork()))
+        for k in range(start, len(part.events)):
+            if (verdict := _fire(state, part.events[k], offset + k)) is not None:
+                return CaseResult(case, *verdict)
         offset += len(part.events)
-        start, fork_at = 0, ()
+        start = 0
     key = state.settings.snapshot()
     if key not in restarts:
         restarts[key] = launch(model, state.settings, phase="restart", coverage=state.coverage)[1]
@@ -196,59 +195,16 @@ def _finish_case(
     return CaseResult(case, "passed" if crash is None else "failed", crash)
 
 
-def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def _next_smaller(values: Sequence[int]) -> list[int]:
-    """For each position, the next position holding a strictly smaller
-    value, or ``len(values)`` if none: one backward pass with a stack."""
-    out = [len(values)] * len(values)
-    stack: list[int] = []  # positions after j, their values rising to the top
-    for j in range(len(values) - 1, -1, -1):
-        while stack and values[stack[-1]] >= values[j]:
-            stack.pop()
-        if stack:
-            out[j] = stack[-1]
-        stack.append(j)
-    return out
-
-
-def _fork_points(
-    shared: Sequence[int], smaller: Sequence[int], i: int, depth: int
-) -> tuple[set[int], int]:
-    """The depths where case ``i``, resuming at ``depth``, forks for later
-    cases, and the first position ``j >= i`` with ``shared[j] <= depth``.
-
-    Later cases resume where the running minimum of ``shared[i:]`` steps
-    down.  ``smaller`` (see :func:`_next_smaller`) jumps from one step to
-    the next, so only the steps are visited.  ``shared`` must end with a
-    value below any depth."""
-    fork_at: set[int] = set()
-    j = i
-    while shared[j] > depth:
-        fork_at.add(shared[j])
-        j = smaller[j]
-    return fork_at, j
-
-
-def _replay_in_order(
+def _replay_tree(
     model: AppModel, cases: Sequence[TestCase], coverage: Coverage
 ) -> list[CaseResult]:
-    """Replay ``cases`` in order into ``coverage``, each case resuming from a
-    fork of the state where its first part stops sharing events with the
-    previous case's.
+    """Replay ``cases`` into ``coverage`` by a depth-first walk over the tree
+    their first parts form, firing each distinct first-part prefix once.
 
-    ``saved`` holds untouched states as ``(events fired, state)``, the depth
-    rising, the root (the one launch against fresh settings) at the bottom.
-    A state stays only while a later case will resume at exactly its depth,
-    so every saved state lies on the next case's path and the top one is
-    where it resumes.
+    An entry of the walk is ``(state, depth, group)``: every case in
+    ``group`` has a first part that begins with the ``depth`` events
+    ``state`` has fired.  Each case that ends there, and each next event,
+    uses the state; all but the last user get a fork of it.
     """
     if not cases:
         return []
@@ -256,24 +212,38 @@ def _replay_in_order(
     if crash is not None:  # every case fails the same way; nothing more runs
         return [CaseResult(case, "failed", crash) for case in cases]
     firsts = [case.parts[0].events for case in cases]
-    # shared[i]: first-part events case i has in common with case i + 1
-    shared = [_common_prefix(a, b) for a, b in zip(firsts, firsts[1:])] + [-1]
-    smaller = _next_smaller(shared)
-    saved: list[tuple[int, GuiState]] = [(0, root)]
+    results: list = [None] * len(cases)  # by position in ``cases``
     restarts: dict[frozenset, CrashRecord | None] = {}
-    results = []
-    for i, case in enumerate(cases):
-        depth, state = saved[-1]
-        # The running minimum of shared[i:] steps to this depth again only
-        # if a later case resumes here too; otherwise this case may use up
-        # the saved state.  The root always stays: a case that breaks or
-        # crashes saves nothing deeper for the cases after it.
-        fork_at, j = _fork_points(shared, smaller, i, depth)
-        if shared[j] == depth or depth == 0:
-            state = state.fork()
-        else:
-            saved.pop()
-        results.append(_finish_case(model, case, state, None, restarts, depth, fork_at, saved))
+    walk = [(root, 0, range(len(cases)))]
+    while walk:
+        state, depth, group = walk.pop()
+        if len(group) == 1:
+            i = group[0]
+            results[i] = _finish_case(model, cases[i], state, restarts, depth)
+            continue
+        ending: list[int] = []
+        branches: dict[str, list[int]] = {}
+        for i in group:
+            if len(firsts[i]) == depth:
+                ending.append(i)
+            else:
+                branches.setdefault(firsts[i][depth], []).append(i)
+        # A finishing case owns its state too: its later parts and its
+        # restart launch on the state's settings.
+        users = len(ending) + len(branches)
+        for i in ending:
+            users -= 1
+            own = state if users == 0 else state.fork()
+            results[i] = _finish_case(model, cases[i], own, restarts, depth)
+        for event, below in branches.items():
+            users -= 1
+            own = state if users == 0 else state.fork()
+            verdict = _fire(own, event, depth)
+            if verdict is None:
+                walk.append((own, depth + 1, below))
+            else:  # nothing is shared past a crash or a broken event
+                for i in below:
+                    results[i] = CaseResult(cases[i], *verdict)
     return results
 
 
@@ -306,11 +276,12 @@ class SuiteResult:
 def run_suite(
     model: AppModel, cases: Sequence[TestCase], parallelism: int = 1
 ) -> SuiteResult:
-    """Replay all cases, sharing prefixes, with one coverage sink for the
-    suite.  ``parallelism`` is accepted and ignored: replay runs in one
+    """Replay all cases with one coverage sink for the suite, firing each
+    distinct first-part prefix once, and list their results in the order of
+    ``cases``.  ``parallelism`` is accepted and ignored: replay runs in one
     thread."""
     coverage = Coverage()
-    results = _replay_in_order(model, cases, coverage)
+    results = _replay_tree(model, cases, coverage)
     statements, branches = model.coverage_universe
     return SuiteResult(
         model_name=model.name,

@@ -122,19 +122,6 @@ class GuiStructure:
         return tuple(out)
 
 
-def _enabled_events_of(model: AppModel, state: GuiState, window: str) -> tuple[str, ...]:
-    spec = model.window_by_name[window]
-    out: list[str] = []
-    if spec.window_event is not None:
-        out.append(spec.window_event)
-    out.extend(
-        widget.event
-        for widget in spec.widgets
-        if state.widget_enabled[(window, widget.id)]
-    )
-    return tuple(out)
-
-
 def _discover(model: AppModel, state: GuiState, window: str) -> WindowDiscovery:
     spec = model.window_by_name[window]
     return WindowDiscovery(
@@ -198,11 +185,11 @@ def _fire_and_record(
             own_persists and not state.exited and not state.window_blocked(own)
         ),
         opened=tuple(
-            (w, _enabled_events_of(model, state, w)) for w in post_open if w not in pre_open
+            (w, state.enabled_events(w)) for w in post_open if w not in pre_open
         ),
         closed_any=any(w not in post_open for w in pre_open),
         post_available=available_events(state),
-        post_enabled_own=_enabled_events_of(model, state, own) if own_persists else (),
+        post_enabled_own=state.enabled_events(own) if own_persists else (),
     )
 
 

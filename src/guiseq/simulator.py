@@ -201,15 +201,13 @@ class GuiState:
                 return True
         return True
 
-    def _unblocked_windows(self) -> list[str]:
-        """The open windows no modal window sits above: the topmost modal
-        window and those over it, or the whole stack when none is modal."""
-        stack = self.open_windows
-        window_by_name = self.model.window_by_name
-        top = len(stack) - 1
-        while top > 0 and not window_by_name[stack[top]].modal:
-            top -= 1
-        return stack[top:]
+    def enabled_events(self, window: str) -> tuple[str, ...]:
+        """The events ``window`` offers while unblocked: its window event, if
+        any, then its enabled widgets' events, in declaration order."""
+        spec = self.model.window_by_name[window]
+        enabled = self.widget_enabled
+        events = tuple(w.event for w in spec.widgets if enabled[(window, w.id)])
+        return events if spec.window_event is None else (spec.window_event, *events)
 
 
 @dataclass(frozen=True)
@@ -246,14 +244,12 @@ def available_events(state: GuiState) -> tuple[str, ...]:
     """
     if state.exited:
         return ()
-    out: list[str] = []
-    for name in state._unblocked_windows():
-        w = state.model.window_by_name[name]
-        if w.window_event is not None:
-            out.append(w.window_event)
-        for widget in w.widgets:
-            if state.widget_enabled[(name, widget.id)]:
-                out.append(widget.event)
+    out = [
+        event
+        for window in state.open_windows
+        if not state.window_blocked(window)
+        for event in state.enabled_events(window)
+    ]
     out.sort(key=state.model.event_index.__getitem__)
     return tuple(out)
 

@@ -4,13 +4,12 @@ Everything here deliberately uses a *different* algorithm from the package
 code: effect closures by fixpoint iteration instead of a call-graph walk,
 distances by Floyd-Warshall instead of seeded BFS, path enumeration by plain
 recursion instead of budgeted ordered search, available events by a scan of
-every declared window instead of the windows above the topmost modal one,
+every declared window instead of a walk down the stack from each open one,
 the rip by relaunching and firing each context again instead of forking,
 a sequence record as a document for ``json.dumps`` instead of rendered text,
 handlers run by walking their statements instead of compiled steps, a
 JSON-lines file cut into line strings for ``json.loads`` instead of scanned
-in place, and replay's fork points by a forward scan instead of jumps to the
-next smaller value.
+in place.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
@@ -283,21 +282,6 @@ def split_document_lines(path: Path | str, kind: str, parse: Callable[[dict], ob
         for lineno, line in enumerate(text.split("\n"), start=1)
         if line.strip()
     ]
-
-
-def scanned_fork_points(shared: list[int], i: int, depth: int) -> tuple[set[int], int]:
-    """Where case ``i``, resuming at ``depth``, forks for later cases, and the
-    position the scan stops at: ``shared`` is walked forward one position at
-    a time while it stays above ``depth``, and each new running minimum is a
-    fork point."""
-    fork_at: set[int] = set()
-    low, j = INF, i
-    while shared[j] > depth:
-        if shared[j] < low:
-            low = shared[j]
-            fork_at.add(low)
-        j += 1
-    return fork_at, j
 
 
 def _evaluate(cond: Condition, state: GuiState) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from guiseq import corpus
 from guiseq.cli import main
 from guiseq.graphs import load_graph
+from guiseq.simulator import MAX_CALL_DEPTH
 
 
 @pytest.fixture()
@@ -431,6 +432,10 @@ def _drop(path):
         ("app", _replace(("name",), ["x"])),
         ("app", _replace(("windows", 0, "name"), 7)),
         ("efg", b'{"schemaVersion": 1, "events": [{"id": 5}], "initials": [5], "edges": []}'),
+        ("app", _replace(("fields",), [
+            ["MainWindow.enabled", True], ["MainWindow.text", "Hello World"],
+            ["Dialog.mainWindow", None],
+        ])),
     ],
     ids=[
         "efg-event-without-id",
@@ -451,6 +456,7 @@ def _drop(path):
         "app-model-name-as-list",
         "app-window-name-as-number",
         "efg-event-id-as-number",
+        "app-fields-as-pairs",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):
@@ -475,3 +481,39 @@ def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(bad) in lines[0]
+
+
+@pytest.mark.parametrize("command", ["rip", "replay"])
+def test_unbounded_recursion_exits_2_naming_the_model(tmp_path, capsys, command):
+    doc = {
+        "schemaVersion": 1,
+        "name": "loop",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "modal": False,
+                "widgets": [{"id": "w", "event": "go", "enabled": True}],
+            }
+        ],
+        "fields": {},
+        "onLaunch": [],
+        "handlers": {"go": [{"op": "call", "method": "f"}]},
+        "methods": {"f": [{"op": "call", "method": "f"}]},
+    }
+    model = tmp_path / "loop.json"
+    model.write_text(json.dumps(doc))
+    sequences = tmp_path / "seqs.jsonl"
+    sequences.write_text(json.dumps({
+        "schemaVersion": 1, "id": "s0001", "events": ["go"], "targets": [0], "origin": "blackbox",
+    }) + "\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "rip": ["rip", "--model", str(model), "--out", out],
+        "replay": ["replay", "--model", str(model), "--sequences", str(sequences), "--report", out],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {model}: call depth exceeded {MAX_CALL_DEPTH} at 'm:f/'; "
+        "the model likely has unbounded recursion"
+    ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from functools import cache
 
@@ -28,7 +29,7 @@ from guiseq.replay import (
 )
 from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord
 
-from oracles import oracle_record, scanned_fork_points
+from oracles import oracle_record
 from strategies import awkward_text
 
 
@@ -366,6 +367,51 @@ def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
     assert calls == {"fire_event": 39, "launch": 1 + 1}
 
 
+def test_shuffled_cases_fire_each_prefix_above_a_crash_once(tmp_path, monkeypatch):
+    # "c" dereferences a null field, so nothing below a "c" fires
+    doc = {
+        "schemaVersion": 1,
+        "name": "keypad",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "modal": False,
+                "widgets": [{"id": f"w{e}", "event": e, "enabled": True} for e in "abc"],
+            }
+        ],
+        "fields": {"Main.x": "v", "Main.hole": None},
+        "onLaunch": [],
+        "handlers": {
+            "a": [{"op": "log", "field": "Main.x"}],
+            "b": [{"op": "log", "field": "Main.x"}],
+            "c": [{"op": "deref", "field": "Main.hole"}],
+        },
+        "methods": {},
+    }
+    p = tmp_path / "keypad.json"
+    p.write_text(json.dumps(doc))
+    model = load_app_model(p)
+    words = [(x, y, z) for x in "abc" for y in "abc" for z in "abc"]
+    calls = {"launch": 0, "fire_event": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(replay_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(replay_module, name, counted)
+    for seed in range(5):
+        random.Random(seed).shuffle(words)
+        cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+        calls.update(launch=0, fire_event=0)
+        suite = run_suite(model, cases)
+        # one fire per node of the prefix tree not below a "c": 3 + 6 + 12;
+        # one launch against fresh settings and one restart, which the
+        # eight cases without a "c" share
+        assert calls == {"fire_event": 21, "launch": 1 + 1}
+        assert suite.count("failed") == 27 - 8
+        assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
+
+
 def test_one_restart_per_distinct_settings_snapshot(tmp_path, monkeypatch):
     # each event persists its own value; "c"'s crashes the launch block
     doc = {
@@ -448,24 +494,6 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
     assert [(r.verdict, r.crash.phase, r.crash.statement) for r in suite.results] == [
         ("failed", "launch", "launch/0"),
     ] * 2
-
-
-@given(st.lists(st.integers(min_value=0, max_value=5), max_size=12))
-@settings(max_examples=300)
-def test_fork_points_jump_to_where_the_forward_scan_steps_down(values):
-    shared = values + [-1]
-    smaller = replay_module._next_smaller(shared)
-    # each jump lands on the first strictly smaller value, so a run of equal
-    # values costs one jump, not one per position
-    assert smaller == [
-        next((k for k in range(j + 1, len(shared)) if shared[k] < shared[j]), len(shared))
-        for j in range(len(shared))
-    ]
-    for i in range(len(shared)):
-        for depth in range(7):
-            assert replay_module._fork_points(shared, smaller, i, depth) == scanned_fork_points(
-                shared, i, depth
-            )
 
 
 def test_each_replayed_fire_checks_availability_once(example_app, example_efg, monkeypatch):
