@@ -510,8 +510,8 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
             window_event=w.get("windowEvent"),
             widgets=tuple(
                 Widget(
-                    id=widget["id"],
-                    event=widget["event"],
+                    id=typed(widget["id"], str, "widget id"),
+                    event=typed(widget["event"], str, f"widget {widget['id']!r} event"),
                     enabled=typed(
                         widget.get("enabled", True), bool, f"widget {widget['id']!r} enabled"
                     ),

@@ -194,10 +194,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _check_sequences(model: AppModel, records: Sequence[SequenceRecord], path: Path) -> None:
     """Reject, before any case runs, a record whose events the model does not
-    declare or whose targets fall outside its events."""
+    declare or whose targets fall outside its events.  The distinct events
+    are checked at once; only when one is unknown are the records scanned,
+    for the first offender."""
     known = model.event_window
+    try:
+        all_known = known.keys() >= set().union(*[record.events for record in records])
+    except TypeError:  # an unhashable event, such as a list
+        all_known = False
     for record in records:
-        for event in record.events:
+        for event in () if all_known else record.events:
             if type(event) is not str or event not in known:
                 raise GuiseqError(
                     f"{path}: sequence {record.id!r}: event {event!r} is not an event "

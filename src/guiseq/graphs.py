@@ -327,8 +327,10 @@ def read_document_lines(
     Lines end at ``"\n"`` only (reading turns ``"\r\n"`` and ``"\r"`` into
     it), so a raw U+2028, U+2029 or U+0085 inside a JSON string stays in its
     line.  An object that fills its line exactly is decoded in place by the
-    C scanner of :mod:`json`; any other line goes to :func:`json.loads`,
-    which decodes it or raises its own error."""
+    C scanner of :mod:`json` and, at the right schema version, given straight
+    to ``parse``.  Any other line, and any document ``parse`` rejects, goes
+    to :func:`_parse_document`, which decodes text with :func:`json.loads`
+    and names what is wrong."""
     text = _read_text(path)
     docs = []
     start, lineno = 0, 1
@@ -342,8 +344,15 @@ def read_document_lines(
             stop = -1
         if stop != end or type(source) is not dict:
             source = text[start:end]
-        if type(source) is dict or source.strip():
+            if source.strip():
+                docs.append(_parse_document(source, path, lineno, kind, parse))
+        elif type(version := source.get("schemaVersion")) is not int or version != SCHEMA_VERSION:
             docs.append(_parse_document(source, path, lineno, kind, parse))
+        else:
+            try:
+                docs.append(parse(source))
+            except (KeyError, TypeError, AttributeError, ValueError, RecursionError, GuiseqError):
+                docs.append(_parse_document(source, path, lineno, kind, parse))  # names it
         start, lineno = end + 1, lineno + 1
     return docs
 

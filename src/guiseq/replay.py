@@ -49,15 +49,18 @@ Each event's availability is checked once, by
 report's text or with how often an event repeats.
 :func:`~guiseq.generate.load_sequences` keeps one string per distinct event,
 and :func:`save_report` writes each test's text as soon as it is rendered.
+Records, cases and verdicts are named tuples, the cheapest immutable value
+Python builds with named fields, since replay makes one of each per case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
@@ -86,8 +89,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     """One replayable unit: a sequence record plus any later split parts."""
 
     parts: tuple[SequenceRecord, ...]
@@ -119,25 +121,24 @@ class TestCase:
 def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
     """Regroup a record stream into test cases, attaching split parts to
     their first part."""
-    groups: dict[str, list[SequenceRecord]] = {}  # by first part's id, in order
+    cases: dict[str, TestCase] = {}  # by first part's id, in order
     ids: set[str] = set()
     for record in records:
         if record.id in ids:
             raise GuiseqError(f"duplicate sequence id {record.id!r}")
         ids.add(record.id)
         if record.split_of is None:
-            groups[record.id] = [record]
+            cases[record.id] = TestCase((record,))
+        elif (case := cases.get(record.split_of)) is not None:
+            cases[record.split_of] = TestCase(case.parts + (record,))
         else:
-            if record.split_of not in groups:
-                raise GuiseqError(
-                    f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
-                )
-            groups[record.split_of].append(record)
-    return [TestCase(tuple(parts)) for parts in groups.values()]
+            raise GuiseqError(
+                f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
+            )
+    return list(cases.values())
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: TestCase
     verdict: str  # "passed" | "failed" | "broken"
     crash: CrashRecord | None = None
@@ -258,7 +259,14 @@ class SuiteResult:
     entered_handlers: frozenset[str]
 
     def count(self, verdict: str) -> int:
-        return sum(1 for r in self.results if r.verdict == verdict)
+        return self._verdicts.get(verdict, 0)
+
+    @cached_property
+    def _verdicts(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for r in self.results:
+            counts[r.verdict] = counts.get(r.verdict, 0) + 1
+        return counts
 
     @property
     def statement_coverage(self) -> float:
@@ -348,12 +356,15 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
     ``json`` writes them.  The suite holds every figure of the summary, which
     sorts before the tests, so the header and summary go out first and each
     test's text is written through one file handle as soon as it is rendered:
-    the whole report's text is never held at once."""
+    the whole report's text is never held at once.  Each distinct targets
+    tuple is rendered once."""
     quoted = QuotedStrings()
 
     def array(items: Iterable[str]) -> str:
         body = ",\n        ".join(items)
         return "[\n        " + body + "\n      ]" if body else "[]"
+
+    targets_text = cache(lambda targets: array(map(str, targets)))
 
     summary = (
         ("branchCoverage", repr(suite.branch_coverage)),
@@ -375,26 +386,30 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
             + '\n  },\n  "tests": '
         )
         separator = "[\n    "
-        for r in suite.results:
-            case, crash = r.case, r.crash
-            fields = []  # "key": value, in sorted key order
-            if r.broken_at is not None:
-                fields.append(f'"brokenAt": {r.broken_at}')
+        for case, verdict, crash, broken_at in suite.results:
+            # A test's optional keys, each with its separator, before "events"
+            head = "" if broken_at is None else f'"brokenAt": {broken_at},\n      '
             if crash is not None:
                 position = "null" if crash.position is None else str(crash.position)
-                fields.append(
+                head += (
                     f'"crash": {{\n        "kind": {quoted[crash.kind]},'
                     f'\n        "phase": {quoted[crash.phase]},'
                     f'\n        "position": {position},'
-                    f'\n        "statement": {quoted[crash.statement]}\n      }}'
+                    f'\n        "statement": {quoted[crash.statement]}\n      }},\n      '
                 )
-            fields.append('"events": ' + array(map(quoted.__getitem__, case.events)))
-            fields.append('"id": ' + encode_basestring_ascii(case.id))
-            if len(case.parts) > 1:
-                fields.append('"parts": ' + array(encode_basestring_ascii(p.id) for p in case.parts))
-            fields.append('"targets": ' + array(map(str, case.targets)))
-            fields.append('"verdict": ' + quoted[r.verdict])
-            out.write(separator + "{\n      " + ",\n      ".join(fields) + "\n    }")
+            if len(case.parts) == 1:
+                sequence, more = case.parts[0], ""
+            else:  # and "parts" after "id"; events and targets span every part
+                sequence = case
+                ids = array(encode_basestring_ascii(p.id) for p in case.parts)
+                more = f'"parts": {ids},\n      '
+            out.write(
+                f'{separator}{{\n      {head}"events": '
+                f"{array(map(quoted.__getitem__, sequence.events))},"
+                f'\n      "id": {encode_basestring_ascii(sequence.id)},\n      {more}'
+                f'"targets": {targets_text(sequence.targets)},'
+                f'\n      "verdict": {quoted[verdict]}\n    }}'
+            )
             separator = ",\n    "
         out.write("\n  ]\n}\n" if suite.results else "[]\n}\n")
 

@@ -9,7 +9,9 @@ the rip by relaunching and firing each context again instead of forking,
 a sequence record as a document for ``json.dumps`` instead of rendered text,
 handlers run by walking their statements instead of compiled steps, a
 JSON-lines file cut into line strings for ``json.loads`` instead of scanned
-in place.
+in place, a sequence file's events checked one occurrence at a time instead
+of as a set of distinct events, split parts grouped into a list per case
+instead of into the case itself.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
@@ -39,6 +41,7 @@ from guiseq.appmodel import (
     WriteSetting,
 )
 from guiseq.generate import SequenceRecord
+from guiseq.replay import TestCase
 from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document
 from guiseq.programdb import ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
@@ -282,6 +285,47 @@ def split_document_lines(path: Path | str, kind: str, parse: Callable[[dict], ob
         for lineno, line in enumerate(text.split("\n"), start=1)
         if line.strip()
     ]
+
+
+def scanned_check_sequences(
+    model: AppModel, records: Iterable[SequenceRecord], path: Path | str
+) -> None:
+    """The replay command's check of a sequence file against ``model``: every
+    event of every record looked up where it occurs, in file order."""
+    known = model.event_window
+    for record in records:
+        for event in record.events:
+            if type(event) is not str or event not in known:
+                raise GuiseqError(
+                    f"{path}: sequence {record.id!r}: event {event!r} is not an event "
+                    f"of model {model.name!r}"
+                )
+        for t in record.targets:
+            if not 0 <= t < len(record.events):
+                raise GuiseqError(
+                    f"{path}: sequence {record.id!r}: target {t} is outside its "
+                    f"{len(record.events)} events"
+                )
+
+
+def listed_group_test_cases(records: Iterable[SequenceRecord]) -> list[TestCase]:
+    """Test cases from a record stream: a list of parts per first part, each
+    made a case once every record has been read."""
+    groups: dict[str, list[SequenceRecord]] = {}  # by first part's id, in order
+    ids: set[str] = set()
+    for record in records:
+        if record.id in ids:
+            raise GuiseqError(f"duplicate sequence id {record.id!r}")
+        ids.add(record.id)
+        if record.split_of is None:
+            groups[record.id] = [record]
+        else:
+            if record.split_of not in groups:
+                raise GuiseqError(
+                    f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
+                )
+            groups[record.split_of].append(record)
+    return [TestCase(tuple(parts)) for parts in groups.values()]
 
 
 def _evaluate(cond: Condition, state: GuiState) -> bool:

@@ -3,11 +3,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guiseq import corpus
-from guiseq.cli import main
-from guiseq.graphs import load_graph
+from guiseq.cli import _check_sequences, main
+from guiseq.generate import SequenceRecord
+from guiseq.graphs import GuiseqError, load_graph
 from guiseq.simulator import MAX_CALL_DEPTH
+
+from oracles import scanned_check_sequences
 
 
 @pytest.fixture()
@@ -192,6 +197,44 @@ def test_replay_rejects_a_sequence_that_does_not_fit_the_model(workdir, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {seqs}: sequence 's0002': {message}"]
     assert not report.exists()
+
+
+EXAMPLE_APP = corpus.app_model("example-app")
+known_events = st.sampled_from(sorted(EXAMPLE_APP.event_window))
+# Mostly events of the model, so that some drawn files pass the check.
+drawn_events = st.one_of(
+    known_events, known_events, known_events,
+    st.sampled_from(["zz", "", "e1 "]),
+    st.sampled_from([5, None, True, 1.5]),
+    st.lists(known_events, max_size=2),
+)
+
+
+@st.composite
+def drawn_records(draw):
+    records = []
+    for n in range(draw(st.integers(min_value=0, max_value=6))):
+        events = draw(st.lists(drawn_events, max_size=4))
+        targets = draw(st.lists(st.integers(min_value=-1, max_value=4), max_size=3))
+        records.append(SequenceRecord(f"s{n:04d}", tuple(events), tuple(targets), "blackbox"))
+    return records
+
+
+def check_outcome(check, records):
+    """The message ``check`` rejects ``records`` with, or None if it passes them."""
+    try:
+        check(EXAMPLE_APP, records, "drawn.jsonl")
+    except GuiseqError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_records())
+def test_checking_distinct_events_rejects_as_scanning_every_occurrence(records):
+    assert check_outcome(_check_sequences, records) == check_outcome(
+        scanned_check_sequences, records
+    )
 
 
 @pytest.mark.parametrize(
@@ -431,6 +474,8 @@ def _drop(path):
         ("app", _replace(("name",), None)),
         ("app", _replace(("name",), ["x"])),
         ("app", _replace(("windows", 0, "name"), 7)),
+        ("app", _replace(("windows", 0, "widgets", 0, "id"), 7)),
+        ("app", _replace(("windows", 0, "widgets", 0, "event"), 5)),
         ("efg", b'{"schemaVersion": 1, "events": [{"id": 5}], "initials": [5], "edges": []}'),
         ("app", _replace(("fields",), [
             ["MainWindow.enabled", True], ["MainWindow.text", "Hello World"],
@@ -455,6 +500,8 @@ def _drop(path):
         "app-model-name-null",
         "app-model-name-as-list",
         "app-window-name-as-number",
+        "app-widget-id-as-number",
+        "app-widget-event-as-number",
         "efg-event-id-as-number",
         "app-fields-as-pairs",
     ],

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from guiseq import corpus, simulator
 from guiseq.appmodel import load_app_model
-from guiseq.generate import PRESETS, SequenceRecord, generate_sequences, save_sequences
+from guiseq.generate import (
+    PRESETS,
+    SequenceRecord,
+    generate_sequences,
+    load_sequences,
+    save_sequences,
+)
 from guiseq import replay as replay_module
 from guiseq.graphs import GuiseqError
 from guiseq.programdb import build_class_db, build_edg
@@ -29,7 +35,7 @@ from guiseq.replay import (
 )
 from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord
 
-from oracles import oracle_record
+from oracles import listed_group_test_cases, oracle_record
 from strategies import awkward_text
 
 
@@ -107,6 +113,96 @@ def test_grouping_rejects_inconsistent_streams():
         group_test_cases([record("s0001", ["a"]), record("s0001", ["a"])])
     with pytest.raises(GuiseqError, match="continues unknown sequence 's0009'"):
         group_test_cases([record("s0002", ["a"], split_of="s0009")])
+
+
+@st.composite
+def record_streams(draw):
+    """Records whose ids now and then repeat an earlier one, and whose
+    ``splitOf`` is mostly unset or an earlier id (a first part or a split
+    part), now and then a later id or no id at all."""
+    records = []
+    for n in range(draw(st.integers(min_value=0, max_value=8))):
+        earlier = [r.id for r in records]
+        rid, split_of = f"s{n}", None
+        if earlier and draw(st.integers(min_value=0, max_value=9)) == 0:
+            rid = draw(st.sampled_from(earlier))
+        kind = draw(st.integers(min_value=0, max_value=19))
+        if kind == 0:
+            split_of = draw(st.sampled_from([f"s{n + 1}", "zz"]))
+        elif earlier and kind >= 12:
+            split_of = draw(st.sampled_from(earlier))
+        records.append(record(rid, draw(st.lists(st.sampled_from("abc"), max_size=3)),
+                              split_of=split_of))
+    return records
+
+
+def grouping_outcome(group, records):
+    """The cases ``group`` makes of ``records``, or the message it rejects them with."""
+    try:
+        return group(records)
+    except GuiseqError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(record_streams())
+def test_grouping_into_cases_equals_grouping_into_lists(records):
+    assert grouping_outcome(group_test_cases, records) == grouping_outcome(
+        listed_group_test_cases, records
+    )
+
+
+# ---------------------------------------------------------------------------
+# Records, cases and verdicts as values
+# ---------------------------------------------------------------------------
+
+
+def first_part():
+    return SequenceRecord(id="s0001", events=("e1", "e2"), targets=(1,), origin="blackbox")
+
+
+def split_part():
+    return SequenceRecord(
+        id="s0002", events=("e3",), targets=(0,), origin="greybox",
+        abstract=("e2", "e3"), split_of="s0001",
+    )
+
+
+@pytest.mark.parametrize(
+    ("make", "defaults", "field"),
+    [
+        (first_part, {"abstract": None, "split_of": None}, "events"),
+        (lambda: Case(parts=(first_part(), split_part())), {}, "parts"),
+        (lambda: CaseResult(case=Case(parts=(first_part(),)), verdict="passed"),
+         {"crash": None, "broken_at": None}, "verdict"),
+        (lambda: CaseResult(
+            case=Case(parts=(first_part(),)), verdict="failed",
+            crash=CrashRecord(CRASH_NULL_DEREF, "h:e1/0", "event", 1),
+         ), {"broken_at": None}, "crash"),
+    ],
+    ids=["record", "case", "verdict", "verdict-with-crash"],
+)
+def test_records_cases_and_verdicts_are_immutable_values(make, defaults, field):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {name: getattr(a, name) for name in defaults} == defaults
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    assert a == b
+
+
+def test_records_cases_and_verdicts_survive_a_sequence_file(tmp_path):
+    records = [first_part(), split_part(), record("s0003", ["e4"])]
+    path = tmp_path / "seqs.jsonl"
+    save_sequences(records, path)
+    loaded = load_sequences(path)
+    assert loaded == records
+    cases = group_test_cases(loaded)
+    assert cases == [Case((records[0], records[1])), Case((records[2],))]
+    assert [CaseResult(c, "passed") for c in cases] == [
+        CaseResult(case=Case(parts=(first_part(), split_part())), verdict="passed"),
+        CaseResult(case=Case(parts=(records[2],)), verdict="passed"),
+    ]
 
 
 # ---------------------------------------------------------------------------
