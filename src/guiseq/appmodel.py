@@ -507,7 +507,10 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
             name=typed(w["name"], str, "window name"),
             modal=typed(w.get("modal", False), bool, f"window {w['name']!r} modal"),
             main=typed(w.get("main", False), bool, f"window {w['name']!r} main"),
-            window_event=w.get("windowEvent"),
+            window_event=(
+                None if (event := w.get("windowEvent")) is None
+                else typed(event, str, f"window {w['name']!r} windowEvent")
+            ),
             widgets=tuple(
                 Widget(
                     id=typed(widget["id"], str, "widget id"),

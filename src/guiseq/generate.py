@@ -31,10 +31,13 @@ no flow-graph connection the sequence is *split*: the part built so far is
 emitted, and the remainder restarts from a fresh entry point, linked to the
 first part via ``split_of``.  The replayer runs the parts back to back in one
 test case.  ``targets`` always marks where the abstract events landed in the
-executable result; everything else is reaching filler.  Every connection is
-read off a breadth-first tree per source event, which the flow graph builds
-lazily, once, and keeps for its life (:meth:`Efg.bfs_tree`), so a repeated
-hop or entry walks that tree instead of searching the graph again.
+executable result; everything else is reaching filler.  Entries are ranked by
+one breadth-first pass from all initials (:attr:`Efg.nearest_initial`), which
+names the winning initial for each event but gives no path.  Every connection
+is read off the breadth-first tree of its source, the winner's for an entry,
+which the flow graph builds lazily, once, and keeps for its life
+(:meth:`Efg.bfs_tree`), so only winning initials get a tree.  Each distinct
+entry and hop is read once per :func:`to_executable` call.
 """
 
 from __future__ import annotations
@@ -150,22 +153,18 @@ def _best_entry(g: Efg, head: str) -> tuple[str, list[str]] | None:
     Returns ``(initial, connection)`` where the connection excludes the
     initial and ends with ``head`` (empty when ``head`` is itself initial,
     which always wins with distance zero).  Ties go to the earliest-declared
-    initial.  None when no initial reaches ``head``.
+    initial.  None when no initial reaches ``head``.  The winner comes from
+    one pass from all initials (:attr:`Efg.nearest_initial`); only the
+    winner's own tree gives the connection, so it is the same
+    declaration-order-least path :func:`shortest_path` returns.
     """
+    g.require_event(head)
     if head in g.initials:
         return head, []
-    idx = g.decl_index
-    best: tuple[int, int, str, list[str]] | None = None
-    for initial in g.initials:
-        connection = shortest_path(g, initial, head)
-        if connection is None:
-            continue
-        key = (len(connection), idx[initial])
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], initial, connection)
-    if best is None:
+    winner = g.nearest_initial.get(head)
+    if winner is None:
         return None
-    return best[2], best[3]
+    return winner, shortest_path(g, winner, head)
 
 
 def gen_blackbox(
@@ -181,7 +180,7 @@ def gen_blackbox(
     """
     if length < 1:
         raise GuiseqError(f"sequence length must be positive, got {length}")
-    reachable = set(g.initials).union(*map(g.bfs_tree, g.initials))
+    reachable = set(g.initials).union(g.nearest_initial)
     unreachable = [e for e in g.events if e not in reachable]
     sequences: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     for head in g.events:
@@ -270,6 +269,7 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
     conversions: list[Conversion] = []
     diagnostics: list[str] = []
     entries: dict[str, tuple[str, list[str]] | None] = {}
+    hops: dict[tuple[str, str], list[str] | None] = {}
     for abstract in abstracts:
         parts: list[_Part] = []
         remaining = list(abstract.events)
@@ -291,8 +291,10 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
             events: list[str] = [initial, *connection] if connection else [initial]
             targets: list[int] = [len(events) - 1]
             consumed = 1
-            for prev, nxt in zip(remaining, remaining[1:]):
-                hop = shortest_path(g, prev, nxt, strict=prev == nxt)
+            for pair in zip(remaining, remaining[1:]):
+                if pair not in hops:
+                    hops[pair] = shortest_path(g, *pair, strict=pair[0] == pair[1])
+                hop = hops[pair]
                 if hop is None:
                     break
                 events.extend(hop)

@@ -139,6 +139,34 @@ class Efg:
             self._bfs_trees[source] = tree
         return tree
 
+    @cached_property
+    def nearest_initial(self) -> Mapping[str, str]:
+        """Each event reachable from an initial in one or more hops, mapped
+        to the earliest-declared initial among those that reach it in the
+        fewest hops.
+
+        One breadth-first pass, seeded with the successors of every initial
+        in declaration order, each labelled with its initial.  The queue
+        stays sorted by distance and then by the label's declaration index,
+        so the first label to reach an event is the least one.  The pass
+        only ranks initials: its parent pointers may differ from the
+        winner's own :meth:`bfs_tree`, so no path is read off it.
+        """
+        adjacency = self.adjacency
+        nearest: dict[str, str] = {}
+        for initial in sorted(self.initials, key=self.decl_index.__getitem__):
+            for nxt in adjacency[initial]:
+                if nxt not in nearest:
+                    nearest[nxt] = initial
+        queue = list(nearest)
+        for node in queue:  # the loop reads what it appends: a FIFO queue
+            label = nearest[node]
+            for nxt in adjacency[node]:
+                if nxt not in nearest:
+                    nearest[nxt] = label
+                    queue.append(nxt)
+        return nearest
+
     def require_event(self, event: str) -> None:
         if event not in self.decl_index:
             raise UnknownEventError(f"event {event!r} is not declared in the graph")

@@ -2,16 +2,17 @@
 
 Everything here deliberately uses a *different* algorithm from the package
 code: effect closures by fixpoint iteration instead of a call-graph walk,
-distances by Floyd-Warshall instead of seeded BFS, path enumeration by plain
-recursion instead of budgeted ordered search, available events by a scan of
-every declared window instead of a walk down the stack from each open one,
-the rip by relaunching and firing each context again instead of forking,
-a sequence record as a document for ``json.dumps`` instead of rendered text,
-handlers run by walking their statements instead of compiled steps, a
-JSON-lines file cut into line strings for ``json.loads`` instead of scanned
-in place, a sequence file's events checked one occurrence at a time instead
-of as a set of distinct events, split parts grouped into a list per case
-instead of into the case itself.
+distances by Floyd-Warshall instead of seeded BFS, an entry point ranked by
+a path from every initial instead of one pass from all of them, path
+enumeration by plain recursion instead of budgeted ordered search, available
+events by a scan of every declared window instead of a walk down the stack
+from each open one, the rip by relaunching and firing each context again
+instead of forking, a sequence record as a document for ``json.dumps``
+instead of rendered text, handlers run by walking their statements instead
+of compiled steps, a JSON-lines file cut into line strings for
+``json.loads`` instead of scanned in place, a sequence file's events checked
+one occurrence at a time instead of as a set of distinct events, split parts
+grouped into a list per case instead of into the case itself.
 Slow is fine — these run on graphs of at most a dozen events.
 """
 
@@ -42,7 +43,7 @@ from guiseq.appmodel import (
 )
 from guiseq.generate import SequenceRecord
 from guiseq.replay import TestCase
-from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document
+from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document, shortest_path
 from guiseq.programdb import ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
 from guiseq.simulator import (
@@ -151,6 +152,22 @@ def lexmin_shortest_path(
         path.append(node)
         remaining -= 1
     return path
+
+
+def scanned_best_entry(g: Efg, head: str) -> tuple[str, list[str]] | None:
+    """The entry for ``head`` found by reading a shortest path from every
+    initial and keeping the shortest, ties to the earliest-declared initial."""
+    if head in g.initials:
+        return head, []
+    best: tuple[int, int, str, list[str]] | None = None
+    for initial in g.initials:
+        connection = shortest_path(g, initial, head)
+        if connection is None:
+            continue
+        key = (len(connection), g.decl_index[initial])
+        if best is None or key < best[:2]:
+            best = (key[0], key[1], initial, connection)
+    return None if best is None else (best[2], best[3])
 
 
 def enumerate_exact_paths(g: Efg, length: int) -> set[tuple[str, ...]]:

@@ -167,3 +167,14 @@ def test_events_without_a_handler_are_reported_in_declaration_order(tmp_path):
         f"{path}: event 'e1' has no handler; event 'e2' has no handler; "
         "event 'e3' has no handler"
     )
+
+
+@pytest.mark.parametrize("value", [5, ["x"]], ids=["number", "list"])
+def test_window_event_of_another_type_is_reported_with_the_file(tmp_path, value):
+    doc = json.loads(corpus.model_path("example-app").read_text())
+    doc["windows"][0]["windowEvent"] = value
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps(doc))
+    message = f"window 'MainWindow' windowEvent is {value!r}, not str"
+    with pytest.raises(GuiseqError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
+        load_app_model(path)

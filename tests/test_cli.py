@@ -402,6 +402,20 @@ def test_gen_rejects_a_boolean_dependency_weight(workdir, capsys):
     assert not out.exists()
 
 
+def test_gen_rejects_a_dependency_event_the_flow_graph_does_not_declare(workdir, capsys):
+    edg = workdir / "edg.json"
+    edg.write_text(json.dumps({
+        "schemaVersion": 1,
+        "events": [{"id": e} for e in ("e1", "e2", "e3", "e4", "z")],
+        "edges": [{"from": "z", "to": "e1", "weight": 1}],
+    }))
+    out = workdir / "x.jsonl"
+    assert main(["gen", "--config", "E", "--efg", str(workdir / "efg.json"),
+                 "--edg", str(edg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: event 'z' is not declared in the graph\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3", "x"])
 def test_replay_parallel_must_be_positive(workdir, capsys, workers):
     a = workdir / "a.jsonl"
@@ -476,6 +490,8 @@ def _drop(path):
         ("app", _replace(("windows", 0, "name"), 7)),
         ("app", _replace(("windows", 0, "widgets", 0, "id"), 7)),
         ("app", _replace(("windows", 0, "widgets", 0, "event"), 5)),
+        ("app", _replace(("windows", 0, "windowEvent"), 5)),
+        ("app", _replace(("windows", 0, "windowEvent"), ["x"])),
         ("efg", b'{"schemaVersion": 1, "events": [{"id": 5}], "initials": [5], "edges": []}'),
         ("app", _replace(("fields",), [
             ["MainWindow.enabled", True], ["MainWindow.text", "Hello World"],
@@ -502,6 +518,8 @@ def _drop(path):
         "app-window-name-as-number",
         "app-widget-id-as-number",
         "app-widget-event-as-number",
+        "app-window-event-as-number",
+        "app-window-event-as-list",
         "efg-event-id-as-number",
         "app-fields-as-pairs",
     ],

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guiseq import graphs
+from guiseq import generate, graphs
 from guiseq.graphs import AbstractSequence, Edg, Efg, GuiseqError, is_executable
 from guiseq.generate import (
     PRESETS,
     GenConfig,
     SequenceRecord,
+    _best_entry,
     gen_abstract,
     gen_blackbox,
     generate_sequences,
@@ -27,6 +28,7 @@ from oracles import (
     maximal_paths,
     oracle_record,
     reachable_from,
+    scanned_best_entry,
 )
 from strategies import awkward_text, edgs, efgs
 
@@ -188,6 +190,59 @@ def test_to_executable_diagnoses_unreachable_events():
     )
 
 
+def _count_connection_reads(monkeypatch) -> tuple[set[str], list[tuple]]:
+    """Record the sources :meth:`Efg.bfs_tree` is asked for and every
+    :func:`shortest_path` read the generator makes."""
+    sources: set[str] = set()
+    reads: list[tuple] = []
+    bfs_tree, shortest_path = Efg.bfs_tree, generate.shortest_path
+
+    def counted_tree(g, source):
+        sources.add(source)
+        return bfs_tree(g, source)
+
+    def counted_path(g, src, dst, *, strict=False):
+        reads.append((src, dst, strict))
+        return shortest_path(g, src, dst, strict=strict)
+
+    monkeypatch.setattr(Efg, "bfs_tree", counted_tree)
+    monkeypatch.setattr(generate, "shortest_path", counted_path)
+    return sources, reads
+
+
+def _one_initial_wins() -> Efg:
+    """A fresh graph (no tree built yet) with three initials, listed out of
+    declaration order, where ``a`` wins every head."""
+    return Efg.of(
+        ["a", "b", "c", "x", "y", "z"],
+        ["c", "b", "a"],
+        [("a", "x"), ("b", "x"), ("c", "y"), ("x", "y"), ("a", "y"), ("y", "z"), ("z", "y")],
+    )
+
+
+def test_blackbox_builds_trees_only_for_winning_initials(monkeypatch):
+    g = _one_initial_wins()
+    sources, reads = _count_connection_reads(monkeypatch)
+    sequences, unreachable = gen_blackbox(g, 1)
+    assert unreachable == []
+    assert [s for s, _t in sequences] == [
+        ("a",), ("b",), ("c",), ("a", "x"), ("a", "y"), ("a", "y", "z"),
+    ]
+    assert sources == {"a"}
+    assert reads == [("a", "x", False), ("a", "y", False), ("a", "z", False)]
+
+
+def test_to_executable_reads_each_hop_once(monkeypatch):
+    g = _one_initial_wins()
+    abstracts = [AbstractSequence(e) for e in (("x", "y"), ("x", "y", "y"), ("x", "y"))]
+    _sources, reads = _count_connection_reads(monkeypatch)
+    result = to_executable(g, abstracts)
+    assert [p.events for c in result.conversions for p in c.parts] == [
+        ("a", "x", "y"), ("a", "x", "y", "z", "y"), ("a", "x", "y"),
+    ]
+    assert reads == [("a", "x", False), ("x", "y", False), ("y", "y", True)]
+
+
 # ---------------------------------------------------------------------------
 # Record numbering, presets, serialization
 # ---------------------------------------------------------------------------
@@ -335,6 +390,13 @@ def test_blackbox_prefixes_are_minimal(g: Efg, length: int):
         head = events[targets[0]]
         best = min(dist[(i, head)] for i in g.initials)
         assert targets[0] == best
+
+
+@given(efgs())
+@settings(max_examples=300)
+def test_best_entry_equals_scanning_every_initial(g: Efg):
+    for event in g.events:
+        assert _best_entry(g, event) == scanned_best_entry(g, event)
 
 
 @given(edgs(), st.integers(min_value=1, max_value=4))
