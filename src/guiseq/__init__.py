@@ -43,7 +43,7 @@ from .programdb import (
 )
 from .replay import group_test_cases, render_report_table, run_suite, save_report
 from .ripper import GuiStructure, build_efg_from_structure, rip
-from .simulator import SettingsStore, available_events, fire_event, is_available, launch
+from .simulator import available_events, fire_event, is_available, launch
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "GuiseqError",
     "PRESETS",
     "ProgramModel",
-    "SettingsStore",
     "available_events",
     "build_class_db",
     "build_edg",

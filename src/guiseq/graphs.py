@@ -466,7 +466,7 @@ def _graph_from_json(doc: dict) -> Efg | Edg:
     if "initials" in doc:
         g = Efg(
             events=tuple(events),
-            initials=tuple(doc["initials"]),
+            initials=typed_list(doc["initials"], str, "initials"),
             edges=tuple((e["from"], e["to"]) for e in edges),
         )
         violations = validate_efg(g)

@@ -1,8 +1,8 @@
 """Sequence replay: execute generated sequences against an application model.
 
 Each test case walks five steps: select the sequence (grouping split parts
-back into one case), prepare a pristine environment (a launch against a
-fresh settings store — nothing leaks between cases), execute the events,
+back into one case), prepare a pristine environment (a launch against
+fresh, empty settings — nothing leaks between cases), execute the events,
 restart the application once after a clean run to let launch-time code meet
 whatever the sequence persisted, and classify the outcome:
 
@@ -15,7 +15,7 @@ whatever the sequence persisted, and classify the outcome:
 * **passed** — everything ran and the restart came up clean.
 
 Split parts run back to back within one case — every part gets a fresh GUI
-launch, while the settings store carries over — and event positions in
+launch, while the settings carry over — and event positions in
 verdicts are cumulative across parts.  Coverage is the union over all
 launches and firings of all cases, reported as statement and branch
 fractions of the model's coverage universe, rounded to four decimals.  It
@@ -28,19 +28,19 @@ parts begin with the same events need not launch and fire them once each.
 from one launch against fresh settings: each distinct first-part prefix is
 fired once, whatever order the cases come in.  Where the cases below a
 state go separate ways, or where one of them ends, each gets its own fork
-of the state (:meth:`~guiseq.simulator.GuiState.fork`: own settings store,
+of the state (:meth:`~guiseq.simulator.GuiState.fork`: own settings,
 windows, widget flags and fields) but the last, which takes the state
 itself.  When the launch crashes, every case fails with that crash and
 nothing more runs; when an event breaks or crashes, every case below it
 gets the same verdict at that position.  Later parts are never shared: each
 launches against its own case's settings.  The restart probe is shared too:
 a launch depends only on the model and the settings' contents, so the
-replay keeps each restart's crash by a snapshot of the settings
-(:meth:`~guiseq.simulator.SettingsStore.snapshot`) and launches again only
-for a snapshot it has not seen; what a seen restart covers is already in
-the sink.  Every case's verdict equals what :func:`run_test_case`, which
-shares nothing, computes from scratch, and the suite's coverage equals the
-union of what it covers per case, so the order cases run in does not show.
+replay keeps each restart's crash by a snapshot of the settings (the
+frozen set of their items) and launches again only for a snapshot it has
+not seen; what a seen restart covers is already in the sink.  Every case's
+verdict equals what :func:`run_test_case`, which shares nothing, computes
+from scratch, and the suite's coverage equals the union of what it covers
+per case, so the order cases run in does not show.
 Each event's availability is checked once, by
 :func:`~guiseq.simulator.fire_event`, whose
 :class:`~guiseq.simulator.UnavailableEventError` marks the case broken.
@@ -69,7 +69,6 @@ from .simulator import (
     Coverage,
     CrashRecord,
     GuiState,
-    SettingsStore,
     UnavailableEventError,
     fire_event,
     launch,
@@ -146,9 +145,9 @@ class CaseResult(NamedTuple):
 
 
 def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseResult:
-    """Replay one case from a launch against a fresh settings store, sharing
-    nothing, and record what it covers in ``coverage``."""
-    state, crash = launch(model, SettingsStore(), phase="launch", coverage=coverage)
+    """Replay one case from a launch against fresh settings, sharing nothing,
+    and record what it covers in ``coverage``."""
+    state, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:
         return CaseResult(case, "failed", crash)
     return _finish_case(model, case, state, {})
@@ -158,11 +157,11 @@ def _fire(state: GuiState, event: str, position: int) -> tuple | None:
     """Fire ``event`` on ``state`` as the event at ``position`` of a case:
     None if it ran, otherwise the case's ``(verdict, crash, broken_at)``."""
     try:
-        outcome = fire_event(state, event)
+        crash = fire_event(state, event)
     except UnavailableEventError:
         return "broken", None, position
-    if outcome.crash is not None:
-        return "failed", dataclasses.replace(outcome.crash, position=position), None
+    if crash is not None:
+        return "failed", dataclasses.replace(crash, position=position), None
     return None
 
 
@@ -175,9 +174,9 @@ def _finish_case(
 ) -> CaseResult:
     """Replay ``case`` on from ``state``, a live instance of its first part
     that has fired that part's first ``start`` events, recording into the
-    state's coverage sink.  ``restarts`` memoises the restart's crash by
-    :meth:`~guiseq.simulator.SettingsStore.snapshot`; a snapshot missing from
-    it is launched, into the same sink."""
+    state's coverage sink.  ``restarts`` memoises the restart's crash by the
+    frozen set of the settings' items; a snapshot missing from it is
+    launched, into the same sink."""
     offset = 0
     for n, part in enumerate(case.parts):
         if n:
@@ -189,7 +188,7 @@ def _finish_case(
                 return CaseResult(case, *verdict)
         offset += len(part.events)
         start = 0
-    key = state.settings.snapshot()
+    key = frozenset(state.settings.items())
     if key not in restarts:
         restarts[key] = launch(model, state.settings, phase="restart", coverage=state.coverage)[1]
     crash = restarts[key]
@@ -209,7 +208,7 @@ def _replay_tree(
     """
     if not cases:
         return []
-    root, crash = launch(model, SettingsStore(), phase="launch", coverage=coverage)
+    root, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:  # every case fails the same way; nothing more runs
         return [CaseResult(case, "failed", crash) for case in cases]
     firsts = [case.parts[0].events for case in cases]

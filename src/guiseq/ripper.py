@@ -35,7 +35,8 @@ The flow edges are derived from each firing's structural record:
   not get edges: the firing did not make them available, it just failed to
   take them away.
 
-Initial events are whatever is available right after a fresh launch.
+Initial events are whatever is available right after a fresh launch; a model
+that offers none, having exited or enabled nothing, cannot be ripped.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .graphs import SCHEMA_VERSION, Efg, GuiseqError
 from .simulator import (
     CrashRecord,
     GuiState,
-    SettingsStore,
     available_events,
     fire_event,
     launch,
@@ -87,20 +87,24 @@ class WindowDiscovery:
 
 @dataclass(frozen=True)
 class Firing:
-    """Structural record of one event firing during the rip."""
+    """Structural record of one event firing during the rip.  A crashed
+    firing keeps the empty defaults of what follows ``own_window``."""
 
     event: str
     context: tuple[str, ...]
-    crashed: bool
     crash: CrashRecord | None
     exited: bool
     own_window: str
-    own_window_persists: bool
-    own_window_unblocked: bool
-    opened: tuple[tuple[str, tuple[str, ...]], ...]  # (window, its enabled events)
-    closed_any: bool
-    post_available: tuple[str, ...]
-    post_enabled_own: tuple[str, ...]
+    own_window_persists: bool = False
+    own_window_unblocked: bool = False
+    opened: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (window, its enabled events)
+    closed_any: bool = False
+    post_available: tuple[str, ...] = ()
+    post_enabled_own: tuple[str, ...] = ()
+
+    @property
+    def crashed(self) -> bool:
+        return self.crash is not None
 
 
 @dataclass(frozen=True)
@@ -151,23 +155,10 @@ def _fire_and_record(
     ``context``, note the windows it shows for the first time, and return
     the structural record of the firing."""
     pre_open = list(state.open_windows)
-    outcome = fire_event(state, event)
+    crash = fire_event(state, event)
     own = model.event_window[event]
-    if outcome.crash is not None:
-        return Firing(
-            event=event,
-            context=context,
-            crashed=True,
-            crash=outcome.crash,
-            exited=True,
-            own_window=own,
-            own_window_persists=False,
-            own_window_unblocked=False,
-            opened=(),
-            closed_any=False,
-            post_available=(),
-            post_enabled_own=(),
-        )
+    if crash is not None:
+        return Firing(event, context, crash, exited=True, own_window=own)
     post_open = list(state.open_windows)
     for w in post_open:
         if w not in discoveries:
@@ -176,9 +167,8 @@ def _fire_and_record(
     return Firing(
         event=event,
         context=context,
-        crashed=False,
         crash=None,
-        exited=outcome.exited,
+        exited=state.exited,
         own_window=own,
         own_window_persists=own_persists,
         own_window_unblocked=(
@@ -195,14 +185,17 @@ def _fire_and_record(
 
 def rip(model: AppModel) -> GuiStructure:
     """Explore ``model`` and return its observed structure."""
-    probe, crash = launch(model, SettingsStore())
+    probe, crash = launch(model, {})
     if crash is not None:
         raise GuiseqError(
             f"application {model.name!r} crashed in its launch block "
             f"({crash.kind} at {crash.statement}); cannot rip"
         )
-    discoveries = {w: _discover(model, probe, w) for w in probe.open_windows}
     initials = available_events(probe)
+    if not initials:
+        how = "exited in its launch block" if probe.exited else "enables no event on launch"
+        raise GuiseqError(f"application {model.name!r} {how}; cannot rip")
+    discoveries = {w: _discover(model, probe, w) for w in probe.open_windows}
 
     fired: set[str] = set()
     firings: list[Firing] = []

@@ -1,10 +1,11 @@
 """Deterministic simulator for application models.
 
 The simulator plays the role of the running application: it keeps the window
-stack, widget-enabled flags, field values, and the persisted settings store,
-and it executes handler statements when an event fires.  Everything is
-deterministic — same model, same settings, same event sequence, same result —
-which is what makes byte-identical replay reports possible.
+stack, widget-enabled flags, field values, and the persisted settings (a
+plain ``dict`` of string or None values), and it executes handler statements
+when an event fires.  Everything is deterministic — same model, same
+settings, same event sequence, same result — which is what makes
+byte-identical replay reports possible.
 
 Execution semantics worth spelling out:
 
@@ -31,7 +32,9 @@ Execution semantics worth spelling out:
 * **Crashes and exits abort.**  A ``deref`` of a null field or a
   ``throwArrayOob`` stops the handler mid-flight, as does ``exit``.  The
   crashing statement still counts as executed for coverage — the program got
-  there, after all.
+  there, after all.  :func:`fire_event` returns the :class:`CrashRecord`, or
+  None when the handler ran to its end or exited; either way ``exited`` on
+  the state tells whether the application still runs.
 * **Fork.**  :meth:`GuiState.fork` copies a running instance, so the
   ripper and the replayer continue from a shared state instead of
   relaunching and firing its events again.  The fork writes into the same
@@ -39,7 +42,7 @@ Execution semantics worth spelling out:
 * **Launch.**  :func:`launch` builds a fresh GUI (main window open, widget
   flags reset to their declared values, fields reset to their initial
   values) and runs the model's launch block against the *given* settings
-  store.  Settings are the only state that survives a relaunch; a crash in
+  dict.  Settings are the only state that survives a relaunch; a crash in
   the launch block is how a bad persisted value takes the application down
   on restart.
 * **Coverage.**  Each executed statement records its statement id, each
@@ -85,9 +88,7 @@ __all__ = [
     "MAX_CALL_DEPTH",
     "CrashRecord",
     "Coverage",
-    "SettingsStore",
     "GuiState",
-    "FireOutcome",
     "Program",
     "UnavailableEventError",
     "launch",
@@ -121,34 +122,6 @@ class CrashRecord:
     position: int | None = None
 
 
-class SettingsStore:
-    """Persisted key-value settings: the state that survives a relaunch.
-
-    Values are strings or None; reading a key that was never written yields
-    None, indistinguishable from a stored None — exactly the ambiguity that
-    makes unguarded launch-time reads dangerous.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[str, str | None] = {}
-
-    def get(self, key: str) -> str | None:
-        return self._data.get(key)
-
-    def set(self, key: str, value: str | None) -> None:
-        self._data[key] = value
-
-    def copy(self) -> SettingsStore:
-        """An independent store holding the same values."""
-        store = SettingsStore()
-        store._data = dict(self._data)
-        return store
-
-    def snapshot(self) -> frozenset[tuple[str, str | None]]:
-        """The stored values as a hashable key: equal for equal contents."""
-        return frozenset(self._data.items())
-
-
 @dataclass
 class Coverage:
     """A sink for what ran: statement ids, branch ids and the events whose
@@ -161,10 +134,11 @@ class Coverage:
 
 @dataclass
 class GuiState:
-    """Mutable state of one running application instance."""
+    """Mutable state of one running application instance.  ``settings``
+    holds the persisted settings, the state that survives a relaunch."""
 
     model: AppModel
-    settings: SettingsStore
+    settings: dict[str, str | None]
     open_windows: list[str]
     widget_enabled: dict[tuple[str, str], bool]
     fields: dict[str, FieldValue]
@@ -172,8 +146,8 @@ class GuiState:
     exited: bool = False
 
     def fork(self) -> GuiState:
-        """An independent copy of this instance, settings store included,
-        that writes into the same coverage sink.
+        """An independent copy of this instance, settings included, that
+        writes into the same coverage sink.
 
         The simulator is deterministic, so continuing a fork is observably
         the same as relaunching against the same settings and firing the
@@ -181,7 +155,7 @@ class GuiState:
         """
         return GuiState(
             model=self.model,
-            settings=self.settings.copy(),
+            settings=dict(self.settings),
             open_windows=list(self.open_windows),
             widget_enabled=dict(self.widget_enabled),
             fields=dict(self.fields),
@@ -208,20 +182,6 @@ class GuiState:
         enabled = self.widget_enabled
         events = tuple(w.event for w in spec.widgets if enabled[(window, w.id)])
         return events if spec.window_event is None else (spec.window_event, *events)
-
-
-@dataclass(frozen=True)
-class FireOutcome:
-    crash: CrashRecord | None
-    exited: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.crash is None
-
-
-_RAN = FireOutcome(crash=None, exited=False)
-_EXITED = FireOutcome(crash=None, exited=True)
 
 
 class _CrashSignal(Exception):
@@ -399,7 +359,7 @@ def _write_setting(stmt: WriteSetting, sid: str, program: Program) -> Step:
         value = state.fields[field]
         if isinstance(value, bool):
             value = "true" if value else "false"
-        state.settings.set(key, value)
+        state.settings[key] = value
     return step
 
 
@@ -407,6 +367,8 @@ def _read_setting(stmt: ReadSetting, sid: str, program: Program) -> Step:
     key, field = stmt.key, stmt.field
 
     def step(state: GuiState, depth: int) -> None:
+        # A key never written reads as None, the same as a stored None: the
+        # ambiguity that makes unguarded launch-time reads dangerous.
         state.fields[field] = state.settings.get(key)
     return step
 
@@ -458,7 +420,7 @@ _STEPS: dict[type, Callable[[Any, str, Program], Step]] = {
 
 def launch(
     model: AppModel,
-    settings: SettingsStore,
+    settings: dict[str, str | None],
     *,
     phase: str = "launch",
     coverage: Coverage | None = None,
@@ -466,7 +428,8 @@ def launch(
     """Start a fresh application instance against ``settings``.
 
     GUI state (windows, widget flags, fields) is rebuilt from the model's
-    declarations; only the settings store carries history.  The instance
+    declarations; only ``settings``, which the launch reads and later fires
+    write, carries history.  The instance
     records what runs in ``coverage``, or in a fresh sink if none is given.
     Returns the state and the crash record if the launch block crashed (the
     state is then dead: ``exited`` is set).
@@ -493,8 +456,9 @@ class UnavailableEventError(GuiseqError):
     """An event was fired while :func:`is_available` said no."""
 
 
-def fire_event(state: GuiState, event: str) -> FireOutcome:
-    """Trigger ``event``'s handler on a live state.
+def fire_event(state: GuiState, event: str) -> CrashRecord | None:
+    """Trigger ``event``'s handler on a live state and return its crash, or
+    None if it ran to its end or exited.
 
     An unavailable event raises :class:`UnavailableEventError` before
     anything runs: a harness bug for the ripper, which fires only what
@@ -511,9 +475,7 @@ def fire_event(state: GuiState, event: str) -> FireOutcome:
         _run(state, block, 0)
     except _CrashSignal as crash:
         state.exited = True
-        return FireOutcome(
-            crash=CrashRecord(kind=crash.kind, statement=crash.statement), exited=True
-        )
+        return CrashRecord(kind=crash.kind, statement=crash.statement)
     except _ExitSignal:
-        return _EXITED
-    return _EXITED if state.exited else _RAN
+        pass
+    return None

@@ -52,9 +52,7 @@ from guiseq.simulator import (
     MAX_CALL_DEPTH,
     Coverage,
     CrashRecord,
-    FireOutcome,
     GuiState,
-    SettingsStore,
     _CrashSignal,
     _ExitSignal,
     available_events,
@@ -248,10 +246,10 @@ def relaunching_rip(model: AppModel) -> GuiStructure:
     the ripper's own ``_fire_and_record``; only how a state is reached differs."""
 
     def relaunched(context: tuple[str, ...]) -> GuiState:
-        state, crash = launch(model, SettingsStore())
+        state, crash = launch(model, {})
         assert crash is None
         for event in context:
-            assert fire_event(state, event).ok
+            assert fire_event(state, event) is None
         return state
 
     probe = relaunched(())
@@ -404,7 +402,7 @@ def interpret_block(
             value = state.fields[stmt.field]
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            state.settings.set(stmt.key, value)
+            state.settings[stmt.key] = value
         elif isinstance(stmt, ReadSetting):
             state.fields[stmt.field] = state.settings.get(stmt.key)
         elif isinstance(stmt, SetWidgetEnabled):
@@ -420,7 +418,7 @@ def interpret_block(
 
 def interpreted_launch(
     model: AppModel,
-    settings: SettingsStore,
+    settings: dict[str, str | None],
     *,
     phase: str = "launch",
     coverage: Coverage | None = None,
@@ -444,7 +442,7 @@ def interpreted_launch(
     return state, None
 
 
-def interpreted_fire(state: GuiState, event: str) -> FireOutcome:
+def interpreted_fire(state: GuiState, event: str) -> CrashRecord | None:
     """``simulator.fire_event`` with the handler interpreted."""
     assert is_available(state, event)
     state.coverage.handlers.add(event)
@@ -452,9 +450,7 @@ def interpreted_fire(state: GuiState, event: str) -> FireOutcome:
         interpret_block(state, state.model.handlers[event], f"h:{event}/", 0)
     except _CrashSignal as crash:
         state.exited = True
-        return FireOutcome(
-            crash=CrashRecord(kind=crash.kind, statement=crash.statement), exited=True
-        )
+        return CrashRecord(kind=crash.kind, statement=crash.statement)
     except _ExitSignal:
-        return FireOutcome(crash=None, exited=True)
-    return FireOutcome(crash=None, exited=state.exited)
+        pass
+    return None

@@ -493,6 +493,9 @@ def _drop(path):
         ("app", _replace(("windows", 0, "windowEvent"), 5)),
         ("app", _replace(("windows", 0, "windowEvent"), ["x"])),
         ("efg", b'{"schemaVersion": 1, "events": [{"id": 5}], "initials": [5], "edges": []}'),
+        ("efg", _replace(("initials",), {"e1": 5})),
+        ("efg", b'{"schemaVersion": 1, "events": [{"id": "a"}, {"id": "b"}], "initials": "ab", '
+                b'"edges": []}'),
         ("app", _replace(("fields",), [
             ["MainWindow.enabled", True], ["MainWindow.text", "Hello World"],
             ["Dialog.mainWindow", None],
@@ -521,6 +524,8 @@ def _drop(path):
         "app-window-event-as-number",
         "app-window-event-as-list",
         "efg-event-id-as-number",
+        "efg-initials-as-object",
+        "efg-initials-as-string",
         "app-fields-as-pairs",
     ],
 )

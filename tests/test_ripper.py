@@ -6,6 +6,7 @@ import pytest
 
 from guiseq import corpus
 from guiseq.appmodel import load_app_model
+from guiseq.cli import main
 from guiseq.graphs import GuiseqError
 from guiseq.ripper import build_efg_from_structure, rip, save_structure, structure_to_json
 from guiseq.simulator import CRASH_NULL_DEREF
@@ -157,6 +158,88 @@ def test_rip_refuses_an_app_that_crashes_on_launch(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(GuiseqError, match="crashed in its launch block"):
         rip(load_app_model(p))
+
+
+def one_window_model(tmp_path, on_launch, handlers, enabled=True):
+    """A main window whose widgets fire ``handlers``' events, each enabled
+    or not, after ``on_launch`` runs."""
+    doc = {
+        "schemaVersion": 1,
+        "name": "one-window",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "modal": False,
+                "widgets": [
+                    {"id": f"w{event}", "event": event, "enabled": enabled} for event in handlers
+                ],
+            }
+        ],
+        "fields": {},
+        "onLaunch": on_launch,
+        "handlers": handlers,
+        "methods": {},
+    }
+    p = tmp_path / "one-window.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize(
+    ("on_launch", "enabled", "how"),
+    [
+        ([{"op": "exit"}], True, "exited in its launch block"),
+        ([{"op": "close", "window": "Main"}], True, "exited in its launch block"),
+        ([], False, "enables no event on launch"),
+    ],
+    ids=["exit", "close-main", "nothing-enabled"],
+)
+def test_rip_refuses_an_app_that_offers_no_event_on_launch(
+    tmp_path, capsys, on_launch, enabled, how
+):
+    model = one_window_model(tmp_path, on_launch, {"e": []}, enabled)
+    outs = [tmp_path / name for name in ("efg.json", "structure.json", "efg.dot")]
+    argv = ["rip", "--model", str(model), "--out", str(outs[0]),
+            "--structure", str(outs[1]), "--dot", str(outs[2])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: application 'one-window' {how}; cannot rip\n"
+    assert not any(out.exists() for out in outs)
+
+
+def test_structure_of_a_crashed_and_of_an_exiting_firing(tmp_path):
+    firings = structure_to_json(rip(crasher_model(tmp_path)))["firings"]
+    assert firings[0] == {
+        "event": "a",
+        "context": [],
+        "crashed": True,
+        "exited": True,
+        "ownWindow": "Main",
+        "ownWindowPersists": False,
+        "ownWindowUnblocked": False,
+        "opened": [],
+        "closedAny": False,
+        "postAvailable": [],
+        "postEnabledOwnWindow": [],
+        "crash": {"kind": CRASH_NULL_DEREF, "statement": "h:a/1"},
+    }
+    model = one_window_model(tmp_path, [], {"q": [{"op": "exit"}], "x": []})
+    firings = structure_to_json(rip(load_app_model(model)))["firings"]
+    assert firings[0] == {
+        "event": "q",
+        "context": [],
+        "crashed": False,
+        "exited": True,
+        "ownWindow": "Main",
+        "ownWindowPersists": True,
+        "ownWindowUnblocked": False,
+        "opened": [],
+        "closedAny": False,
+        "postAvailable": [],
+        "postEnabledOwnWindow": ["q", "x"],
+    }
 
 
 def test_structure_serialization(tmp_path, example_app):

@@ -14,7 +14,6 @@ from guiseq.simulator import (
     CRASH_ARRAY_OOB,
     CRASH_NULL_DEREF,
     MAX_CALL_DEPTH,
-    SettingsStore,
     available_events,
     fire_event,
     is_available,
@@ -81,20 +80,20 @@ def test_example_coverage_universe(example_app):
 
 
 def test_available_events_follow_declaration_order(example_app):
-    state, crash = launch(example_app, SettingsStore())
+    state, crash = launch(example_app, {})
     assert crash is None
     assert available_events(state) == ("e1", "e2", "e3")
 
 
 def test_modal_window_blocks_everything_below(example_app):
-    state, _ = launch(example_app, SettingsStore())
-    assert fire_event(state, "e3").ok
+    state, _ = launch(example_app, {})
+    assert fire_event(state, "e3") is None
     assert state.open_windows == ["MainWindow", "Dialog"]
     assert available_events(state) == ("e4",)
 
 
 def test_modeless_window_blocks_nothing(jabref_app):
-    state, _ = launch(jabref_app, SettingsStore())
+    state, _ = launch(jabref_app, {})
     assert available_events(state) == ("Manage content selectors",)
     fire_event(state, "Manage content selectors")
     # the selector dialog is modeless, so main-window events stay live
@@ -108,7 +107,7 @@ def test_availability_matches_the_scanning_oracle(name, data):
     """Random walks that fire available events and relaunch against the same
     settings; at every step both availability checks agree with the oracle."""
     model = corpus.app_model(name)
-    store = SettingsStore()
+    store = {}
     state, _ = launch(model, store)
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
         expected = scanned_available_events(state)
@@ -128,7 +127,7 @@ def observed(state):
         dict(state.fields),
         list(state.open_windows),
         dict(state.widget_enabled),
-        dict(state.settings.snapshot()),
+        dict(state.settings),
         state.exited,
     )
 
@@ -142,7 +141,7 @@ def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data
     relaunch against the settings each one carries, and the forked state
     itself does not change but for the coverage sink it shares."""
     model = corpus.app_model(name)
-    original, _ = launch(model, SettingsStore())
+    original, _ = launch(model, {})
     prefix = []
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
         available = available_events(original)
@@ -153,7 +152,7 @@ def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data
     before = observed(original)
 
     fork = original.fork()
-    relaunched, _ = launch(model, SettingsStore())
+    relaunched, _ = launch(model, {})
     for event in prefix:
         fire_event(relaunched, event)
     assert observed(fork) == observed(relaunched) == before
@@ -280,7 +279,7 @@ def walk_both(model, picks):
     and into the coverage sink each carries.  Returns the crashes seen and
     the statements covered."""
     (compiled, crash), (interpreted, crash_again) = (
-        launch(model, SettingsStore()), interpreted_launch(model, SettingsStore())
+        launch(model, {}), interpreted_launch(model, {})
     )
     crashes = [crash]
     assert crash == crash_again
@@ -296,9 +295,8 @@ def walk_both(model, picks):
             )
             assert crash == crash_again
         else:
-            outcome = fire_event(compiled, event)
-            assert outcome == interpreted_fire(interpreted, event)
-            crash = outcome.crash
+            crash = fire_event(compiled, event)
+            assert crash == interpreted_fire(interpreted, event)
         crashes.append(crash)
         assert observed(compiled) == observed(interpreted)
         assert compiled.coverage == interpreted.coverage
@@ -346,11 +344,11 @@ def test_the_features_model_reaches_each_feature_under_both(tmp_path):
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
 def test_mutating_a_fork_leaves_the_original_untouched(name):
     model = corpus.app_model(name)
-    original, _ = launch(model, SettingsStore())
+    original, _ = launch(model, {})
     fire_event(original, available_events(original)[0])
     before = observed(original)
     fork = original.fork()
-    fork.settings.set("a key", "a value")
+    fork.settings["a key"] = "a value"
     fork.open_windows.append("a window")
     for key, enabled in fork.widget_enabled.items():
         fork.widget_enabled[key] = not enabled
@@ -373,19 +371,18 @@ def test_reopen_and_close_missing_are_noops(tmp_path):
         {"op": "close", "window": "Aux"},
     ]
     model = write_model(tmp_path, doc)
-    state, _ = launch(model, SettingsStore())
-    assert fire_event(state, "open").ok
+    state, _ = launch(model, {})
+    assert fire_event(state, "open") is None
     assert state.open_windows == ["Main", "Aux"]
-    assert fire_event(state, "shut").ok
+    assert fire_event(state, "shut") is None
     assert state.open_windows == ["Main"]
     assert not state.exited
 
 
 def test_closing_main_window_exits(tmp_path):
     model = write_model(tmp_path, two_window_doc())
-    state, _ = launch(model, SettingsStore())
-    outcome = fire_event(state, "quit")
-    assert outcome.ok and outcome.exited
+    state, _ = launch(model, {})
+    assert fire_event(state, "quit") is None and state.exited
     assert state.exited
     assert available_events(state) == ()
 
@@ -398,35 +395,34 @@ def test_exit_aborts_the_running_handler(tmp_path):
         {"op": "set", "field": "Main.mark", "value": "late"},
     ]
     model = write_model(tmp_path, doc)
-    state, _ = launch(model, SettingsStore())
-    outcome = fire_event(state, "quit")
-    assert outcome.ok and outcome.exited
+    state, _ = launch(model, {})
+    assert fire_event(state, "quit") is None and state.exited
     assert state.fields["Main.mark"] is None
     assert "h:quit/1" not in state.coverage.statements
 
 
 def test_null_dereference_crash_names_the_statement(example_app):
-    state, _ = launch(example_app, SettingsStore())
+    state, _ = launch(example_app, {})
     fire_event(state, "e3")
-    assert fire_event(state, "e4").ok  # nulls MainWindow.text
-    outcome = fire_event(state, "e2")
-    assert outcome.crash is not None and outcome.exited
-    assert outcome.crash.kind == CRASH_NULL_DEREF
-    assert outcome.crash.statement == "h:e2/0"
-    assert outcome.crash.phase == "event"
+    assert fire_event(state, "e4") is None  # nulls MainWindow.text
+    crash = fire_event(state, "e2")
+    assert crash is not None and state.exited
+    assert crash.kind == CRASH_NULL_DEREF
+    assert crash.statement == "h:e2/0"
+    assert crash.phase == "event"
     # the crashing statement itself counts as covered, its successor does not
     assert "h:e2/0" in state.coverage.statements
     assert "h:e2/1" not in state.coverage.statements
 
 
 def test_array_bounds_crash_in_else_branch(jabref_app):
-    state, _ = launch(jabref_app, SettingsStore())
+    state, _ = launch(jabref_app, {})
     for event in ("Manage content selectors", "Close database", "Manage content selectors"):
-        assert fire_event(state, event).ok
-    outcome = fire_event(state, "OK")
-    assert outcome.crash is not None
-    assert outcome.crash.kind == CRASH_ARRAY_OOB
-    assert outcome.crash.statement == "h:OK/0.e.0"
+        assert fire_event(state, event) is None
+    crash = fire_event(state, "OK")
+    assert crash is not None
+    assert crash.kind == CRASH_ARRAY_OOB
+    assert crash.statement == "h:OK/0.e.0"
     assert "h:OK/0:else" in state.coverage.branches
 
 
@@ -438,7 +434,7 @@ def test_settings_survive_relaunch_and_coerce_booleans(tmp_path):
         {"op": "readSetting", "key": "missing", "field": "Main.got"},
     ]
     model = write_model(tmp_path, doc)
-    settings = SettingsStore()
+    settings = {}
     state, _ = launch(model, settings)
     fire_event(state, "open")
     assert settings.get("k") == "true"
@@ -446,7 +442,7 @@ def test_settings_survive_relaunch_and_coerce_booleans(tmp_path):
     # a later launch against the same store sees what the first one wrote
     state2, _ = launch(model, settings)
     assert state2.settings.get("k") == "true"
-    assert dict(settings.snapshot()) == {"k": "true"}
+    assert settings == {"k": "true"}
 
 
 def test_widget_flags_survive_window_close_but_not_relaunch(tmp_path):
@@ -457,20 +453,20 @@ def test_widget_flags_survive_window_close_but_not_relaunch(tmp_path):
         {"op": "enable", "window": "Aux", "widget": "w3", "enabled": True},
     ]
     model = write_model(tmp_path, doc)
-    state, _ = launch(model, SettingsStore())
+    state, _ = launch(model, {})
     fire_event(state, "open")
     assert "shut" in available_events(state)
     fire_event(state, "shut")  # closes Aux
     state.open_windows.append("Aux")  # a bare reopen, no handler in between
     assert "shut" in available_events(state)
 
-    fresh, _ = launch(model, SettingsStore())
+    fresh, _ = launch(model, {})
     fresh.open_windows.append("Aux")
     assert "shut" not in available_events(fresh)
 
 
 def test_firing_an_unavailable_event_raises(example_app):
-    state, _ = launch(example_app, SettingsStore())
+    state, _ = launch(example_app, {})
     with pytest.raises(GuiseqError, match="not available"):
         fire_event(state, "e4")
 
@@ -480,20 +476,20 @@ def test_runaway_recursion_is_cut_off(tmp_path):
     doc["handlers"]["open"] = [{"op": "call", "method": "loop"}]
     doc["methods"] = {"loop": [{"op": "call", "method": "loop"}]}
     model = write_model(tmp_path, doc)
-    state, _ = launch(model, SettingsStore())
+    state, _ = launch(model, {})
     with pytest.raises(GuiseqError, match=f"call depth exceeded {MAX_CALL_DEPTH}"):
         fire_event(state, "open")
 
 
 def test_launch_block_runs_and_can_crash(rachota_app):
     # nothing stored: the guarded branch stays cold
-    state, crash = launch(rachota_app, SettingsStore())
+    state, crash = launch(rachota_app, {})
     assert crash is None
     assert "launch/1.t.0" not in state.coverage.statements
 
     # a count of "1" with no stored task dereferences null during startup
-    poisoned = SettingsStore()
-    poisoned.set("tasks.count", "1")
+    poisoned = {}
+    poisoned["tasks.count"] = "1"
     state, crash = launch(rachota_app, poisoned)
     assert crash is not None
     assert crash.kind == CRASH_NULL_DEREF
