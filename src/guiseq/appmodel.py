@@ -282,6 +282,13 @@ class WindowSpec:
     main: bool = False
     window_event: str | None = None
 
+    @cached_property
+    def events(self) -> tuple[str, ...]:
+        """The window's events: its window event, if any, then its widgets'
+        events in widget order."""
+        events = tuple(widget.event for widget in self.widgets)
+        return events if self.window_event is None else (self.window_event, *events)
+
 
 @dataclass(frozen=True)
 class AppModel:
@@ -302,17 +309,9 @@ class AppModel:
 
     @cached_property
     def events(self) -> tuple[str, ...]:
-        """All event ids in declaration order (the universal tie-break order).
-
-        Per window: the window-level event first (if any), then widget events
-        in widget order; windows in declaration order.
-        """
-        out: list[str] = []
-        for w in self.windows:
-            if w.window_event is not None:
-                out.append(w.window_event)
-            out.extend(widget.event for widget in w.widgets)
-        return tuple(out)
+        """All event ids in declaration order (the universal tie-break order):
+        each window's :attr:`WindowSpec.events`, windows in declaration order."""
+        return tuple(e for w in self.windows for e in w.events)
 
     @cached_property
     def main_window(self) -> str:
@@ -329,13 +328,7 @@ class AppModel:
     def event_window(self) -> Mapping[str, str]:
         """The window each event belongs to (its widget's window, or the
         declaring window for window-level events)."""
-        out: dict[str, str] = {}
-        for w in self.windows:
-            if w.window_event is not None:
-                out[w.window_event] = w.name
-            for widget in w.widgets:
-                out[widget.event] = w.name
-        return out
+        return {e: w.name for w in self.windows for e in w.events}
 
     @cached_property
     def event_widget(self) -> Mapping[str, tuple[str, str]]:
@@ -498,7 +491,7 @@ def _parse_statement(doc: dict, where: str) -> Statement:
 
 
 def _parse_block(docs: list, where: str) -> tuple[Statement, ...]:
-    return tuple(_parse_statement(d, where) for d in docs)
+    return tuple(_parse_statement(d, where) for d in typed(docs, list, where))
 
 
 def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
@@ -519,10 +512,10 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
                         widget.get("enabled", True), bool, f"widget {widget['id']!r} enabled"
                     ),
                 )
-                for widget in w.get("widgets", [])
+                for widget in typed(w.get("widgets", []), list, f"window {w['name']!r} widgets")
             ),
         )
-        for w in doc.get("windows", [])
+        for w in typed(doc.get("windows", []), list, "windows")
     )
     model = AppModel(
         name=typed(doc.get("name", default_name), str, "model name"),

@@ -114,6 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EFG = "event-flow graph (with initial events)"
+
+
 @contextmanager
 def _naming(path: Path):
     """Prefix ``path`` to a :class:`GuiseqError` raised inside: the input
@@ -124,17 +127,11 @@ def _naming(path: Path):
         raise GuiseqError(f"{path}: {exc}") from None
 
 
-def _load_efg(path: Path) -> Efg:
+def _load(path: Path, kind: type, what: str):
+    """The graph at ``path``, which must be a ``kind``, named ``what`` if not."""
     g = load_graph(path)
-    if not isinstance(g, Efg):
-        raise GuiseqError(f"{path}: expected an event-flow graph (with initial events)")
-    return g
-
-
-def _load_edg(path: Path) -> Edg:
-    g = load_graph(path)
-    if not isinstance(g, Edg):
-        raise GuiseqError(f"{path}: expected an event-dependency graph (weighted edges)")
+    if not isinstance(g, kind):
+        raise GuiseqError(f"{path}: expected an {what}")
     return g
 
 
@@ -157,9 +154,10 @@ def _cmd_rip(args: argparse.Namespace) -> int:
 
 
 def _cmd_edg(args: argparse.Namespace) -> int:
-    db = build_class_db(load_program_model(args.ir))
-    efg = _load_efg(args.efg)
-    edg, warnings = build_edg(db, efg)
+    program = load_program_model(args.ir)
+    efg = _load(args.efg, Efg, _EFG)
+    with _naming(args.ir):
+        edg, warnings = build_edg(build_class_db(program), efg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     dot = None if args.dot is None else export_dot(edg)  # before any file is written
@@ -177,12 +175,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     top = args.top if args.top is not None else (preset.top if preset else None)
     if mode is None or length is None:
         raise GuiseqError("gen needs --config, or --mode and --length")
-    efg = _load_efg(args.efg)
+    efg = _load(args.efg, Efg, _EFG)
     edg = None
     if mode == "greybox":
         if args.edg is None:
             raise GuiseqError("grey-box generation needs --edg")
-        edg = _load_edg(args.edg)
+        edg = _load(args.edg, Edg, "event-dependency graph (weighted edges)")
     config = GenConfig(name="cli", mode=mode, length=length, top=top)
     result = generate_sequences(config, efg, edg)
     for d in result.diagnostics:

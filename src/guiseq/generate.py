@@ -1,43 +1,18 @@
 """Test-sequence generation.
 
-Two generators share one output shape (executable sequences over the flow
-graph) but differ in what drives them:
+Both generators emit executable flow-graph sequences, numbered in a
+deterministic order:
 
-* the **black-box** generator enumerates every flow-graph path of exactly
-  ``length`` events — systematic, oblivious to code, and exponential in
-  ``length``;
-* the **grey-box** generator walks the *dependency* graph instead: it first
-  builds abstract sequences — dependency-graph paths biased toward heavy
-  edges — and then repairs them into executable sequences by splicing in
-  flow-graph connections.  The bet is that events whose handlers touch the
-  same fields are the ones worth executing together.
+* the **black-box** generator (:func:`gen_blackbox`) enumerates every
+  flow-graph path of exactly ``length`` events, each behind the shortest
+  reaching prefix;
+* the **grey-box** generator builds abstract sequences, dependency-graph
+  paths best-first (:func:`gen_abstract`), and repairs them into executable
+  ones (:func:`to_executable`), splitting where no connection exists.  The
+  replayer runs the parts of a split in one test case.
 
-Abstract-sequence construction (:func:`gen_abstract`) is an ordered
-depth-first search per start event: successors are tried best-first (highest
-edge weight, then earliest declaration), a path is complete when it reaches
-``length`` events or a dead end, and search continues past duplicates until
-``top`` complete paths are collected for that start (``top=None`` collects
-every maximal path).  A start event with no outgoing dependencies still
-yields its singleton sequence — the event deserves a test even if nothing
-depends on it.
-
-Making an abstract sequence executable (:func:`to_executable`) works in two
-moves.  First pick the cheapest entry: the initial event with the shortest
-flow-graph connection to the abstract head (ties to the earliest-declared
-initial).  Then stitch consecutive abstract events together with shortest
-flow-graph connections; a repeated event needs a genuine cycle, not an empty
-hop, so the connection is searched in strict mode.  When some hop simply has
-no flow-graph connection the sequence is *split*: the part built so far is
-emitted, and the remainder restarts from a fresh entry point, linked to the
-first part via ``split_of``.  The replayer runs the parts back to back in one
-test case.  ``targets`` always marks where the abstract events landed in the
-executable result; everything else is reaching filler.  Entries are ranked by
-one breadth-first pass from all initials (:attr:`Efg.nearest_initial`), which
-names the winning initial for each event but gives no path.  Every connection
-is read off the breadth-first tree of its source, the winner's for an entry,
-which the flow graph builds lazily, once, and keeps for its life
-(:meth:`Efg.bfs_tree`), so only winning initials get a tree.  Each distinct
-entry and hop is read once per :func:`to_executable` call.
+``targets`` marks where the generated-for events landed; the other events
+only reach them.  Ties always go to declaration order.
 """
 
 from __future__ import annotations
@@ -265,7 +240,15 @@ class ConversionResult:
 
 
 def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionResult:
-    """Repair abstract sequences into executable ones (splitting if needed)."""
+    """Repair abstract sequences into executable ones.
+
+    A part starts at the entry of its head (:func:`_best_entry`) and joins
+    consecutive abstract events by shortest flow-graph connections; a
+    repeated event needs a genuine cycle, so that hop is strict.  Where a
+    hop has no connection the part ends and the remainder starts a new part
+    from its own entry; an unreachable head drops the remainder with a
+    diagnostic.  Each distinct entry and hop is read once per call.
+    """
     conversions: list[Conversion] = []
     diagnostics: list[str] = []
     entries: dict[str, tuple[str, list[str]] | None] = {}
@@ -386,21 +369,25 @@ def save_sequences(records: Iterable[SequenceRecord], path: Path | str) -> None:
 
 class _SharedStrings(dict):
     """Each string looked up mapped to the first equal string looked up.
-    Any other value is returned as it is and not kept, so a ``true`` can
-    never come back as an equal ``1``."""
+    Any other value is a TypeError and is not kept, so a ``true`` can never
+    come back as an equal ``1``."""
 
     def __missing__(self, value):
-        if type(value) is str:
-            self[value] = value
+        if type(value) is not str:
+            raise TypeError(f"{value!r} is not a string")
+        self[value] = value
         return value
 
 
-def _shared(items: list, strings: _SharedStrings) -> tuple:
-    """``items`` as a tuple, its strings shared through ``strings``."""
+def _shared(items: list, strings: _SharedStrings, what: str | None = None) -> tuple:
+    """``items`` as a tuple, its strings shared through ``strings``.  Any other
+    item is an error naming ``what``, or is kept for replay's model check."""
     try:
         return tuple(map(strings.__getitem__, items))
-    except TypeError:  # an unhashable item; replay's model check names it
-        return tuple(items)
+    except TypeError:  # an item that is not a string
+        if what is not None:
+            raise TypeError(f"{what} is {items!r}, not a list of str") from None
+        return tuple(strings[i] if type(i) is str else i for i in items)
 
 
 def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
@@ -412,8 +399,9 @@ def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
         typed(doc["id"], str, "id"),
         _shared(typed(doc["events"], list, "events"), strings),
         typed_list(doc["targets"], int, "targets"),
-        strings[o] if type(o := doc["origin"]) is str else o,
-        _shared(typed(doc["abstract"], list, "abstract"), strings) if "abstract" in doc else None,
+        strings[o] if type(o := doc["origin"]) is str else typed(o, str, "origin"),
+        _shared(typed(doc["abstract"], list, "abstract"), strings, "abstract")
+        if "abstract" in doc else None,
         None if split_of is None else typed(split_of, str, "splitOf"),
     )
 

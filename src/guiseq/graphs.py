@@ -50,7 +50,6 @@ __all__ = [
     "shortest_path",
     "export_dot",
     "load_graph",
-    "graph_to_json",
     "save_graph",
 ]
 
@@ -303,27 +302,6 @@ def shortest_path(
 # ---------------------------------------------------------------------------
 
 
-def graph_to_json(g: Efg | Edg) -> dict:
-    """JSON document for either graph flavour.
-
-    The flow graph carries ``initials`` and weightless edges; the dependency
-    graph omits ``initials`` and weights every edge.  The presence of the
-    ``initials`` key is what tells the two apart on load.
-    """
-    doc: dict = {
-        "schemaVersion": SCHEMA_VERSION,
-        "events": [{"id": e} for e in g.events],
-    }
-    if isinstance(g, Efg):
-        doc["initials"] = list(g.initials)
-        doc["edges"] = [{"from": src, "to": dst} for src, dst in g.edges]
-    else:
-        doc["edges"] = [
-            {"from": src, "to": dst, "weight": weight} for src, weight, dst in g.edges
-        ]
-    return doc
-
-
 T = TypeVar("T")
 
 
@@ -461,8 +439,9 @@ class QuotedStrings(dict):
 
 
 def _graph_from_json(doc: dict) -> Efg | Edg:
-    events = [typed(entry["id"], str, "event id") for entry in doc.get("events", [])]
-    edges = doc.get("edges", [])
+    entries = typed(doc.get("events", []), list, "events")
+    events = [typed(entry["id"], str, "event id") for entry in entries]
+    edges = typed(doc.get("edges", []), list, "edges")
     if "initials" in doc:
         g = Efg(
             events=tuple(events),
@@ -482,9 +461,10 @@ def load_graph(path: Path | str) -> Efg | Edg:
 
 
 def save_graph(g: Efg | Edg, path: Path | str) -> None:
-    """Write ``g``: the bytes of ``json.dumps(graph_to_json(g), indent=2,
-    sort_keys=True)`` and a final newline, rendered straight from the graph
-    with each event quoted once."""
+    """Write ``g``: the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a final newline, where ``doc`` is the document its oracle
+    ``tests/oracles.py::graph_to_json`` builds, rendered straight from the
+    graph with each event quoted once."""
     quoted = QuotedStrings()
 
     def array(items: Iterable[str]) -> str:

@@ -183,8 +183,12 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_method(name: str, block, handlers_class: str) -> ProgramMethod:
-    """``handlers_class.name`` with the first-seen-ordered direct reads,
+#: The synthetic class :func:`derive_program_model` makes handlers and methods of.
+HANDLERS = "Handlers"
+
+
+def _direct_method(name: str, block) -> ProgramMethod:
+    """``Handlers.name`` with the first-seen-ordered direct reads,
     writes and calls of a statement block.
 
     Descends into conditionals but not into calls — called methods carry
@@ -201,44 +205,42 @@ def _direct_method(name: str, block, handlers_class: str) -> ProgramMethod:
         reads.update(dict.fromkeys(stmt_reads))
         writes.update(dict.fromkeys(stmt_writes))
         if isinstance(stmt, Call):
-            calls[f"{handlers_class}.{stmt.method}"] = None
+            calls[f"{HANDLERS}.{stmt.method}"] = None
     return ProgramMethod(
-        name=f"{handlers_class}.{name}",
+        name=f"{HANDLERS}.{name}",
         reads=tuple(reads),
         writes=tuple(writes),
         calls=tuple(calls),
     )
 
 
-def derive_program_model(app: "AppModel", handlers_class: str = "Handlers") -> ProgramModel:
+def derive_program_model(app: "AppModel") -> ProgramModel:
     """Extract the field-traffic model an exact static analysis would see.
 
     Application fields are owner-qualified (``"MainWindow.text"``), so each
     owner prefix becomes a field-holding class; handler and method bodies
-    become methods of a synthetic ``handlers_class``, carrying their direct
-    reads/writes/calls.  The result is the ground-truth counterpart to a
+    become methods of the synthetic class :data:`HANDLERS`, carrying their
+    direct reads/writes/calls.  The result is the ground-truth counterpart to a
     hand-curated analysis of the same application.
     """
     owners: dict[str, list[str]] = {}
     for name in app.fields:
         owner, field_name = name.rsplit(".", 1)
         owners.setdefault(owner, []).append(field_name)
-    if handlers_class in owners:
-        raise GuiseqError(
-            f"field owner {handlers_class!r} collides with the handlers class name"
-        )
+    if HANDLERS in owners:
+        raise GuiseqError(f"field owner {HANDLERS!r} collides with the handlers class name")
     taken = set(app.events) & set(app.methods)
     if taken:
         raise GuiseqError(f"event ids collide with method names: {sorted(taken)}")
 
     blocks = [(event, app.handlers.get(event, ())) for event in app.events]
     blocks += app.methods.items()
-    methods = [_direct_method(name, block, handlers_class) for name, block in blocks]
+    methods = [_direct_method(name, block) for name, block in blocks]
     classes = tuple(
         ProgramClass(name=owner, fields=tuple(fields), methods=())
         for owner, fields in owners.items()
-    ) + (ProgramClass(name=handlers_class, fields=(), methods=tuple(methods)),)
-    bindings = {event: f"{handlers_class}.{event}" for event in app.events}
+    ) + (ProgramClass(name=HANDLERS, fields=(), methods=tuple(methods)),)
+    bindings = {event: f"{HANDLERS}.{event}" for event in app.events}
     return ProgramModel(classes=classes, bindings=bindings)
 
 
@@ -284,9 +286,11 @@ def _program_model_from_json(doc: dict) -> ProgramModel:
         ProgramClass(
             name=typed(c["name"], str, "class name"),
             fields=typed_list(c.get("fields", []), str, "fields"),
-            methods=tuple(_method_from_json(m) for m in c.get("methods", [])),
+            methods=tuple(
+                _method_from_json(m) for m in typed(c.get("methods", []), list, "methods")
+            ),
         )
-        for c in doc.get("classes", [])
+        for c in typed(doc.get("classes", []), list, "classes")
     )
     bindings = typed(doc.get("bindings", {}), dict, "bindings")
     for event, method in bindings.items():

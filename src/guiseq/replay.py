@@ -1,56 +1,24 @@
 """Sequence replay: execute generated sequences against an application model.
 
-Each test case walks five steps: select the sequence (grouping split parts
-back into one case), prepare a pristine environment (a launch against
-fresh, empty settings — nothing leaks between cases), execute the events,
-restart the application once after a clean run to let launch-time code meet
-whatever the sequence persisted, and classify the outcome:
+A test case is a record plus its later split parts.  It runs from a launch
+against fresh settings; each later part gets a fresh launch on the settings
+the earlier parts left, and event positions count on across parts.  After
+a clean run the application restarts once.  The verdict is:
 
-* **failed** — a crash, either while firing an event, in the launch block of
-  one of the case's launches, or in the post-sequence restart;
-* **broken** — some event was not available when its turn came, so the
-  sequence does not describe a feasible interaction (flow-graph
-  over-approximation caught in the act); the case stops there, but the
-  prefix that did execute still counts toward coverage;
+* **failed** — a crash in an event handler, in a launch block, or in the
+  restart;
+* **broken** — an event was not available when its turn came; the case
+  stops there, but what ran still counts toward coverage;
 * **passed** — everything ran and the restart came up clean.
 
-Split parts run back to back within one case — every part gets a fresh GUI
-launch, while the settings carry over — and event positions in
-verdicts are cumulative across parts.  Coverage is the union over all
-launches and firings of all cases, reported as statement and branch
-fractions of the model's coverage universe, rounded to four decimals.  It
-is recorded in one :class:`~guiseq.simulator.Coverage` sink per suite, which
-every launch and fork of the replay writes into; no case keeps its own.
+Coverage is the union of what every launch and firing of the suite ran, as
+statement and branch fractions of the model's coverage universe, rounded to
+four decimals.
 
-**Prefix sharing.**  The simulator is deterministic, so cases whose first
-parts begin with the same events need not launch and fire them once each.
-:func:`run_suite` walks the tree the cases' first parts form, depth first,
-from one launch against fresh settings: each distinct first-part prefix is
-fired once, whatever order the cases come in.  Where the cases below a
-state go separate ways, or where one of them ends, each gets its own fork
-of the state (:meth:`~guiseq.simulator.GuiState.fork`: own settings,
-windows, widget flags and fields) but the last, which takes the state
-itself.  When the launch crashes, every case fails with that crash and
-nothing more runs; when an event breaks or crashes, every case below it
-gets the same verdict at that position.  Later parts are never shared: each
-launches against its own case's settings.  The restart probe is shared too:
-a launch depends only on the model and the settings' contents, so the
-replay keeps each restart's crash by a snapshot of the settings (the
-frozen set of their items) and launches again only for a snapshot it has
-not seen; what a seen restart covers is already in the sink.  Every case's
-verdict equals what :func:`run_test_case`, which shares nothing, computes
-from scratch, and the suite's coverage equals the union of what it covers
-per case, so the order cases run in does not show.
-Each event's availability is checked once, by
-:func:`~guiseq.simulator.fire_event`, whose
-:class:`~guiseq.simulator.UnavailableEventError` marks the case broken.
-
-**Memory.**  What replay holds grows with the number of cases, not with the
-report's text or with how often an event repeats.
-:func:`~guiseq.generate.load_sequences` keeps one string per distinct event,
-and :func:`save_report` writes each test's text as soon as it is rendered.
-Records, cases and verdicts are named tuples, the cheapest immutable value
-Python builds with named fields, since replay makes one of each per case.
+:func:`run_suite` fires each distinct first-part prefix once and forks where
+cases part ways; a restart is launched once per distinct settings content.
+Every verdict, and the coverage, equals what :func:`run_test_case` computes
+from scratch for each case, so neither sharing nor case order shows.
 """
 
 from __future__ import annotations
@@ -81,7 +49,6 @@ __all__ = [
     "group_test_cases",
     "run_test_case",
     "run_suite",
-    "report_to_json",
     "save_report",
     "load_report",
     "render_report_table",
@@ -306,57 +273,14 @@ def run_suite(
 # ---------------------------------------------------------------------------
 
 
-def report_to_json(suite: SuiteResult) -> dict:
-    tests = []
-    for r in suite.results:
-        doc: dict = {
-            "id": r.case.id,
-            "events": list(r.case.events),
-            "targets": list(r.case.targets),
-            "verdict": r.verdict,
-        }
-        if len(r.case.parts) > 1:
-            doc["parts"] = [p.id for p in r.case.parts]
-        if r.crash is not None:
-            doc["crash"] = {
-                "kind": r.crash.kind,
-                "statement": r.crash.statement,
-                "phase": r.crash.phase,
-                "position": r.crash.position,
-            }
-        if r.broken_at is not None:
-            doc["brokenAt"] = r.broken_at
-        tests.append(doc)
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "model": suite.model_name,
-        "tests": tests,
-        "summary": {
-            "total": len(suite.results),
-            "passed": suite.count("passed"),
-            "failed": suite.count("failed"),
-            "broken": suite.count("broken"),
-            "statementsCovered": len(suite.covered_statements),
-            "statementsTotal": suite.statements_total,
-            "statementCoverage": suite.statement_coverage,
-            "branchesCovered": len(suite.covered_branches),
-            "branchesTotal": suite.branches_total,
-            "branchCoverage": suite.branch_coverage,
-        },
-    }
-
-
 def save_report(suite: SuiteResult, path: Path | str) -> None:
-    """Write the report of ``suite``: the bytes of
-    ``json.dumps(report_to_json(suite), indent=2, sort_keys=True)`` and a
-    final newline, rendered straight from ``suite`` without building the
-    document.  Keys come in sorted order, each event is quoted once, integers
-    are written by ``str`` and the coverage fractions by ``repr``, as
-    ``json`` writes them.  The suite holds every figure of the summary, which
-    sorts before the tests, so the header and summary go out first and each
-    test's text is written through one file handle as soon as it is rendered:
-    the whole report's text is never held at once.  Each distinct targets
-    tuple is rendered once."""
+    """Write the report of ``suite``: the bytes of ``json.dumps(doc,
+    indent=2, sort_keys=True)`` and a final newline, where ``doc`` is the
+    document its oracle ``tests/oracles.py::report_to_json`` builds.  The
+    text is rendered straight from ``suite``, summary first, and each test's
+    text is written as soon as it is rendered, so the whole report is never
+    held at once.  Each event is quoted once and each distinct targets tuple
+    rendered once."""
     quoted = QuotedStrings()
 
     def array(items: Iterable[str]) -> str:

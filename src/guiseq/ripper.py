@@ -46,8 +46,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Mapping
 
-from .appmodel import AppModel
+from .appmodel import AppModel, WindowSpec
 from .graphs import SCHEMA_VERSION, Efg, GuiseqError
 from .simulator import (
     CrashRecord,
@@ -58,8 +59,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "WidgetDiscovery",
-    "WindowDiscovery",
     "Firing",
     "GuiStructure",
     "rip",
@@ -67,22 +66,6 @@ __all__ = [
     "structure_to_json",
     "save_structure",
 ]
-
-
-@dataclass(frozen=True)
-class WidgetDiscovery:
-    id: str
-    event: str
-    enabled_at_discovery: bool
-
-
-@dataclass(frozen=True)
-class WindowDiscovery:
-    name: str
-    modal: bool
-    main: bool
-    widgets: tuple[WidgetDiscovery, ...]
-    window_event: str | None = None
 
 
 @dataclass(frozen=True)
@@ -109,60 +92,48 @@ class Firing:
 
 @dataclass(frozen=True)
 class GuiStructure:
-    """Everything the rip observed: windows, launch availability, firings."""
+    """Everything the rip observed: windows, launch availability, firings.
+    ``enabled_at_discovery`` holds each ``(window, widget id)``'s enabled
+    flag when its window was first seen open."""
 
     app: str
-    windows: tuple[WindowDiscovery, ...]  # discovery order
+    windows: tuple[WindowSpec, ...]  # discovery order
+    enabled_at_discovery: Mapping[tuple[str, str], bool]
     initials: tuple[str, ...]
     firings: tuple[Firing, ...]
 
     @cached_property
     def events(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for w in self.windows:
-            if w.window_event is not None:
-                out.append(w.window_event)
-            out.extend(widget.event for widget in w.widgets)
-        return tuple(out)
+        return tuple(e for w in self.windows for e in w.events)
 
 
-def _discover(model: AppModel, state: GuiState, window: str) -> WindowDiscovery:
-    spec = model.window_by_name[window]
-    return WindowDiscovery(
-        name=spec.name,
-        modal=spec.modal,
-        main=spec.main,
-        window_event=spec.window_event,
-        widgets=tuple(
-            WidgetDiscovery(
-                id=widget.id,
-                event=widget.event,
-                enabled_at_discovery=state.widget_enabled[(window, widget.id)],
-            )
-            for widget in spec.widgets
-        ),
-    )
+def _discover(state: GuiState, discoveries: dict[str, WindowSpec], flags: dict) -> None:
+    """Note each window open in ``state`` and not yet in ``discoveries``,
+    and its widgets' enabled flags in ``flags``."""
+    for window in state.open_windows:
+        if window not in discoveries:
+            discoveries[window] = spec = state.model.window_by_name[window]
+            for widget in spec.widgets:
+                flags[(window, widget.id)] = state.widget_enabled[(window, widget.id)]
 
 
 def _fire_and_record(
-    model: AppModel,
     state: GuiState,
     event: str,
     context: tuple[str, ...],
-    discoveries: dict[str, WindowDiscovery],
+    discoveries: dict[str, WindowSpec],
+    flags: dict,
 ) -> Firing:
     """Fire ``event`` on ``state``, a live instance that settled after
     ``context``, note the windows it shows for the first time, and return
     the structural record of the firing."""
     pre_open = list(state.open_windows)
     crash = fire_event(state, event)
-    own = model.event_window[event]
+    own = state.model.event_window[event]
     if crash is not None:
         return Firing(event, context, crash, exited=True, own_window=own)
-    post_open = list(state.open_windows)
-    for w in post_open:
-        if w not in discoveries:
-            discoveries[w] = _discover(model, state, w)
+    _discover(state, discoveries, flags)
+    post_open = state.open_windows
     own_persists = own in post_open
     return Firing(
         event=event,
@@ -195,7 +166,9 @@ def rip(model: AppModel) -> GuiStructure:
     if not initials:
         how = "exited in its launch block" if probe.exited else "enables no event on launch"
         raise GuiseqError(f"application {model.name!r} {how}; cannot rip")
-    discoveries = {w: _discover(model, probe, w) for w in probe.open_windows}
+    discoveries: dict[str, WindowSpec] = {}
+    flags: dict[tuple[str, str], bool] = {}
+    _discover(probe, discoveries, flags)
 
     fired: set[str] = set()
     firings: list[Firing] = []
@@ -208,13 +181,14 @@ def rip(model: AppModel) -> GuiStructure:
                 continue
             fired.add(event)
             state = settled.fork()
-            firing = _fire_and_record(model, state, event, context, discoveries)
+            firing = _fire_and_record(state, event, context, discoveries, flags)
             firings.append(firing)
             if not state.exited:
                 queue.append((context + (event,), state))
     return GuiStructure(
         app=model.name,
         windows=tuple(discoveries.values()),
+        enabled_at_discovery=flags,
         initials=initials,
         firings=tuple(firings),
     )
@@ -268,7 +242,7 @@ def structure_to_json(structure: GuiStructure) -> dict:
                 {
                     "id": widget.id,
                     "event": widget.event,
-                    "enabledAtDiscovery": widget.enabled_at_discovery,
+                    "enabledAtDiscovery": structure.enabled_at_discovery[(w.name, widget.id)],
                 }
                 for widget in w.widgets
             ],

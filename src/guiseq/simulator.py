@@ -1,55 +1,29 @@
 """Deterministic simulator for application models.
 
-The simulator plays the role of the running application: it keeps the window
-stack, widget-enabled flags, field values, and the persisted settings (a
-plain ``dict`` of string or None values), and it executes handler statements
-when an event fires.  Everything is deterministic — same model, same
-settings, same event sequence, same result — which is what makes
-byte-identical replay reports possible.
+A :class:`GuiState` is one running instance: its window stack, widget
+flags, fields and persisted settings (a plain ``dict``).  Same model, same
+settings and same events give the same result, which is what makes replay
+reports byte-identical.
 
-Execution semantics worth spelling out:
-
-* **Compiled blocks.**  On a model's first launch or fire, :class:`Program`
-  compiles its handlers, methods and launch block once: each block becomes a
-  tuple of ``(statement id, step)``, where the step is a closure with its
-  operands, branch ids and condition test bound.  The step builder of each
-  statement class sits in one table, ``_STEPS``.  A ``call`` looks its
-  method up when it runs, so recursive methods resolve; a chain deeper than
-  :data:`MAX_CALL_DEPTH` raises.
-
-* **Modality.**  A window is *blocked* while a modal window sits strictly
-  above it on the stack.  Blocked windows contribute no available events,
-  so only the topmost modal window and the windows above it can offer any.
-  Opening an already-open window and closing a window that is not open are
-  both no-ops; closing the main window exits the application.
-* **Availability.**  :func:`available_events` lists what the user could
-  trigger now, in declaration order; :func:`is_available` answers for one
-  event from the model's event-to-window and event-to-widget maps, so its
-  cost grows with the window stack's depth, not with the model.
-  :func:`fire_event` checks it and refuses an unavailable event with
-  :class:`UnavailableEventError`, which replay, firing without a check of
-  its own, reads as a broken sequence.
-* **Crashes and exits abort.**  A ``deref`` of a null field or a
-  ``throwArrayOob`` stops the handler mid-flight, as does ``exit``.  The
-  crashing statement still counts as executed for coverage — the program got
-  there, after all.  :func:`fire_event` returns the :class:`CrashRecord`, or
-  None when the handler ran to its end or exited; either way ``exited`` on
-  the state tells whether the application still runs.
-* **Fork.**  :meth:`GuiState.fork` copies a running instance, so the
-  ripper and the replayer continue from a shared state instead of
-  relaunching and firing its events again.  The fork writes into the same
-  coverage sink as the original; everything else is its own.
-* **Launch.**  :func:`launch` builds a fresh GUI (main window open, widget
-  flags reset to their declared values, fields reset to their initial
-  values) and runs the model's launch block against the *given* settings
-  dict.  Settings are the only state that survives a relaunch; a crash in
-  the launch block is how a bad persisted value takes the application down
-  on restart.
-* **Coverage.**  Each executed statement records its statement id, each
-  evaluated conditional the branch taken (ids as defined by
-  :meth:`~guiseq.appmodel.AppModel.coverage_universe`) and each fired event
-  its handler, in the state's :class:`Coverage` sink.  A launch writes into
-  the sink it is given, so several launches and their forks can share one.
+* **Launch.**  :func:`launch` opens the main window, resets widget flags
+  and fields to their declared values, and runs the launch block against
+  the *given* settings, the only state that survives a relaunch.
+* **Modality.**  A window is blocked while a modal window sits above it on
+  the stack, and a blocked window offers no event.  Opening an open window
+  or closing a closed one does nothing; closing the main window exits.
+* **Firing.**  :func:`fire_event` refuses an event that is not available
+  (:func:`is_available`) with :class:`UnavailableEventError`.  A crash
+  (``deref`` of a null field, ``throwArrayOob``) or an ``exit`` stops the
+  handler; the crashing statement still counts as covered.  It returns the
+  :class:`CrashRecord`, or None; ``exited`` on the state tells whether the
+  application still runs.  A ``call`` chain deeper than
+  :data:`MAX_CALL_DEPTH` raises :class:`~guiseq.graphs.GuiseqError`.
+* **Fork.**  :meth:`GuiState.fork` copies an instance; continuing the copy
+  equals relaunching and firing the same events again.  Only the
+  :class:`Coverage` sink is shared.
+* **Coverage.**  Statement ids, branch ids (see
+  :attr:`~guiseq.appmodel.AppModel.coverage_universe`) and entered handlers
+  go to the sink the launch was given.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ enumeration by plain recursion instead of budgeted ordered search, available
 events by a scan of every declared window instead of a walk down the stack
 from each open one, the rip by relaunching and firing each context again
 instead of forking, a sequence record as a document for ``json.dumps``
-instead of rendered text, handlers run by walking their statements instead
+instead of rendered text, a graph and a replay report as documents for
+``json.dumps`` instead of rendered text (:func:`graph_to_json`, the oracle
+of ``graphs.save_graph``, and :func:`report_to_json`, the oracle of
+``replay.save_report``), handlers run by walking their statements instead
 of compiled steps, a JSON-lines file cut into line strings for
 ``json.loads`` instead of scanned in place, a sequence file's events checked
 one occurrence at a time instead of as a set of distinct events, split parts
@@ -42,7 +45,7 @@ from guiseq.appmodel import (
     WriteSetting,
 )
 from guiseq.generate import SequenceRecord
-from guiseq.replay import TestCase
+from guiseq.replay import SuiteResult, TestCase
 from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document, shortest_path
 from guiseq.programdb import ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
@@ -253,7 +256,8 @@ def relaunching_rip(model: AppModel) -> GuiStructure:
         return state
 
     probe = relaunched(())
-    discoveries = {w: _discover(model, probe, w) for w in probe.open_windows}
+    discoveries, flags = {}, {}
+    _discover(probe, discoveries, flags)
     fired: set[str] = set()
     firings = []
     queue: deque[tuple[str, ...]] = deque([()])
@@ -264,12 +268,13 @@ def relaunching_rip(model: AppModel) -> GuiStructure:
                 continue
             fired.add(event)
             state = relaunched(context)
-            firings.append(_fire_and_record(model, state, event, context, discoveries))
+            firings.append(_fire_and_record(state, event, context, discoveries, flags))
             if not state.exited:
                 queue.append(context + (event,))
     return GuiStructure(
         app=model.name,
         windows=tuple(discoveries.values()),
+        enabled_at_discovery=flags,
         initials=available_events(probe),
         firings=tuple(firings),
     )
@@ -289,6 +294,67 @@ def oracle_record(record: SequenceRecord) -> dict:
     if record.split_of is not None:
         doc["splitOf"] = record.split_of
     return doc
+
+
+def graph_to_json(g: Efg | Edg) -> dict:
+    """JSON document for either graph flavour.
+
+    The flow graph carries ``initials`` and weightless edges; the dependency
+    graph omits ``initials`` and weights every edge.  The presence of the
+    ``initials`` key is what tells the two apart on load.
+    """
+    doc: dict = {
+        "schemaVersion": SCHEMA_VERSION,
+        "events": [{"id": e} for e in g.events],
+    }
+    if isinstance(g, Efg):
+        doc["initials"] = list(g.initials)
+        doc["edges"] = [{"from": src, "to": dst} for src, dst in g.edges]
+    else:
+        doc["edges"] = [
+            {"from": src, "to": dst, "weight": weight} for src, weight, dst in g.edges
+        ]
+    return doc
+
+
+def report_to_json(suite: SuiteResult) -> dict:
+    tests = []
+    for r in suite.results:
+        doc: dict = {
+            "id": r.case.id,
+            "events": list(r.case.events),
+            "targets": list(r.case.targets),
+            "verdict": r.verdict,
+        }
+        if len(r.case.parts) > 1:
+            doc["parts"] = [p.id for p in r.case.parts]
+        if r.crash is not None:
+            doc["crash"] = {
+                "kind": r.crash.kind,
+                "statement": r.crash.statement,
+                "phase": r.crash.phase,
+                "position": r.crash.position,
+            }
+        if r.broken_at is not None:
+            doc["brokenAt"] = r.broken_at
+        tests.append(doc)
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "model": suite.model_name,
+        "tests": tests,
+        "summary": {
+            "total": len(suite.results),
+            "passed": suite.count("passed"),
+            "failed": suite.count("failed"),
+            "broken": suite.count("broken"),
+            "statementsCovered": len(suite.covered_statements),
+            "statementsTotal": suite.statements_total,
+            "statementCoverage": suite.statement_coverage,
+            "branchesCovered": len(suite.covered_branches),
+            "branchesTotal": suite.branches_total,
+            "branchCoverage": suite.branch_coverage,
+        },
+    }
 
 
 def split_document_lines(path: Path | str, kind: str, parse: Callable[[dict], object]) -> list:

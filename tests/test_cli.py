@@ -500,6 +500,15 @@ def _drop(path):
             ["MainWindow.enabled", True], ["MainWindow.text", "Hello World"],
             ["Dialog.mainWindow", None],
         ])),
+        ("app", _replace(("handlers", "e1"), {})),
+        ("app", _replace(("handlers", "e3", 0, "then"), {})),
+        ("app", _replace(("onLaunch",), {})),
+        ("efg", _replace(("edges",), {})),
+        ("edg", b'{"schemaVersion": 1, "events": [{"id": "e1"}, {"id": "e2"}, {"id": "e3"}, '
+                b'{"id": "e4"}], "edges": {}}'),
+        ("seq", b'{"schemaVersion":1,"id":"s0001","events":["e1"],"targets":[0],"origin":7}\n'),
+        ("seq", b'{"schemaVersion":1,"id":"s0001","events":["e1"],"targets":[0],'
+                b'"origin":"greybox","abstract":[5]}\n'),
     ],
     ids=[
         "efg-event-without-id",
@@ -527,6 +536,13 @@ def _drop(path):
         "efg-initials-as-object",
         "efg-initials-as-string",
         "app-fields-as-pairs",
+        "app-handler-as-object",
+        "app-then-as-object",
+        "app-onlaunch-as-object",
+        "efg-edges-as-object",
+        "edg-edges-as-object",
+        "seq-origin-as-number",
+        "seq-abstract-item-as-number",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):
@@ -544,6 +560,8 @@ def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):
         "app": ["rip", "--model", str(bad), "--out", out],
         "efg": ["gen", "--config", "A", "--efg", str(bad), "--out", out],
         "seq": ["replay", "--model", str(model), "--sequences", str(bad), "--report", out],
+        "edg": ["gen", "--config", "D", "--efg", str(workdir / "efg.json"), "--edg", str(bad),
+                "--out", out],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -551,6 +569,37 @@ def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(bad) in lines[0]
+
+
+def _methods(doc):
+    return doc["classes"][0]["methods"]
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        (lambda doc: _methods(doc)[0]["calls"].append("Nope.x"),
+         "method 'MainWindow.onB1' calls unknown method 'Nope.x'"),
+        (lambda doc: doc["bindings"].update(e1="Nope.x"),
+         "event 'e1' is bound to unknown method 'Nope.x'"),
+        (lambda doc: _methods(doc).append(_methods(doc)[0]),
+         "duplicate method 'MainWindow.onB1' in program model"),
+        (lambda doc: _methods(doc)[0]["reads"].append("MainWindow.nope"),
+         "method 'MainWindow.onB1' references undeclared field 'MainWindow.nope'"),
+    ],
+    ids=["call-to-unknown-method", "binding-to-unknown-method", "duplicate-method",
+         "undeclared-field"],
+)
+def test_edg_error_in_a_program_model_names_the_file(workdir, capsys, change, message):
+    doc = json.loads(corpus.ir_path("example-app-curated").read_text())
+    change(doc)
+    ir = workdir / "bad.ir.json"
+    ir.write_text(json.dumps(doc))
+    out = workdir / "edg.json"
+    argv = ["edg", "--ir", str(ir), "--efg", str(workdir / "efg.json"), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {ir}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["rip", "replay"])

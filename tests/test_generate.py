@@ -348,7 +348,7 @@ def test_loaded_records_share_one_string_per_event(tmp_path):
         '{"schemaVersion":1,"id":"s1","events":["open","ok","open"],"targets":[2],'
         '"origin":"greybox","abstract":["open"]}\n'
         '{"schemaVersion":1,"id":"s2","events":["ok",true,1],"targets":[0],"origin":"greybox"}\n'
-        '{"schemaVersion":1,"id":"s3","events":["ok",[]],"targets":[0],"origin":true}\n'
+        '{"schemaVersion":1,"id":"s3","events":["ok",[]],"targets":[0],"origin":"greybox"}\n'
     )
     first, second, third = load_sequences(p)
     assert first.events[0] is first.events[2] is first.abstract[0]
@@ -357,7 +357,7 @@ def test_loaded_records_share_one_string_per_event(tmp_path):
     # Only strings are shared: true and 1 stay what they were, and a list
     # holding an unhashable item is kept as it is.
     assert [type(e) for e in second.events] == [str, bool, int]
-    assert third.events == ("ok", []) and third.origin is True
+    assert third.events == ("ok", []) and third.origin is first.origin
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from guiseq.graphs import (
     InvalidGraphError,
     UnknownEventError,
     export_dot,
-    graph_to_json,
     is_executable,
     load_graph,
     read_document_lines,
@@ -24,6 +23,7 @@ from guiseq.graphs import (
 
 from oracles import (
     floyd_warshall,
+    graph_to_json,
     lexmin_shortest_path,
     split_document_lines,
     strict_cycle_length,

@@ -28,14 +28,13 @@ from guiseq.replay import (
     TestCase as Case,
     group_test_cases,
     render_report_table,
-    report_to_json,
     run_suite,
     run_test_case,
     save_report,
 )
 from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord
 
-from oracles import listed_group_test_cases, oracle_record
+from oracles import listed_group_test_cases, oracle_record, report_to_json
 from strategies import awkward_text
 
 

@@ -60,7 +60,9 @@ def test_jabref_flow_graph(jabref_app, jabref_efg):
     }
     # "Close database" was greyed out when its window was first seen
     main = next(w for w in s.windows if w.main)
-    flags = {widget.event: widget.enabled_at_discovery for widget in main.widgets}
+    flags = {
+        widget.event: s.enabled_at_discovery[(main.name, widget.id)] for widget in main.widgets
+    }
     assert flags == {"Manage content selectors": True, "Close database": False}
 
 
@@ -258,3 +260,62 @@ def test_structure_serialization(tmp_path, example_app):
     again = tmp_path / "structure2.json"
     save_structure(rip(example_app), again)
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_structure_windows_are_the_discovered_windows_with_their_first_flags(tmp_path):
+    doc = {
+        "schemaVersion": 1,
+        "name": "windows",
+        "windows": [
+            {
+                "name": "Main",
+                "main": True,
+                "windowEvent": "refresh",
+                "widgets": [
+                    {"id": "wo", "event": "open"},
+                    {"id": "wd", "event": "del", "enabled": False},
+                ],
+            },
+            {
+                "name": "Dialog",
+                "modal": True,
+                "widgets": [{"id": "wk", "event": "ok"}, {"id": "wc", "event": "cancel"}],
+            },
+            {"name": "Never", "widgets": [{"id": "wn", "event": "never"}]},
+        ],
+        "fields": {},
+        "handlers": {
+            "refresh": [],
+            "open": [
+                {"op": "enable", "window": "Dialog", "widget": "wc", "enabled": False},
+                {"op": "open", "window": "Dialog"},
+            ],
+            "del": [],
+            "ok": [{"op": "close", "window": "Dialog"}],
+            "cancel": [],
+            "never": [],
+        },
+    }
+    p = tmp_path / "windows.json"
+    p.write_text(json.dumps(doc))
+    assert structure_to_json(rip(load_app_model(p)))["windows"] == [
+        {
+            "name": "Main",
+            "modal": False,
+            "main": True,
+            "widgets": [
+                {"id": "wo", "event": "open", "enabledAtDiscovery": True},
+                {"id": "wd", "event": "del", "enabledAtDiscovery": False},
+            ],
+            "windowEvent": "refresh",
+        },
+        {
+            "name": "Dialog",
+            "modal": True,
+            "main": False,
+            "widgets": [
+                {"id": "wk", "event": "ok", "enabledAtDiscovery": True},
+                {"id": "wc", "event": "cancel", "enabledAtDiscovery": False},
+            ],
+        },
+    ]
