@@ -331,25 +331,11 @@ class AppModel:
         return {e: w.name for w in self.windows for e in w.events}
 
     @cached_property
-    def event_widget(self) -> Mapping[str, tuple[str, str]]:
-        """``(window, widget)`` for widget-bound events; window events absent."""
-        out: dict[str, tuple[str, str]] = {}
-        for w in self.windows:
-            for widget in w.widgets:
-                out[widget.event] = (w.name, widget.id)
-        return out
-
-    @cached_property
-    def event_index(self) -> Mapping[str, int]:
-        """Each event's position in :attr:`events`."""
-        return {e: i for i, e in enumerate(self.events)}
-
-    @cached_property
-    def initial_widget_enabled(self) -> Mapping[tuple[str, str], bool]:
-        """The declared enabled flag of each ``(window, widget)``; every
-        launch starts from a copy."""
-        return {
-            (w.name, widget.id): widget.enabled for w in self.windows for widget in w.widgets
+    def initial_enabled(self) -> Mapping[str, bool]:
+        """Each event's declared enabled flag, keyed by event; a window event
+        is always enabled.  Every launch starts from a copy."""
+        return dict.fromkeys(self.events, True) | {
+            widget.event: widget.enabled for w in self.windows for widget in w.widgets
         }
 
     @cached_property

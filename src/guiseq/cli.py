@@ -11,6 +11,7 @@ Exit codes: 0 on success, 1 when a replay found failing (or, without
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -43,6 +44,16 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,14 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--gen-seconds",
         action="append",
         default=[],
-        type=float,
+        type=_seconds,
         help="measured generation time per column (repeatable)",
     )
     p.add_argument(
         "--exec-seconds",
         action="append",
         default=[],
-        type=float,
+        type=_seconds,
         help="measured execution time per column (repeatable)",
     )
 

@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
-from .graphs import SCHEMA_VERSION, GuiseqError, QuotedStrings, read_document
+from .graphs import SCHEMA_VERSION, GuiseqError, QuotedStrings, read_document, typed
 from .simulator import (
     Coverage,
     CrashRecord,
@@ -339,9 +339,11 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
 
 def _report_from_json(doc: dict) -> dict:
     summary = doc["summary"]
-    for key in ("total", "broken", "statementCoverage", "branchCoverage"):
-        if type(summary[key]) not in (int, float):
-            raise TypeError(f"summary {key!r} is {summary[key]!r}, not a number")
+    for key in ("total", "broken"):
+        typed(summary[key], int, f"summary {key!r}")
+    for key in ("statementCoverage", "branchCoverage"):
+        if type(summary[key]) not in (int, float) or not 0 <= summary[key] <= 1:
+            raise TypeError(f"summary {key!r} is {summary[key]!r}, not a number from 0 to 1")
     return doc
 
 

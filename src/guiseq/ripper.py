@@ -93,12 +93,12 @@ class Firing:
 @dataclass(frozen=True)
 class GuiStructure:
     """Everything the rip observed: windows, launch availability, firings.
-    ``enabled_at_discovery`` holds each ``(window, widget id)``'s enabled
-    flag when its window was first seen open."""
+    ``enabled_at_discovery`` holds each widget event's enabled flag when its
+    window was first seen open."""
 
     app: str
     windows: tuple[WindowSpec, ...]  # discovery order
-    enabled_at_discovery: Mapping[tuple[str, str], bool]
+    enabled_at_discovery: Mapping[str, bool]
     initials: tuple[str, ...]
     firings: tuple[Firing, ...]
 
@@ -114,7 +114,7 @@ def _discover(state: GuiState, discoveries: dict[str, WindowSpec], flags: dict) 
         if window not in discoveries:
             discoveries[window] = spec = state.model.window_by_name[window]
             for widget in spec.widgets:
-                flags[(window, widget.id)] = state.widget_enabled[(window, widget.id)]
+                flags[widget.event] = state.enabled[widget.event]
 
 
 def _fire_and_record(
@@ -167,16 +167,19 @@ def rip(model: AppModel) -> GuiStructure:
         how = "exited in its launch block" if probe.exited else "enables no event on launch"
         raise GuiseqError(f"application {model.name!r} {how}; cannot rip")
     discoveries: dict[str, WindowSpec] = {}
-    flags: dict[tuple[str, str], bool] = {}
+    flags: dict[str, bool] = {}
     _discover(probe, discoveries, flags)
 
     fired: set[str] = set()
     firings: list[Firing] = []
-    # Each context travels with the state it settled in; probes fire on forks.
-    queue: deque[tuple[tuple[str, ...], GuiState]] = deque([((), probe)])
+    # Each context travels with the state it settled in and what that state
+    # offers, read once when it settled; probes fire on forks.
+    queue: deque[tuple[tuple[str, ...], GuiState, tuple[str, ...]]] = deque(
+        [((), probe, initials)]
+    )
     while queue:
-        context, settled = queue.popleft()
-        for event in available_events(settled):
+        context, settled, available = queue.popleft()
+        for event in available:
             if event in fired:
                 continue
             fired.add(event)
@@ -184,7 +187,7 @@ def rip(model: AppModel) -> GuiStructure:
             firing = _fire_and_record(state, event, context, discoveries, flags)
             firings.append(firing)
             if not state.exited:
-                queue.append((context + (event,), state))
+                queue.append((context + (event,), state, firing.post_available))
     return GuiStructure(
         app=model.name,
         windows=tuple(discoveries.values()),
@@ -205,7 +208,7 @@ def build_efg_from_structure(structure: GuiStructure) -> Efg:
             targets.update(initial_events)
         if f.closed_any or not f.own_window_persists:
             targets.update(f.post_available)
-        if f.own_window_persists and f.own_window_unblocked:
+        if f.own_window_unblocked:
             targets.update(f.post_enabled_own)
         edges.extend((f.event, t) for t in targets)
     return Efg.of(structure.events, structure.initials, edges)
@@ -242,7 +245,7 @@ def structure_to_json(structure: GuiStructure) -> dict:
                 {
                     "id": widget.id,
                     "event": widget.event,
-                    "enabledAtDiscovery": structure.enabled_at_discovery[(w.name, widget.id)],
+                    "enabledAtDiscovery": structure.enabled_at_discovery[widget.event],
                 }
                 for widget in w.widgets
             ],

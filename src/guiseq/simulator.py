@@ -1,11 +1,11 @@
 """Deterministic simulator for application models.
 
-A :class:`GuiState` is one running instance: its window stack, widget
-flags, fields and persisted settings (a plain ``dict``).  Same model, same
+A :class:`GuiState` is one running instance: its window stack, enabled
+flags by event, fields and persisted settings (a plain ``dict``).  Same model, same
 settings and same events give the same result, which is what makes replay
 reports byte-identical.
 
-* **Launch.**  :func:`launch` opens the main window, resets widget flags
+* **Launch.**  :func:`launch` opens the main window, resets enabled flags
   and fields to their declared values, and runs the launch block against
   the *given* settings, the only state that survives a relaunch.
 * **Modality.**  A window is blocked while a modal window sits above it on
@@ -114,7 +114,7 @@ class GuiState:
     model: AppModel
     settings: dict[str, str | None]
     open_windows: list[str]
-    widget_enabled: dict[tuple[str, str], bool]
+    enabled: dict[str, bool]
     fields: dict[str, FieldValue]
     coverage: Coverage
     exited: bool = False
@@ -131,7 +131,7 @@ class GuiState:
             model=self.model,
             settings=dict(self.settings),
             open_windows=list(self.open_windows),
-            widget_enabled=dict(self.widget_enabled),
+            enabled=dict(self.enabled),
             fields=dict(self.fields),
             coverage=self.coverage,
             exited=self.exited,
@@ -150,12 +150,10 @@ class GuiState:
         return True
 
     def enabled_events(self, window: str) -> tuple[str, ...]:
-        """The events ``window`` offers while unblocked: its window event, if
-        any, then its enabled widgets' events, in declaration order."""
-        spec = self.model.window_by_name[window]
-        enabled = self.widget_enabled
-        events = tuple(w.event for w in spec.widgets if enabled[(window, w.id)])
-        return events if spec.window_event is None else (spec.window_event, *events)
+        """The enabled events of ``window``'s :attr:`WindowSpec.events
+        <guiseq.appmodel.WindowSpec.events>`, the ones it offers while
+        unblocked."""
+        return tuple(filter(self.enabled.__getitem__, self.model.window_by_name[window].events))
 
 
 class _CrashSignal(Exception):
@@ -178,26 +176,22 @@ def available_events(state: GuiState) -> tuple[str, ...]:
     """
     if state.exited:
         return ()
-    out = [
+    return tuple(
         event
-        for window in state.open_windows
-        if not state.window_blocked(window)
-        for event in state.enabled_events(window)
-    ]
-    out.sort(key=state.model.event_index.__getitem__)
-    return tuple(out)
+        for spec in state.model.windows
+        if spec.name in state.open_windows and not state.window_blocked(spec.name)
+        for event in state.enabled_events(spec.name)
+    )
 
 
 def is_available(state: GuiState, event: str) -> bool:
     """Whether ``event`` is in :func:`available_events` right now, at a cost
     that does not grow with the model.  False for an event the model does
     not declare."""
-    model = state.model
-    window = model.event_window.get(event)
+    window = state.model.event_window.get(event)
     if state.exited or window is None or state.window_blocked(window):
         return False
-    widget = model.event_widget.get(event)
-    return widget is None or state.widget_enabled[widget]
+    return state.enabled[event]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +219,10 @@ class Program:
 
     def __init__(self, model: AppModel) -> None:
         self.main_window = model.main_window
+        #: The event of each ``(window, widget id)``: what an ``enable`` sets.
+        self.widget_event = {
+            (w.name, widget.id): widget.event for w in model.windows for widget in w.widgets
+        }
         #: Filled before any step runs, so a ``call`` looks its method up here
         #: when it runs, recursive calls included.
         self.methods: dict[str, Block] = {}
@@ -348,10 +346,10 @@ def _read_setting(stmt: ReadSetting, sid: str, program: Program) -> Step:
 
 
 def _enable(stmt: SetWidgetEnabled, sid: str, program: Program) -> Step:
-    widget, enabled = (stmt.window, stmt.widget), stmt.enabled
+    event, enabled = program.widget_event[stmt.window, stmt.widget], stmt.enabled
 
     def step(state: GuiState, depth: int) -> None:
-        state.widget_enabled[widget] = enabled
+        state.enabled[event] = enabled
     return step
 
 
@@ -401,7 +399,7 @@ def launch(
 ) -> tuple[GuiState, CrashRecord | None]:
     """Start a fresh application instance against ``settings``.
 
-    GUI state (windows, widget flags, fields) is rebuilt from the model's
+    GUI state (windows, enabled flags, fields) is rebuilt from the model's
     declarations; only ``settings``, which the launch reads and later fires
     write, carries history.  The instance
     records what runs in ``coverage``, or in a fresh sink if none is given.
@@ -412,7 +410,7 @@ def launch(
         model=model,
         settings=settings,
         open_windows=[model.main_window],
-        widget_enabled=dict(model.initial_widget_enabled),
+        enabled=dict(model.initial_enabled),
         fields=dict(model.fields),
         coverage=Coverage() if coverage is None else coverage,
     )

@@ -235,7 +235,7 @@ def scanned_available_events(state: GuiState) -> tuple[str, ...]:
         if w.window_event is not None:
             out.append(w.window_event)
         for widget in w.widgets:
-            if state.widget_enabled[(w.name, widget.id)]:
+            if state.enabled[widget.event]:
                 out.append(widget.event)
     index = {e: i for i, e in enumerate(state.model.events)}
     out.sort(key=index.__getitem__)
@@ -472,7 +472,8 @@ def interpret_block(
         elif isinstance(stmt, ReadSetting):
             state.fields[stmt.field] = state.settings.get(stmt.key)
         elif isinstance(stmt, SetWidgetEnabled):
-            state.widget_enabled[(stmt.window, stmt.widget)] = stmt.enabled
+            widgets = state.model.window_by_name[stmt.window].widgets
+            state.enabled[next(w.event for w in widgets if w.id == stmt.widget)] = stmt.enabled
         elif isinstance(stmt, Deref):
             if state.fields[stmt.field] is None:
                 raise _CrashSignal(CRASH_NULL_DEREF, sid)
@@ -494,7 +495,7 @@ def interpreted_launch(
         model=model,
         settings=settings,
         open_windows=[model.main_window],
-        widget_enabled=dict(model.initial_widget_enabled),
+        enabled=dict(model.initial_enabled),
         fields=dict(model.fields),
         coverage=Coverage() if coverage is None else coverage,
     )

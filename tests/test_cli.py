@@ -320,6 +320,48 @@ def test_report_table_and_labels(workdir, capsys):
     assert "more labels than report files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["--gen-seconds", "--exec-seconds"])
+def test_report_seconds_must_be_finite_and_not_negative(workdir, capsys, flag, value):
+    report = workdir / "r.json"
+    report.write_text('{"schemaVersion": 1, "summary": {"total": 0, "broken": 0, '
+                      '"statementCoverage": 0.0, "branchCoverage": 0.0}}')
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(report), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: must be a finite number >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("key", "literal"),
+    [
+        ("total", "1e400"),
+        ("total", "2.0"),
+        ("broken", "1e400"),
+        ("statementCoverage", "NaN"),
+        ("statementCoverage", "Infinity"),
+        ("branchCoverage", "NaN"),
+        ("branchCoverage", "1.5"),
+        ("branchCoverage", "-0.25"),
+    ],
+)
+def test_report_with_a_count_or_coverage_out_of_range_exits_2_naming_the_file(
+    tmp_path, capsys, key, literal
+):
+    summary = {"total": 4, "broken": 0, "statementCoverage": 0.5, "branchCoverage": 0.5}
+    text = json.dumps({"schemaVersion": 1, "summary": {**summary, key: "@"}})
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"@"', literal))
+    assert main(["report", str(bad)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert str(bad) in lines[0] and key in lines[0]
+    assert captured.out == ""
+
+
 def test_export_dot_to_stdout_and_file(workdir, capsys):
     efg = str(workdir / "efg.json")
     assert main(["export-dot", "--graph", efg]) == 0

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from guiseq import corpus
+from guiseq import corpus, ripper
 from guiseq.appmodel import load_app_model
 from guiseq.cli import main
 from guiseq.graphs import GuiseqError
 from guiseq.ripper import build_efg_from_structure, rip, save_structure, structure_to_json
-from guiseq.simulator import CRASH_NULL_DEREF
+from guiseq.simulator import CRASH_NULL_DEREF, available_events
 
 from oracles import relaunching_rip
 
@@ -60,9 +60,7 @@ def test_jabref_flow_graph(jabref_app, jabref_efg):
     }
     # "Close database" was greyed out when its window was first seen
     main = next(w for w in s.windows if w.main)
-    flags = {
-        widget.event: s.enabled_at_discovery[(main.name, widget.id)] for widget in main.widgets
-    }
+    flags = {widget.event: s.enabled_at_discovery[widget.event] for widget in main.widgets}
     assert flags == {"Manage content selectors": True, "Close database": False}
 
 
@@ -137,6 +135,22 @@ def test_rip_equals_the_relaunching_oracle(name):
 def test_rip_of_a_crashing_model_equals_the_relaunching_oracle(tmp_path):
     model = crasher_model(tmp_path)
     assert rip(model) == relaunching_rip(model)
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario", "crasher"])
+def test_rip_reads_availability_once_per_settled_state(tmp_path, monkeypatch, name):
+    """Once after launch and once after each firing that did not crash: a
+    context's events are the ones its firing already read."""
+    model = crasher_model(tmp_path) if name == "crasher" else corpus.app_model(name)
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return available_events(state)
+
+    monkeypatch.setattr(ripper, "available_events", counted)
+    s = rip(model)
+    assert len(calls) == 1 + sum(not f.crashed for f in s.firings)
 
 
 def test_rip_refuses_an_app_that_crashes_on_launch(tmp_path):

@@ -100,13 +100,18 @@ def test_modeless_window_blocks_nothing(jabref_app):
     assert available_events(state) == ("Close database", "OK")
 
 
-@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@pytest.mark.parametrize(
+    "name", ["example-app", "jabref-scenario", "rachota-scenario", "window-events"]
+)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_availability_matches_the_scanning_oracle(name, data):
+def test_availability_matches_the_scanning_oracle(tmp_path_factory, name, data):
     """Random walks that fire available events and relaunch against the same
     settings; at every step both availability checks agree with the oracle."""
-    model = corpus.app_model(name)
+    if name == "window-events":
+        model = write_model(tmp_path_factory.getbasetemp(), WINDOW_EVENTS_DOC)
+    else:
+        model = corpus.app_model(name)
     store = {}
     state, _ = launch(model, store)
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
@@ -126,7 +131,7 @@ def observed(state):
     return (
         dict(state.fields),
         list(state.open_windows),
-        dict(state.widget_enabled),
+        dict(state.enabled),
         dict(state.settings),
         state.exited,
     )
@@ -268,6 +273,50 @@ FEATURES_DOC = {
 }
 
 
+def enable(widget_event, enabled):
+    return {"op": "enable", "window": "Main", "widget": f"w_{widget_event}", "enabled": enabled}
+
+
+#: Window events, which no corpus model declares: one on the main window, one
+#: on a modeless and one on a modal window, each opened and closed by
+#: widgets, and handlers that disable and re-enable a main-window widget.
+WINDOW_EVENTS_DOC = {
+    "windows": [
+        {
+            "name": "Main",
+            "main": True,
+            "windowEvent": "mainFocus",
+            "widgets": [widget(e) for e in ("tools", "ask", "flicker", "target", "quit")],
+        },
+        {
+            "name": "Tools",
+            "windowEvent": "toolsFocus",
+            "widgets": [widget("toolsClose"), widget("reenable", enabled=False)],
+        },
+        {
+            "name": "Ask",
+            "modal": True,
+            "windowEvent": "askFocus",
+            "widgets": [widget("askOk"), widget("disable")],
+        },
+    ],
+    "handlers": {
+        "mainFocus": [],
+        "tools": [{"op": "open", "window": "Tools"}],
+        "ask": [{"op": "open", "window": "Ask"}],
+        "flicker": [enable("target", False), enable("flicker", False), enable("flicker", True)],
+        "target": [enable("target", False)],
+        "quit": [{"op": "close", "window": "Main"}],
+        "toolsFocus": [{"op": "enable", "window": "Tools", "widget": "w_reenable", "enabled": True}],
+        "toolsClose": [{"op": "close", "window": "Tools"}],
+        "reenable": [enable("target", True)],
+        "askFocus": [],
+        "askOk": [{"op": "close", "window": "Ask"}],
+        "disable": [enable("tools", False), enable("target", False), enable("tools", True)],
+    },
+}
+
+
 def test_every_op_has_a_step_builder():
     assert set(_STEPS) == {cls for cls, _operands in _OPS.values()} | {If}
 
@@ -303,15 +352,18 @@ def walk_both(model, picks):
     return crashes, compiled.coverage.statements
 
 
-@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario", "features"])
+@pytest.mark.parametrize(
+    "name", ["example-app", "jabref-scenario", "rachota-scenario", "features", "window-events"]
+)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_compiled_handlers_run_like_the_interpreter(tmp_path_factory, name, data):
     """Random walks of events and relaunches give equal fields, window stack,
-    widget flags, settings, coverage, entered handlers, crashes and exit
+    enabled flags, settings, coverage, entered handlers, crashes and exit
     flags under the compiled steps and the statement-walking oracle."""
-    if name == "features":
-        model = write_model(tmp_path_factory.getbasetemp(), FEATURES_DOC)
+    if name in ("features", "window-events"):
+        doc = FEATURES_DOC if name == "features" else WINDOW_EVENTS_DOC
+        model = write_model(tmp_path_factory.getbasetemp(), doc)
     else:
         model = corpus.app_model(name)
     steps = iter(range(data.draw(st.integers(min_value=0, max_value=30))))
@@ -350,8 +402,8 @@ def test_mutating_a_fork_leaves_the_original_untouched(name):
     fork = original.fork()
     fork.settings["a key"] = "a value"
     fork.open_windows.append("a window")
-    for key, enabled in fork.widget_enabled.items():
-        fork.widget_enabled[key] = not enabled
+    for key, enabled in fork.enabled.items():
+        fork.enabled[key] = not enabled
     for field in fork.fields:
         fork.fields[field] = "changed"
     fork.exited = True
