@@ -107,19 +107,26 @@ class GenerationResult:
 
 def _paths_of_length(g: Efg, head: str, length: int) -> Iterator[tuple[str, ...]]:
     """All flow-graph paths of exactly ``length`` events starting at ``head``,
-    in lexicographic declaration order (nodes may repeat; these are walks)."""
+    in lexicographic declaration order (nodes may repeat; these are walks).
+    The walk keeps its own stack, so no length runs out of Python's."""
     adjacency = g.adjacency
-
-    def extend(path: list[str]) -> Iterator[tuple[str, ...]]:
-        if len(path) == length:
-            yield tuple(path)
-            return
-        for nxt in adjacency[path[-1]]:
-            path.append(nxt)
-            yield from extend(path)
+    if length == 1:
+        yield (head,)
+        return
+    path = [head]
+    pending = [iter(adjacency[head])]  # the successors left to try, per event of ``path``
+    while pending:
+        if len(path) == length - 1:  # every successor completes a path
+            stem = tuple(path)
+            for nxt in pending.pop():
+                yield stem + (nxt,)
             path.pop()
-
-    yield from extend([head])
+        elif (nxt := next(pending[-1], None)) is None:
+            pending.pop()
+            path.pop()
+        else:
+            path.append(nxt)
+            pending.append(iter(adjacency[nxt]))
 
 
 def _best_entry(g: Efg, head: str) -> tuple[str, list[str]] | None:
@@ -184,7 +191,8 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     are collected — skipping any duplicates while searching on — until
     ``top`` of them (unbounded when None) have been found for this start.
     With ``top=None`` the result is exactly the set of maximal
-    length-truncated dependency paths from each event.
+    length-truncated dependency paths from each event.  The search keeps its
+    own stack, so no length runs out of Python's.
     """
     if length < 1:
         raise GuiseqError(f"sequence length must be positive, got {length}")
@@ -194,27 +202,30 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     collected: list[AbstractSequence] = []
     seen: set[tuple[str, ...]] = set()
 
-    def search(path: list[str], budget: list[int]) -> None:
-        if budget[0] == 0:
-            return
-        nexts = successors[path[-1]] if len(path) < length else ()
-        if not nexts:
-            complete = tuple(path)
-            if complete not in seen:
-                seen.add(complete)
-                collected.append(AbstractSequence(events=complete))
-                budget[0] -= 1
-            return
-        for nxt, _weight in nexts:
-            path.append(nxt)
-            search(path, budget)
-            path.pop()
-            if budget[0] == 0:
-                return
-
     for start in d.events:
-        budget = [top if top is not None else -1]  # -1 never hits zero
-        search([start], budget)
+        budget = top if top is not None else -1  # -1 never hits zero
+        path = [start]
+        pending: list[Iterator] = []  # the successors left to try, per inner event of ``path``
+        while True:
+            nexts = successors[path[-1]] if len(path) < length else ()
+            if nexts:
+                pending.append(iter(nexts))
+            else:
+                complete = tuple(path)
+                if complete not in seen:
+                    seen.add(complete)
+                    collected.append(AbstractSequence(events=complete))
+                    budget -= 1
+                    if budget == 0:
+                        break
+                path.pop()
+            # Step to the next successor of the deepest event that has one left.
+            while pending and (nxt := next(pending[-1], None)) is None:
+                pending.pop()
+                path.pop()
+            if not pending:
+                break
+            path.append(nxt[0])
     return collected
 
 
@@ -393,9 +404,11 @@ def _shared(items: list, strings: _SharedStrings, what: str | None = None) -> tu
 def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
     # Events are not typed here, which would slow every load: replay checks
     # them, and the targets, against the model before any case runs.  The
-    # fields are checked in declaration order.
+    # fields are checked in declaration order, and all six are passed by
+    # position to ``tuple.__new__``: the generated constructor runs a Python
+    # frame per record.
     split_of = doc.get("splitOf")
-    return SequenceRecord(
+    return tuple.__new__(SequenceRecord, (
         typed(doc["id"], str, "id"),
         _shared(typed(doc["events"], list, "events"), strings),
         typed_list(doc["targets"], int, "targets"),
@@ -403,7 +416,7 @@ def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
         _shared(typed(doc["abstract"], list, "abstract"), strings, "abstract")
         if "abstract" in doc else None,
         None if split_of is None else typed(split_of, str, "splitOf"),
-    )
+    ))
 
 
 def load_sequences(path: Path | str) -> list[SequenceRecord]:

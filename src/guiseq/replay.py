@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -86,7 +86,8 @@ class TestCase(NamedTuple):
 
 def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
     """Regroup a record stream into test cases, attaching split parts to
-    their first part."""
+    their first part.  Cases are built by ``tuple.__new__``, every field by
+    position: the generated constructor runs a Python frame per case."""
     cases: dict[str, TestCase] = {}  # by first part's id, in order
     ids: set[str] = set()
     for record in records:
@@ -94,9 +95,9 @@ def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
             raise GuiseqError(f"duplicate sequence id {record.id!r}")
         ids.add(record.id)
         if record.split_of is None:
-            cases[record.id] = TestCase((record,))
+            cases[record.id] = tuple.__new__(TestCase, ((record,),))
         elif (case := cases.get(record.split_of)) is not None:
-            cases[record.split_of] = TestCase(case.parts + (record,))
+            cases[record.split_of] = tuple.__new__(TestCase, (case.parts + (record,),))
         else:
             raise GuiseqError(
                 f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
@@ -111,12 +112,18 @@ class CaseResult(NamedTuple):
     broken_at: int | None = None
 
 
+#: ``_result((case, verdict, crash, broken_at))`` is that :class:`CaseResult`,
+#: built without the Python frame of its generated constructor.  Pass all
+#: four fields, in declaration order.
+_result = partial(tuple.__new__, CaseResult)
+
+
 def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseResult:
     """Replay one case from a launch against fresh settings, sharing nothing,
     and record what it covers in ``coverage``."""
     state, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:
-        return CaseResult(case, "failed", crash)
+        return _result((case, "failed", crash, None))
     return _finish_case(model, case, state, {})
 
 
@@ -149,17 +156,17 @@ def _finish_case(
         if n:
             state, crash = launch(model, state.settings, phase="launch", coverage=state.coverage)
             if crash is not None:
-                return CaseResult(case, "failed", crash)
+                return _result((case, "failed", crash, None))
         for k in range(start, len(part.events)):
             if (verdict := _fire(state, part.events[k], offset + k)) is not None:
-                return CaseResult(case, *verdict)
+                return _result((case,) + verdict)
         offset += len(part.events)
         start = 0
     key = frozenset(state.settings.items())
     if key not in restarts:
         restarts[key] = launch(model, state.settings, phase="restart", coverage=state.coverage)[1]
     crash = restarts[key]
-    return CaseResult(case, "passed" if crash is None else "failed", crash)
+    return _result((case, "passed" if crash is None else "failed", crash, None))
 
 
 def _replay_tree(
@@ -177,7 +184,7 @@ def _replay_tree(
         return []
     root, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:  # every case fails the same way; nothing more runs
-        return [CaseResult(case, "failed", crash) for case in cases]
+        return [_result((case, "failed", crash, None)) for case in cases]
     firsts = [case.parts[0].events for case in cases]
     results: list = [None] * len(cases)  # by position in ``cases``
     restarts: dict[frozenset, CrashRecord | None] = {}
@@ -210,7 +217,7 @@ def _replay_tree(
                 walk.append((own, depth + 1, below))
             else:  # nothing is shared past a crash or a broken event
                 for i in below:
-                    results[i] = CaseResult(cases[i], *verdict)
+                    results[i] = _result((cases[i],) + verdict)
     return results
 
 
@@ -339,8 +346,12 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
 
 def _report_from_json(doc: dict) -> dict:
     summary = doc["summary"]
-    for key in ("total", "broken"):
-        typed(summary[key], int, f"summary {key!r}")
+    total = typed(summary["total"], int, "summary 'total'")
+    broken = typed(summary["broken"], int, "summary 'broken'")
+    if total < 0:
+        raise ValueError(f"summary 'total' is {total}, not a count of 0 or more")
+    if not 0 <= broken <= total:
+        raise ValueError(f"summary 'broken' is {broken}, not a count from 0 to the total {total}")
     for key in ("statementCoverage", "branchCoverage"):
         if type(summary[key]) not in (int, float) or not 0 <= summary[key] <= 1:
             raise TypeError(f"summary {key!r} is {summary[key]!r}, not a number from 0 to 1")

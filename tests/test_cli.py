@@ -340,6 +340,9 @@ def test_report_seconds_must_be_finite_and_not_negative(workdir, capsys, flag, v
         ("total", "1e400"),
         ("total", "2.0"),
         ("broken", "1e400"),
+        ("total", "-5"),
+        ("broken", "-1"),
+        ("broken", "9"),
         ("statementCoverage", "NaN"),
         ("statementCoverage", "Infinity"),
         ("branchCoverage", "NaN"),

@@ -87,6 +87,16 @@ def test_blackbox_rejects_nonpositive_length(example_efg):
         gen_blackbox(example_efg, 0)
 
 
+#: One initial event that follows itself: exactly one path of any length.
+SELF_LOOP_EFG = Efg.of(["e"], ["e"], [("e", "e")])
+
+
+def test_blackbox_walks_longer_than_the_recursion_limit():
+    result = generate_sequences(GenConfig("long", "blackbox", 1500), SELF_LOOP_EFG)
+    assert [r.events for r in result.records] == [("e",) * 1500]
+    assert result.records[0].targets == tuple(range(1500))
+
+
 # ---------------------------------------------------------------------------
 # Grey-box generation: abstract sequences
 # ---------------------------------------------------------------------------
@@ -125,6 +135,14 @@ def test_abstract_budget_larger_than_path_count_is_harmless():
     )
     got = [x.events for x in gen_abstract(d, 3, top=3) if x.events[0] == "a"]
     assert got == [("a", "b", "a"), ("a", "c", "a")]
+
+
+def test_greybox_searches_longer_than_the_recursion_limit():
+    d = Edg.of(["e"], [("e", 1, "e")])
+    config = GenConfig("long", "greybox", 1500, top=1)
+    result = generate_sequences(config, SELF_LOOP_EFG, d)
+    assert [r.events for r in result.records] == [("e",) * 1500]
+    assert result.records[0].abstract == ("e",) * 1500
 
 
 def test_abstract_rejects_bad_budgets(example_edg):

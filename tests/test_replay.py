@@ -204,6 +204,46 @@ def test_records_cases_and_verdicts_survive_a_sequence_file(tmp_path):
     ]
 
 
+def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
+    tmp_path, monkeypatch
+):
+    # Black-box C breaks and crashes in events; grey-box D and E split, and
+    # on rachota a later part's launch and the restart crash.
+    files = []
+    for name in ["example-app", "jabref-scenario", "rachota-scenario"]:
+        model = corpus.app_model(name)
+        efg = build_efg_from_structure(rip(model))
+        program = corpus.program_model(corpus.DEFAULT_IR[name])
+        edg, _warnings = build_edg(build_class_db(program), efg)
+        for config in "CDE":
+            path = tmp_path / f"{name}.{config}.jsonl"
+            save_sequences(generate_sequences(PRESETS[config], efg, edg).records, path)
+            files.append((model, path))
+    constructed = []
+    for cls in (SequenceRecord, Case, CaseResult):
+        def spy(cls, *args, _new=cls.__new__, **kwargs):
+            constructed.append(cls)
+            return _new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", spy)
+    values, outcomes = [], set()
+    for model, path in files:
+        records = load_sequences(path)
+        cases = group_test_cases(records)
+        results = run_suite(model, cases).results
+        values += [(SequenceRecord, v) for v in records]
+        values += [(Case, v) for v in cases] + [(CaseResult, v) for v in results]
+        outcomes |= {
+            (len(r.case.parts) > 1, r.verdict, r.crash and r.crash.phase) for r in results
+        }
+    assert constructed == []
+    assert all(type(v) is cls and len(v) == len(cls._fields) for cls, v in values)
+    assert {
+        (False, "broken", None), (False, "failed", "event"), (False, "failed", "restart"),
+        (True, "failed", "launch"), (True, "passed", None),
+    } <= outcomes
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
