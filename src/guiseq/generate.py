@@ -18,7 +18,7 @@ only reach them.  Ties always go to declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -214,7 +214,7 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
                 complete = tuple(path)
                 if complete not in seen:
                     seen.add(complete)
-                    collected.append(AbstractSequence(events=complete))
+                    collected.append(tuple.__new__(AbstractSequence, (complete,)))
                     budget -= 1
                     if budget == 0:
                         break
@@ -229,14 +229,12 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     return collected
 
 
-@dataclass(frozen=True)
-class _Part:
+class _Part(NamedTuple):
     events: tuple[str, ...]
     targets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Conversion:
+class Conversion(NamedTuple):
     """The executable form of one abstract sequence: one part, or several
     when the abstract sequence had to be split."""
 
@@ -244,8 +242,7 @@ class Conversion:
     parts: tuple[_Part, ...]
 
 
-@dataclass(frozen=True)
-class ConversionResult:
+class ConversionResult(NamedTuple):
     conversions: tuple[Conversion, ...]
     diagnostics: tuple[str, ...]
 
@@ -258,7 +255,8 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
     repeated event needs a genuine cycle, so that hop is strict.  Where a
     hop has no connection the part ends and the remainder starts a new part
     from its own entry; an unreachable head drops the remainder with a
-    diagnostic.  Each distinct entry and hop is read once per call.
+    diagnostic.  Each distinct entry and hop is read once per call, and
+    every value is built by ``tuple.__new__`` with its fields in order.
     """
     conversions: list[Conversion] = []
     diagnostics: list[str] = []
@@ -294,13 +292,13 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
                 events.extend(hop)
                 targets.append(len(events) - 1)
                 consumed += 1
-            parts.append(_Part(events=tuple(events), targets=tuple(targets)))
+            parts.append(tuple.__new__(_Part, (tuple(events), tuple(targets))))
             remaining = remaining[consumed:]
         if parts or not dropped:
             conversions.append(
-                Conversion(abstract=tuple(abstract.events), parts=tuple(parts))
+                tuple.__new__(Conversion, (tuple(abstract.events), tuple(parts)))
             )
-    return ConversionResult(conversions=tuple(conversions), diagnostics=tuple(diagnostics))
+    return tuple.__new__(ConversionResult, (tuple(conversions), tuple(diagnostics)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +306,15 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
 # ---------------------------------------------------------------------------
 
 
-def _next_id(counter: list[int]) -> str:
-    counter[0] += 1
-    return f"s{counter[0]:04d}"
-
-
 def generate_sequences(
     config: GenConfig, efg: Efg, edg: Edg | None = None
 ) -> GenerationResult:
-    """Run a generator configuration and number the resulting records."""
+    """Run a generator configuration and number the resulting records.
+    Each record is built by ``tuple.__new__`` with all six fields."""
+    if config.top is not None and config.top < 1:
+        raise GuiseqError(f"per-event sequence budget must be positive, got {config.top}")
     records: list[SequenceRecord] = []
     diagnostics: list[str] = []
-    counter = [0]
     if config.mode == "blackbox":
         sequences, unreachable = gen_blackbox(efg, config.length)
         for event in unreachable:
@@ -327,21 +322,23 @@ def generate_sequences(
                 f"event {event!r} is unreachable from the initial events; "
                 "no sequence can exercise it"
             )
-        for events, targets in sequences:
-            records.append(SequenceRecord(_next_id(counter), events, targets, "blackbox"))
+        records = [
+            tuple.__new__(SequenceRecord, (f"s{n:04d}", events, targets, "blackbox", None, None))
+            for n, (events, targets) in enumerate(sequences, 1)
+        ]
     elif config.mode == "greybox":
         if edg is None:
             raise GuiseqError("grey-box generation needs an event-dependency graph")
         abstracts = gen_abstract(edg, config.length, config.top)
         result = to_executable(efg, abstracts)
         diagnostics.extend(result.diagnostics)
-        for conversion in result.conversions:
+        for abstract, parts in result.conversions:
             root_id: str | None = None
-            for part in conversion.parts:
-                rid = _next_id(counter)
-                records.append(SequenceRecord(
-                    rid, part.events, part.targets, "greybox", conversion.abstract, root_id
-                ))
+            for events, targets in parts:
+                rid = f"s{len(records) + 1:04d}"
+                records.append(tuple.__new__(SequenceRecord, (
+                    rid, events, targets, "greybox", abstract, root_id
+                )))
                 if root_id is None:
                     root_id = rid
     else:
@@ -358,9 +355,11 @@ def save_sequences(records: Iterable[SequenceRecord], path: Path | str) -> None:
     """Write one record per line, each line the bytes of ``json.dumps`` with
     sorted keys and no spaces (keys ``abstract`` when set, ``events``, ``id``,
     ``origin``, ``schemaVersion``, ``splitOf`` when set, ``targets``).  Lines
-    are rendered directly, each event quoted once, and written one by one, so
-    the whole file's text is never held at once."""
+    are rendered directly, each event quoted once and each distinct targets
+    tuple rendered once, and written one by one, so the whole file's text is
+    never held at once."""
     quoted = QuotedStrings()
+    targets_text = cache(lambda targets: ",".join(map(str, targets)))
     with open(path, "w", encoding="utf-8") as out:
         for r in records:
             abstract = (
@@ -374,7 +373,7 @@ def save_sequences(records: Iterable[SequenceRecord], path: Path | str) -> None:
                 f'{{{abstract}"events":[{",".join(map(quoted.__getitem__, r.events))}],'
                 f'"id":{encode_basestring_ascii(r.id)},"origin":{quoted[r.origin]},'
                 f'"schemaVersion":{SCHEMA_VERSION}{split_of},'
-                f'"targets":[{",".join(map(str, r.targets))}]}}\n'
+                f'"targets":[{targets_text(r.targets)}]}}\n'
             )
 
 

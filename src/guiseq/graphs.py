@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 SCHEMA_VERSION = 1
 
@@ -216,8 +216,7 @@ class Edg:
         }
 
 
-@dataclass(frozen=True)
-class AbstractSequence:
+class AbstractSequence(NamedTuple):
     """A path in the EDG; potentially not executable on the GUI."""
 
     events: tuple[str, ...]

@@ -461,6 +461,19 @@ def test_gen_rejects_a_dependency_event_the_flow_graph_does_not_declare(workdir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--config", "A", "--top", "0"],
+    ["--mode", "blackbox", "--length", "1", "--top", "-2"],
+])
+def test_gen_rejects_a_budget_below_one_in_black_box_mode_too(workdir, capsys, flags):
+    out = workdir / "x.jsonl"
+    assert main(["gen", *flags, "--efg", str(workdir / "efg.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: per-event sequence budget must be positive, got {flags[-1]}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3", "x"])
 def test_replay_parallel_must_be_positive(workdir, capsys, workers):
     a = workdir / "a.jsonl"

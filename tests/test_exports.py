@@ -1,18 +1,24 @@
 """Every name a module lists in ``__all__`` resolves, so that
-``from module import *`` works and no moved function lingers there; and
-every ``guiseq`` name the benchmark scripts import or trace resolves too,
-read from their source without running them."""
+``from module import *`` works and no moved function lingers there; every
+``guiseq`` name the benchmark scripts import or trace resolves too, read
+from their source without running them; and the benchmark's tracer reads
+what a traced pipeline's stages return."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import math
 import pkgutil
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import guiseq
+from guiseq import corpus
+from guiseq.cli import main
 
 # ``guiseq.__main__`` runs the command line when imported.
 MODULES = ["guiseq"] + [
@@ -67,3 +73,35 @@ def test_every_name_the_bench_reads_resolves():
         if not resolves(module, name)
     ]
     assert missing == []
+
+
+def test_the_tracer_reads_every_stage_of_a_pipeline(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    model = str(corpus.model_path("example-app"))
+    efg, edg, seqs, report = (
+        str(tmp_path / name) for name in ("efg.json", "edg.json", "seqs.jsonl", "report.json")
+    )
+    stages = {
+        "rip": ["rip", "--model", model, "--out", efg],
+        "edg": ["edg", "--ir", str(corpus.ir_path("example-app-curated")), "--efg", efg,
+                "--out", edg],
+        "gen": ["gen", "--config", "E", "--efg", efg, "--edg", edg, "--out", seqs],
+        "replay": ["replay", "--model", model, "--sequences", seqs, "--report", report],
+    }
+    stage_seconds: dict[str, float] = {}
+    exit_codes: dict[str, int] = {}
+    with tracing.Tracer() as tracer:
+        for stage, argv in stages.items():
+            tracer.set_stage(stage)
+            start = perf_counter()
+            exit_codes[stage] = main(argv)
+            stage_seconds[stage] = perf_counter() - start
+    capsys.readouterr()
+    assert exit_codes == {"rip": 0, "edg": 0, "gen": 0, "replay": 1}  # replay finds the crash
+    metrics = tracer.metrics(stage_seconds)
+    assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
+    lines = Path(seqs).read_text(encoding="utf-8").splitlines()
+    assert metrics["generate.records"] == len(lines) > 0
+    total = json.loads(Path(report).read_text(encoding="utf-8"))["summary"]["total"]
+    assert metrics["replay.cases"] == total > 0

@@ -11,9 +11,12 @@ from guiseq import generate, graphs
 from guiseq.graphs import AbstractSequence, Edg, Efg, GuiseqError, is_executable
 from guiseq.generate import (
     PRESETS,
+    Conversion,
+    ConversionResult,
     GenConfig,
     SequenceRecord,
     _best_entry,
+    _Part,
     gen_abstract,
     gen_blackbox,
     generate_sequences,
@@ -307,6 +310,53 @@ def test_split_parts_share_abstract_and_link_to_root(rachota_efg, rachota_edg):
         assert rec.origin == root_rec.origin == "greybox"
 
 
+def _spy_on_constructors(monkeypatch, classes) -> list[str]:
+    """Make each class's ``__new__`` record the class it builds, then build
+    the value as before; returns the record."""
+    called: list[str] = []
+    for cls in classes:
+        def spy(cls, *args, _new=cls.__new__, **kwargs):
+            called.append(cls.__name__)
+            return _new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", spy)
+    return called
+
+
+def test_generation_builds_its_values_without_their_constructors(
+    monkeypatch, example_efg, example_edg, jabref_efg, jabref_edg, rachota_efg, rachota_edg
+):
+    # "u" is unreachable: one abstract sequence is skipped, another loses its remainder
+    diagnosed = Efg.of(["a", "b", "u"], ["a"], [("a", "b"), ("u", "a")])
+    pairs = [
+        (example_efg, example_edg),
+        (jabref_efg, jabref_edg),
+        (rachota_efg, rachota_edg),
+        (diagnosed, Edg.of(diagnosed.events, [("b", 1, "u"), ("u", 1, "a")])),
+    ]
+    classes = (SequenceRecord, AbstractSequence, _Part, Conversion, ConversionResult)
+    called = _spy_on_constructors(monkeypatch, classes)
+    values: list[tuple] = []
+    records: list[SequenceRecord] = []
+    diagnostics: list[str] = []
+    for efg, edg in pairs:
+        for config in PRESETS.values():
+            result = generate_sequences(config, efg, edg)
+            records.extend(result.records)
+            diagnostics.extend(result.diagnostics)
+            if config.mode == "greybox":
+                abstracts = gen_abstract(edg, config.length, config.top)
+                converted = to_executable(efg, abstracts)
+                values += [*abstracts, converted, *converted.conversions]
+                values += [part for c in converted.conversions for part in c.parts]
+    values += records
+    assert called == []
+    assert any(r.split_of is not None for r in records)
+    assert any("remainder dropped" in d for d in diagnostics)
+    assert {type(v) for v in values} == set(classes)
+    assert all(len(v) == len(type(v)._fields) for v in values)
+
+
 def test_unknown_mode_is_rejected(example_efg):
     with pytest.raises(GuiseqError, match="unknown generator mode"):
         generate_sequences(GenConfig("Z", "magic", 1), example_efg)
@@ -470,12 +520,15 @@ def test_converted_parts_are_executable_and_cover_the_abstract(
 
 
 @st.composite
-def sequence_records(draw) -> SequenceRecord:
+def sequence_records(
+    draw, targets=st.lists(st.integers(min_value=0, max_value=10**6), max_size=4)
+) -> SequenceRecord:
+    """A record; its ``targets`` are a fresh tuple of a list ``targets`` draws."""
     texts = st.lists(awkward_text, max_size=4).map(tuple)
     return SequenceRecord(
         id=draw(awkward_text),
         events=draw(texts),
-        targets=tuple(draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=4))),
+        targets=tuple(draw(targets)),
         origin=draw(st.sampled_from(["blackbox", "greybox"]) | awkward_text),
         abstract=draw(st.none() | texts),
         split_of=draw(st.none() | awkward_text),
@@ -485,6 +538,20 @@ def sequence_records(draw) -> SequenceRecord:
 @given(st.lists(sequence_records(), max_size=8))
 @settings(max_examples=100)
 def test_each_written_line_is_the_records_json_document(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    save_sequences(records, path)
+    assert path.read_text(encoding="utf-8").split("\n") == [
+        json.dumps(oracle_record(r), sort_keys=True, separators=(",", ":")) for r in records
+    ] + [""]
+
+
+@given(st.lists(sequence_records(st.sampled_from([[], [0], [1], [0, 2], [2, 0]])), max_size=8))
+@settings(max_examples=100)
+def test_records_with_equal_targets_are_each_written_as_their_json_document(
+    tmp_path_factory, records
+):
+    # Few distinct targets, each record holding its own equal tuple: the
+    # writer renders each distinct one once and must reuse it for the rest.
     path = tmp_path_factory.getbasetemp() / "records.jsonl"
     save_sequences(records, path)
     assert path.read_text(encoding="utf-8").split("\n") == [
