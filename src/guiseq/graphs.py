@@ -31,7 +31,9 @@ import json
 import json.scanner
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -85,14 +87,32 @@ class Efg:
         initials: Iterable[str],
         edges: Iterable[tuple[str, str]],
     ) -> "Efg":
-        """Build a canonical graph: edges deduplicated and sorted by declaration index."""
+        """Build a canonical graph: edges deduplicated and sorted by declaration index.
+
+        One pass groups the edges by source; each source's targets are then
+        sorted by the declaration index alone.  An edge with an undeclared
+        endpoint raises :class:`UnknownEventError`, naming the first such
+        source in input order, else the first such target of the
+        earliest-declared source.
+        """
         ev = tuple(events)
         index = {e: i for i, e in enumerate(ev)}
-        uniq = sorted(
-            set(tuple(e) for e in edges),
-            key=lambda e: (index.get(e[0], len(ev)), index.get(e[1], len(ev))),
-        )
-        return cls(events=ev, initials=tuple(initials), edges=tuple(uniq))
+        targets: dict[str, dict[str, None]] = {e: {} for e in ev}
+        try:
+            for src, dst in edges:
+                targets[src][dst] = None
+        except KeyError:
+            raise UnknownEventError(f"edge ({src!r}, {dst!r}) references an undeclared event") from None
+        ordered: list[tuple[str, str]] = []
+        by_index = index.__getitem__
+        for src in sorted(targets, key=by_index):  # declaration order, even if an id repeats
+            try:
+                ordered += zip(repeat(src), sorted(targets[src], key=by_index))
+            except KeyError as exc:
+                raise UnknownEventError(
+                    f"edge ({src!r}, {exc.args[0]!r}) references an undeclared event"
+                ) from None
+        return cls(events=ev, initials=tuple(initials), edges=tuple(ordered))
 
     @cached_property
     def decl_index(self) -> Mapping[str, int]:
@@ -227,15 +247,26 @@ def validate_efg(g: Efg) -> list[str]:
 
     Returns a list of human-readable violations (empty when the graph is
     well-formed); validation reports rather than raises so callers can decide
-    whether a violation is fatal.
+    whether a violation is fatal.  Set algebra decides whether the graph is
+    clean; only a dirty graph is walked item by item, to name each violation
+    in order: duplicate events, undeclared initials, missing initials, then
+    per edge an undeclared source or target and a repeat.
     """
+    declared = set(g.events)
+    if (
+        len(declared) == len(g.events)
+        and declared.issuperset(g.initials)
+        and (g.initials or not g.events)
+        and len(g.edge_set) == len(g.edges)
+        and declared.issuperset(chain.from_iterable(g.edges))
+    ):
+        return []
     violations: list[str] = []
     seen: set[str] = set()
     for e in g.events:
         if e in seen:
             violations.append(f"duplicate event id {e!r}")
         seen.add(e)
-    declared = set(g.events)
     for i in g.initials:
         if i not in declared:
             violations.append(f"initial event {i!r} is not declared")
@@ -437,21 +468,36 @@ class QuotedStrings(dict):
         return quoted
 
 
+_FLOW_EDGE = itemgetter("from", "to")
+_DEPENDENCY_EDGE = itemgetter("from", "weight", "to")
+
+
 def _graph_from_json(doc: dict) -> Efg | Edg:
     entries = typed(doc.get("events", []), list, "events")
-    events = [typed(entry["id"], str, "event id") for entry in entries]
+    events = [typed(typed(entry, dict, "event entry")["id"], str, "event id") for entry in entries]
     edges = typed(doc.get("edges", []), list, "edges")
-    if "initials" in doc:
-        g = Efg(
-            events=tuple(events),
-            initials=typed_list(doc["initials"], str, "initials"),
-            edges=tuple((e["from"], e["to"]) for e in edges),
-        )
+    initials = typed_list(doc["initials"], str, "initials") if "initials" in doc else None
+    try:
+        if initials is None:
+            return Edg.of(events, list(map(_DEPENDENCY_EDGE, edges)))
+        g = Efg(events=tuple(events), initials=initials, edges=tuple(map(_FLOW_EDGE, edges)))
         violations = validate_efg(g)
-        if violations:
-            raise InvalidGraphError(violations)
-        return g
-    return Edg.of(events, [(e["from"], e["weight"], e["to"]) for e in edges])
+    except TypeError:
+        _name_wrong_typed_edge(edges)
+        raise
+    if violations:
+        raise InvalidGraphError(violations)
+    return g
+
+
+def _name_wrong_typed_edge(edges: list) -> None:
+    """Raise a TypeError naming the first edge that is no JSON object, or
+    whose ``from`` or ``to`` is no string (see :func:`typed`).  Clean loads
+    never run it: it runs only once a pass over every edge has failed."""
+    for n, edge in enumerate(edges):
+        typed(edge, dict, f"edge {n}")
+        for key in ("from", "to"):
+            typed(edge[key], str, f"{key!r} of edge {n}")
 
 
 def load_graph(path: Path | str) -> Efg | Edg:

@@ -9,16 +9,20 @@ classes may declare the same short name without colliding.
 From that model, :class:`ClassDb` answers the two queries the dependency
 analysis needs — the sets of fields an event's handler *transitively* writes
 and reads, following calls through the call graph (cycles included; a
-visited set makes the walk terminate).  :func:`build_edg` then compares the
-write set of every event with the read set of every event (self-pairs
-included: a handler that reads what it wrote earlier depends on its previous
-run) and emits a weighted dependency edge wherever the overlap is non-empty.
+visited set makes the walk terminate).  :func:`build_edg` then emits a
+weighted dependency edge from every event whose write set overlaps another
+event's read set (self-pairs included: a handler that reads what it wrote
+earlier depends on its previous run).  It indexes each field's readers once
+and counts, per writer, the readers of its fields, rather than comparing
+every pair of events.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -157,6 +161,11 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
     read set; the weight is the size of that intersection.  Events without a
     handler binding contribute empty effect sets and a warning rather than an
     error — a partial program model still yields a usable (if sparser) graph.
+
+    The pairs are never enumerated.  Each field that some event writes
+    lists its reader events once, and a writer's weights are the counts of
+    each reader over its fields, so the work grows with the sum of the
+    weights, not with the square of the events.
     """
     warnings: list[str] = []
     writes: dict[str, frozenset[str]] = {}
@@ -167,14 +176,16 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
             reads[e] = db.fields_read(e)
         except UnboundEventError:
             warnings.append(f"event {e!r} has no handler binding; dependencies unknown")
-            writes[e] = frozenset()
-            reads[e] = frozenset()
+    written = frozenset().union(*writes.values())
+    readers: dict[str, list[str]] = {}
+    for e, fields in reads.items():
+        for f in fields & written:
+            readers.setdefault(f, []).append(e)
     edges: list[tuple[str, int, str]] = []
     for src in efg.events:
-        for dst in efg.events:
-            weight = len(writes[src] & reads[dst])
-            if weight > 0:
-                edges.append((src, weight, dst))
+        if fields := writes.get(src):
+            weights = Counter(chain.from_iterable(readers.get(f, ()) for f in fields))
+            edges += ((src, weight, dst) for dst, weight in weights.items())
     return Edg.of(efg.events, edges), warnings
 
 

@@ -2,21 +2,26 @@
 
 Everything here deliberately uses a *different* algorithm from the package
 code: effect closures by fixpoint iteration instead of a call-graph walk,
-distances by Floyd-Warshall instead of seeded BFS, an entry point ranked by
-a path from every initial instead of one pass from all of them, path
-enumeration by plain recursion instead of budgeted ordered search, available
-events by a scan of every declared window instead of a walk down the stack
-from each open one, the rip by relaunching and firing each context again
-instead of forking, a sequence record as a document for ``json.dumps``
-instead of rendered text, a graph and a replay report as documents for
-``json.dumps`` instead of rendered text (:func:`graph_to_json`, the oracle
-of ``graphs.save_graph``, and :func:`report_to_json`, the oracle of
-``replay.save_report``), handlers run by walking their statements instead
-of compiled steps, a JSON-lines file cut into line strings for
-``json.loads`` instead of scanned in place, a sequence file's events checked
-one occurrence at a time instead of as a set of distinct events, split parts
-grouped into a list per case instead of into the case itself.
-Slow is fine — these run on graphs of at most a dozen events.
+dependency edges by comparing every pair of events instead of counting the
+readers of each written field, flow-graph edges sorted on a key tuple
+instead of grouped by source, graph violations found by a walk over every
+item instead of by set algebra, distances by Floyd-Warshall instead of
+seeded BFS, an entry point ranked by a path from every initial instead of
+one pass from all of them, path enumeration by plain recursion instead of
+budgeted ordered search, available events by a scan of every declared
+window instead of a walk down the stack from each open one, the rip by
+relaunching and firing each context again instead of forking, a sequence
+record as a document for ``json.dumps`` instead of rendered text, a graph
+and a replay report as documents for ``json.dumps`` instead of rendered
+text (:func:`graph_to_json`, the oracle of ``graphs.save_graph``, and
+:func:`report_to_json`, the oracle of ``replay.save_report``), handlers run
+by walking their statements instead of compiled steps, a JSON-lines file cut
+into line strings for ``json.loads`` instead of scanned in place, a sequence
+file's events checked one occurrence at a time instead of as a set of
+distinct events, split parts grouped into a list per case instead of into
+the case itself.
+Slow is fine — most run on graphs of at most a dozen events, and the
+graph oracles once on one ripped benchmark model of about a hundred.
 """
 
 from __future__ import annotations
@@ -102,6 +107,54 @@ def brute_force_edg(model: ProgramModel, events: tuple[str, ...]) -> set[tuple[s
             if overlap:
                 edges.add((src, overlap, dst))
     return edges
+
+
+def in_declaration_order(
+    edges: Iterable[tuple[str, int, str]], events: tuple[str, ...]
+) -> tuple[tuple[str, int, str], ...]:
+    """Dependency edges sorted by their source's declaration index, then
+    their target's: the order ``Edg.edges`` holds."""
+    index = {e: i for i, e in enumerate(events)}
+    return tuple(sorted(edges, key=lambda e: (index[e[0]], index[e[2]])))
+
+
+def sorted_efg(events: Iterable[str], initials: Iterable[str], edges: Iterable[tuple[str, str]]) -> Efg:
+    """``Efg.of`` by one sort of the distinct edges on a key tuple of both
+    endpoints' declaration indexes, instead of grouping by source."""
+    ev = tuple(events)
+    index = {e: i for i, e in enumerate(ev)}
+    uniq = sorted(
+        set(tuple(e) for e in edges),
+        key=lambda e: (index.get(e[0], len(ev)), index.get(e[1], len(ev))),
+    )
+    return Efg(events=ev, initials=tuple(initials), edges=tuple(uniq))
+
+
+def scanned_violations(g: Efg) -> list[str]:
+    """``validate_efg`` by walking every event, initial and edge, instead of
+    deciding with set algebra whether there is anything to name."""
+    violations: list[str] = []
+    seen: set[str] = set()
+    for e in g.events:
+        if e in seen:
+            violations.append(f"duplicate event id {e!r}")
+        seen.add(e)
+    declared = set(g.events)
+    for i in g.initials:
+        if i not in declared:
+            violations.append(f"initial event {i!r} is not declared")
+    if g.events and not g.initials:
+        violations.append("graph declares events but no initial events")
+    seen_edges: set[tuple[str, str]] = set()
+    for src, dst in g.edges:
+        if src not in declared:
+            violations.append(f"edge source {src!r} is not declared")
+        if dst not in declared:
+            violations.append(f"edge target {dst!r} is not declared")
+        if (src, dst) in seen_edges:
+            violations.append(f"duplicate edge ({src!r}, {dst!r})")
+        seen_edges.add((src, dst))
+    return violations
 
 
 def floyd_warshall(g: Efg) -> dict[tuple[str, str], float]:

@@ -567,6 +567,10 @@ def _drop(path):
         ("seq", b'{"schemaVersion":1,"id":"s0001","events":["e1"],"targets":[0],"origin":7}\n'),
         ("seq", b'{"schemaVersion":1,"id":"s0001","events":["e1"],"targets":[0],'
                 b'"origin":"greybox","abstract":[5]}\n'),
+        ("efg", _replace(("edges", 0, "from"), ["x"])),
+        ("efg", _replace(("events", 0), "Main.x")),
+        ("edg", b'{"schemaVersion": 1, "events": [{"id": "e1"}], '
+                b'"edges": [{"from": ["x"], "to": "e1", "weight": 1}]}'),
     ],
     ids=[
         "efg-event-without-id",
@@ -601,6 +605,9 @@ def _drop(path):
         "edg-edges-as-object",
         "seq-origin-as-number",
         "seq-abstract-item-as-number",
+        "efg-edge-from-as-list",
+        "efg-event-as-string",
+        "edg-edge-from-as-list",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(workdir, capsys, kind, change):

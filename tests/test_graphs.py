@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +23,17 @@ from guiseq.graphs import (
     shortest_path,
     validate_efg,
 )
+from guiseq.programdb import build_class_db, build_edg, derive_program_model
+from guiseq.ripper import build_efg_from_structure, rip
 
 from oracles import (
+    brute_force_edg,
     floyd_warshall,
     graph_to_json,
+    in_declaration_order,
     lexmin_shortest_path,
+    scanned_violations,
+    sorted_efg,
     split_document_lines,
     strict_cycle_length,
 )
@@ -120,12 +129,28 @@ def test_validate_efg_reports_violations():
     assert "initial event 'z'" in joined
     assert "duplicate edge" in joined
     assert "edge target 'q'" in joined
+    assert violations == scanned_violations(g)
 
 
 def test_validate_efg_wants_initials():
     assert validate_efg(Efg(events=("a",), initials=(), edges=())) == [
         "graph declares events but no initial events"
     ]
+
+
+@pytest.mark.parametrize(
+    ("edges", "message"),
+    [
+        # Named independently of the hash seed: the first undeclared source
+        # in input order, else the earliest-declared source's first undeclared target.
+        ([("a", "x"), ("a", "y"), ("a", "z"), ("q", "a"), ("r", "a")], "edge ('q', 'a')"),
+        ([("b", "a"), ("b", "y"), ("a", "x"), ("a", "z")], "edge ('a', 'x')"),
+    ],
+    ids=["undeclared-source", "undeclared-target"],
+)
+def test_efg_construction_rejects_an_undeclared_endpoint(edges, message):
+    with pytest.raises(UnknownEventError, match=rf"^{re.escape(message)} references an undeclared event$"):
+        Efg.of(["a", "b"], ["a"], edges)
 
 
 def test_edg_construction_rejects_bad_edges():
@@ -193,17 +218,45 @@ def test_saved_graph_is_the_json_document(tmp_path_factory, g, data):
     ).encode("utf-8")
 
 
+def _graph_text(edges, events=({"id": "a"}, {"id": "b"}), initials=("a",)) -> str:
+    doc = {"schemaVersion": 1, "events": list(events), "edges": list(edges)}
+    if initials is not None:
+        doc["initials"] = list(initials)
+    return json.dumps(doc)
+
+
+# A graph file's text and the message its load fails with, after the file name.
+BAD_GRAPHS = [
+    ("{not json", "line 1: Expecting property name enclosed in double quotes"),
+    ('{"schemaVersion": 99, "events": []}', "unsupported schema version 99 (expected 1)"),
+    (_graph_text([], events=[{"id": "a"}], initials=["b"]), "initial event 'b' is not declared"),
+    (_graph_text([{"from": "a", "to": "b"}, {"from": ["x"], "to": "a"}]),
+     "malformed graph: 'from' of edge 1 is ['x'], not str"),
+    (_graph_text([{"from": "a", "to": "b", "weight": 1}, {"from": ["x"], "to": "a", "weight": 1}],
+                 initials=None),
+     "malformed graph: 'from' of edge 1 is ['x'], not str"),
+    (_graph_text([{"from": "a", "to": {"b": 1}, "weight": 1}], initials=None),
+     "malformed graph: 'to' of edge 0 is {'b': 1}, not str"),
+    (_graph_text([], events=[{"id": "a"}, "Main.x"]),
+     "malformed graph: event entry is 'Main.x', not dict"),
+    (_graph_text([{"from": "a", "to": "b"}, "b"]), "malformed graph: edge 1 is 'b', not dict"),
+    (_graph_text([["a", "b"]], initials=None), "malformed graph: edge 0 is ['a', 'b'], not dict"),
+    # Hashable values of another type are named as undeclared events.
+    (_graph_text([{"from": 5, "to": "a"}]), "edge source 5 is not declared"),
+    (_graph_text([{"from": "a", "to": None, "weight": 1}], initials=None),
+     "edge ('a', None) references an undeclared event"),
+    # The initials are checked before the edges.
+    (_graph_text(["b"], initials=[5]), "malformed graph: initials is [5], not a list of str"),
+]
+
+
 def test_load_graph_rejects_bad_documents(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    with pytest.raises(GuiseqError, match="line 1"):
-        load_graph(p)
-    p.write_text('{"schemaVersion": 99, "events": []}')
-    with pytest.raises(GuiseqError, match="schema version"):
-        load_graph(p)
-    p.write_text('{"schemaVersion": 1, "events": [{"id": "a"}], "initials": ["b"], "edges": []}')
-    with pytest.raises(GuiseqError, match="initial event 'b'"):
-        load_graph(p)
+    for text, message in BAD_GRAPHS:
+        p.write_text(text)
+        with pytest.raises(GuiseqError) as exc:
+            load_graph(p)
+        assert str(exc.value) == f"{p}: {message}", text
 
 
 def test_export_dot_marks_initials_and_weights():
@@ -295,6 +348,56 @@ def test_shortest_path_is_the_declaration_order_least(g: Efg):
             for strict in (False, True):
                 expected = lexmin_shortest_path(g, dist, src, dst, strict)
                 assert shortest_path(g, src, dst, strict=strict) == expected
+
+
+NAMES = ["a", "b", "c", "d"]
+
+
+@given(
+    events=st.lists(st.sampled_from(NAMES), min_size=1, max_size=6),
+    data=st.data(),
+)
+@settings(max_examples=200)
+def test_efg_construction_matches_one_sort_of_the_distinct_edges(events, data):
+    """Edge lists with repeats, over events that may repeat an id too."""
+    pairs = [(a, b) for a in events for b in events]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs)))
+    assert Efg.of(events, events[:1], edges) == sorted_efg(events, events[:1], edges)
+
+
+@given(events=st.lists(st.sampled_from(NAMES[:3]), max_size=5), data=st.data())
+@settings(max_examples=300)
+def test_validate_efg_names_what_a_full_scan_names(events, data):
+    """Dirty graphs: repeated events or edges, undeclared initials or
+    endpoints ("d" is never declared, and drawn one time in seven), or no
+    initials at all; each kind of dirt often alone."""
+    names = st.sampled_from(events * 3 + ["d"])
+    initials = data.draw(st.lists(names, max_size=3))
+    edges = data.draw(st.lists(st.tuples(names, names), max_size=8))
+    g = Efg(tuple(events), tuple(initials), tuple(edges))
+    assert validate_efg(g) == scanned_violations(g)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_a_dense_ripped_graph_matches_the_oracles(tmp_path, monkeypatch):
+    """rip-wizard's graphs (123 events, 2,492 flow edges) are far denser
+    than any drawn one: rip them, save and load them, and derive the EDG."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    app = importlib.import_module("models").build_model("rip-wizard", 1)
+    structure = rip(app)
+    efg = build_efg_from_structure(structure)
+    assert len(efg.edges) > 10 * len(efg.events)
+    assert efg == sorted_efg(structure.events, structure.initials, efg.edges[::-1])
+    assert Efg.of(efg.events, efg.initials, efg.edges[::-1] + efg.edges) == efg
+    program = derive_program_model(app)
+    edg, warnings = build_edg(build_class_db(program), efg)
+    assert warnings == []
+    assert edg.edges == in_declaration_order(brute_force_edg(program, efg.events), efg.events)
+    for g in (efg, edg):
+        save_graph(g, tmp_path / "graph.json")
+        assert load_graph(tmp_path / "graph.json") == g
 
 
 # Text a file can hold as UTF-8 (no lone surrogates) within one line,

@@ -21,7 +21,7 @@ from guiseq.programdb import (
     program_model_to_json,
 )
 
-from oracles import brute_force_edg, fixpoint_effects
+from oracles import brute_force_edg, fixpoint_effects, in_declaration_order
 
 
 def model_of(fields, methods, bindings) -> ProgramModel:
@@ -217,11 +217,17 @@ def test_closure_matches_fixpoint_iteration(m: ProgramModel):
         assert db.fields_written(event) == writes[handler]
 
 
-@given(program_models())
+@given(program_models(), st.data())
 @settings(max_examples=150)
-def test_dependency_graph_matches_brute_force(m: ProgramModel):
-    events = tuple(m.bindings)
+def test_dependency_graph_matches_brute_force(m: ProgramModel, data):
+    """In the declared order of the flow graph's events, some of which may
+    have no binding."""
+    unbound = data.draw(st.lists(st.sampled_from(["u0", "u1", "u2"]), unique=True))
+    events = tuple(data.draw(st.permutations([*m.bindings, *unbound])))
     g = Efg.of(events, events[:1], [])
     d, warnings = build_edg(build_class_db(m), g)
-    assert warnings == []
-    assert set(d.edges) == brute_force_edg(m, events)
+    assert warnings == [
+        f"event {e!r} has no handler binding; dependencies unknown"
+        for e in events if e not in m.bindings
+    ]
+    assert d.edges == in_declaration_order(brute_force_edg(m, events), events)
