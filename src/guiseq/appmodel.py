@@ -416,8 +416,6 @@ def validate_app_model(model: AppModel) -> list[str]:
 
     def check_block(block: Iterable[Statement], where: str) -> None:
         for _, stmt in walk_statements(block, ""):
-            if isinstance(stmt, If) and stmt.cond.kind not in _CONDITION_KINDS:
-                violations.append(f"{where}: unknown condition kind {stmt.cond.kind!r}")
             for role, name in _operands(stmt):
                 if role in ("read", "write") and name not in declared_fields:
                     violations.append(f"{where}: undeclared field {name!r}")
@@ -442,16 +440,17 @@ def validate_app_model(model: AppModel) -> list[str]:
 
 
 def _parse_condition(doc: dict, where: str) -> Condition:
-    kind = doc.get("kind")
+    kind = typed(doc, dict, f"{where} cond").get("kind")
     if kind not in _CONDITION_KINDS:
         raise GuiseqError(f"{where}: unknown condition kind {kind!r}")
     if kind == "equals" and not isinstance(doc.get("value"), str):
         raise GuiseqError(f"{where}: 'equals' condition needs a string value")
-    return Condition(kind=kind, field=doc["field"], value=doc.get("value"))
+    field = typed(doc["field"], str, f"{where} cond field")
+    return Condition(kind=kind, field=field, value=doc.get("value"))
 
 
 def _parse_statement(doc: dict, where: str) -> Statement:
-    op = doc.get("op")
+    op = typed(doc, dict, f"{where} statement").get("op")
     if op == "if":
         try:
             return If(
@@ -509,11 +508,11 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
         fields=typed(doc.get("fields", {}), dict, "fields"),
         handlers={
             event: _parse_block(block, f"handler {event!r}")
-            for event, block in doc.get("handlers", {}).items()
+            for event, block in typed(doc.get("handlers", {}), dict, "handlers").items()
         },
         methods={
             name: _parse_block(block, f"method {name!r}")
-            for name, block in doc.get("methods", {}).items()
+            for name, block in typed(doc.get("methods", {}), dict, "methods").items()
         },
         on_launch=_parse_block(doc.get("onLaunch", []), "launch block"),
     )

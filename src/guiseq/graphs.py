@@ -200,19 +200,20 @@ class Edg:
 
     @classmethod
     def of(cls, events: Iterable[str], edges: Iterable[tuple[str, int, str]]) -> "Edg":
+        """Take the edges once, check each, then sort them by declaration index."""
         ev = tuple(events)
         index = {e: i for i, e in enumerate(ev)}
-        declared = set(ev)
         seen_pairs: set[tuple[str, str]] = set()
-        for src, weight, dst in edges:
-            if src not in declared or dst not in declared:
+        ordered = list(edges)
+        for src, weight, dst in ordered:
+            if src not in index or dst not in index:
                 raise UnknownEventError(f"edge ({src!r}, {dst!r}) references an undeclared event")
             if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
                 raise InvalidGraphError([f"edge ({src!r}, {dst!r}) has weight {weight!r}, not a positive integer"])
             if (src, dst) in seen_pairs:
                 raise InvalidGraphError([f"duplicate dependency edge ({src!r}, {dst!r})"])
             seen_pairs.add((src, dst))
-        ordered = sorted(edges, key=lambda e: (index[e[0]], index[e[2]]))
+        ordered.sort(key=lambda e: (index[e[0]], index[e[2]]))
         return cls(events=ev, edges=tuple(ordered))
 
     @cached_property
@@ -479,7 +480,7 @@ def _graph_from_json(doc: dict) -> Efg | Edg:
     initials = typed_list(doc["initials"], str, "initials") if "initials" in doc else None
     try:
         if initials is None:
-            return Edg.of(events, list(map(_DEPENDENCY_EDGE, edges)))
+            return Edg.of(events, map(_DEPENDENCY_EDGE, edges))
         g = Efg(events=tuple(events), initials=initials, edges=tuple(map(_FLOW_EDGE, edges)))
         violations = validate_efg(g)
     except TypeError:
@@ -559,8 +560,8 @@ def export_dot(g: Efg | Edg) -> str:
         for e in g.events:
             attrs = ' [peripheries=2]' if e in initial else ""
             lines.append(f"  {node(e)}{attrs};")
-        for src, dst in g.edges:
-            lines.append(f"  {node(src)} -> {node(dst)};")
+        for src, targets in g.adjacency.items():
+            lines += (f"  {node(src)} -> {node(dst)};" for dst in targets)
     else:
         lines.append("digraph edg {")
         for e in g.events:

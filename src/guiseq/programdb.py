@@ -6,11 +6,12 @@ object fields: per method, which fields it reads, which it writes, and which
 other methods it calls.  Field names are qualified as ``Class.field`` so two
 classes may declare the same short name without colliding.
 
-From that model, :class:`ClassDb` answers the two queries the dependency
-analysis needs — the sets of fields an event's handler *transitively* writes
-and reads, following calls through the call graph (cycles included; a
-visited set makes the walk terminate).  :func:`build_edg` then emits a
-weighted dependency edge from every event whose write set overlaps another
+From that model, :func:`build_class_db` indexes and checks the methods once,
+and :meth:`ClassDb.effects` answers the query the dependency analysis needs:
+the fields an event's handler *transitively* reads and writes, both gathered
+in one walk of the call graph (cycles included; a visited set makes the walk
+terminate).  :func:`build_edg` walks once per event, then emits a weighted
+dependency edge from every event whose write set overlaps another
 event's read set (self-pairs included: a handler that reads what it wrote
 earlier depends on its previous run).  It indexes each field's readers once
 and counts, per writer, the readers of its fields, rather than comparing
@@ -21,15 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from .appmodel import AppModel, Call, statement_effects, walk_statements
 from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, read_document, typed, typed_list
-
-if TYPE_CHECKING:
-    from .appmodel import AppModel
 
 __all__ = [
     "ProgramMethod",
@@ -72,85 +70,69 @@ class ProgramModel:
 
 @dataclass(frozen=True)
 class ClassDb:
-    """Queryable index over a program model.
+    """A program model and its methods indexed by qualified name.
 
-    The interesting members are :meth:`fields_written` and
-    :meth:`fields_read`: the transitive closure of field effects through the
-    call graph, starting from an event's bound handler.
+    :meth:`effects` walks the call graph once from an event's bound handler
+    and returns both transitive field sets; :meth:`fields_read` and
+    :meth:`fields_written` are views over it.
     """
 
     model: ProgramModel
+    methods: Mapping[str, ProgramMethod]
 
-    @cached_property
-    def methods(self) -> Mapping[str, ProgramMethod]:
-        out: dict[str, ProgramMethod] = {}
-        for cls in self.model.classes:
-            for m in cls.methods:
-                if m.name in out:
-                    raise GuiseqError(f"duplicate method {m.name!r} in program model")
-                out[m.name] = m
-        return out
-
-    @cached_property
-    def declared_fields(self) -> frozenset[str]:
-        out: set[str] = set()
-        for cls in self.model.classes:
-            for f in cls.fields:
-                out.add(f"{cls.name}.{f}")
-        return frozenset(out)
-
-    def handler_of(self, event: str) -> str:
-        try:
-            return self.model.bindings[event]
-        except KeyError:
-            raise UnboundEventError(f"event {event!r} has no handler binding") from None
-
-    def _closure(self, event: str, kind: str) -> frozenset[str]:
-        """Fields transitively touched (read or written) by an event's handler.
+    def effects(self, event: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The fields an event's handler transitively reads and writes.
 
         Depth-first walk over the call graph with a visited set, so mutually
         recursive methods contribute each effect exactly once and the walk
         always terminates.
         """
-        root = self.handler_of(event)
-        methods = self.methods
-        if root not in methods:
+        try:
+            root = self.model.bindings[event]
+        except KeyError:
+            raise UnboundEventError(f"event {event!r} has no handler binding") from None
+        if root not in self.methods:
             raise GuiseqError(f"event {event!r} is bound to unknown method {root!r}")
-        acc: set[str] = set()
+        reads: set[str] = set()
+        writes: set[str] = set()
         visited: set[str] = set()
         stack = [root]
         while stack:
             name = stack.pop()
-            if name in visited:
-                continue
-            visited.add(name)
-            method = methods.get(name)
-            if method is None:
-                raise GuiseqError(f"method {name!r} calls unknown method (from {root!r})")
-            acc.update(method.writes if kind == "writes" else method.reads)
-            stack.extend(method.calls)
-        return frozenset(acc)
-
-    def fields_written(self, event: str) -> frozenset[str]:
-        return self._closure(event, "writes")
+            if name not in visited:
+                visited.add(name)
+                method = self.methods[name]  # build_class_db checked every callee
+                reads.update(method.reads)
+                writes.update(method.writes)
+                stack.extend(method.calls)
+        return frozenset(reads), frozenset(writes)
 
     def fields_read(self, event: str) -> frozenset[str]:
-        return self._closure(event, "reads")
+        return self.effects(event)[0]
+
+    def fields_written(self, event: str) -> frozenset[str]:
+        return self.effects(event)[1]
 
 
 def build_class_db(model: ProgramModel) -> ClassDb:
-    """Index a program model, validating method references eagerly."""
-    db = ClassDb(model)
-    db.methods  # force duplicate detection
+    """Index a program model's methods, checking eagerly that no method is
+    declared twice, then that each method calls only indexed methods and
+    touches only declared fields."""
+    methods: dict[str, ProgramMethod] = {}
     for cls in model.classes:
         for m in cls.methods:
-            for callee in m.calls:
-                if callee not in db.methods:
-                    raise GuiseqError(f"method {m.name!r} calls unknown method {callee!r}")
-            for f in (*m.reads, *m.writes):
-                if f not in db.declared_fields:
-                    raise GuiseqError(f"method {m.name!r} references undeclared field {f!r}")
-    return db
+            if m.name in methods:
+                raise GuiseqError(f"duplicate method {m.name!r} in program model")
+            methods[m.name] = m
+    declared = {f"{cls.name}.{f}" for cls in model.classes for f in cls.fields}
+    for m in methods.values():
+        for callee in m.calls:
+            if callee not in methods:
+                raise GuiseqError(f"method {m.name!r} calls unknown method {callee!r}")
+        for f in (*m.reads, *m.writes):
+            if f not in declared:
+                raise GuiseqError(f"method {m.name!r} references undeclared field {f!r}")
+    return ClassDb(model, methods)
 
 
 def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
@@ -172,8 +154,7 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
     reads: dict[str, frozenset[str]] = {}
     for e in efg.events:
         try:
-            writes[e] = db.fields_written(e)
-            reads[e] = db.fields_read(e)
+            reads[e], writes[e] = db.effects(e)
         except UnboundEventError:
             warnings.append(f"event {e!r} has no handler binding; dependencies unknown")
     written = frozenset().union(*writes.values())
@@ -203,11 +184,9 @@ def _direct_method(name: str, block) -> ProgramMethod:
     writes and calls of a statement block.
 
     Descends into conditionals but not into calls — called methods carry
-    their own effects and appear in ``calls``, which is exactly what lets the
-    closure queries reconstruct the transitive sets.
+    their own effects and appear in ``calls``, which is exactly what lets
+    :meth:`ClassDb.effects` reconstruct the transitive sets.
     """
-    from .appmodel import Call, statement_effects, walk_statements
-
     reads: dict[str, None] = {}
     writes: dict[str, None] = {}
     calls: dict[str, None] = {}
@@ -225,7 +204,7 @@ def _direct_method(name: str, block) -> ProgramMethod:
     )
 
 
-def derive_program_model(app: "AppModel") -> ProgramModel:
+def derive_program_model(app: AppModel) -> ProgramModel:
     """Extract the field-traffic model an exact static analysis would see.
 
     Application fields are owner-qualified (``"MainWindow.text"``), so each

@@ -178,3 +178,47 @@ def test_window_event_of_another_type_is_reported_with_the_file(tmp_path, value)
     message = f"window 'MainWindow' windowEvent is {value!r}, not str"
     with pytest.raises(GuiseqError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
         load_app_model(path)
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "message"),
+    [
+        (("handlers",), [], "malformed application model: handlers is [], not dict"),
+        (("methods",), [], "malformed application model: methods is [], not dict"),
+        (
+            ("handlers", "e1", 0),
+            "set",
+            "malformed application model: handler 'e1' statement is 'set', not dict",
+        ),
+        (
+            ("handlers", "e3", 0, "cond"),
+            "isTrue",
+            "malformed application model: handler 'e3' cond is 'isTrue', not dict",
+        ),
+        (
+            ("handlers", "e3", 0, "cond", "field"),
+            ["x"],
+            "malformed application model: handler 'e3' cond field is ['x'], not str",
+        ),
+        (
+            ("handlers", "e1"),
+            [{"op": "if", "cond": {"kind": "bogus", "field": "MainWindow.enabled"}, "then": []}],
+            "handler 'e1': unknown condition kind 'bogus'",
+        ),
+    ],
+    ids=[
+        "handlers-as-list", "methods-as-list", "statement-as-string", "cond-as-string",
+        "cond-field-as-list", "unknown-condition-kind",
+    ],
+)
+def test_a_bad_value_is_reported_by_its_key(tmp_path, path, value, message):
+    doc = json.loads(corpus.model_path("example-app").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model = tmp_path / "app.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(GuiseqError) as exc:
+        load_app_model(model)
+    assert str(exc.value) == f"{model}: {message}"

@@ -375,6 +375,20 @@ def test_export_dot_to_stdout_and_file(workdir, capsys):
     assert target.read_text() == out
 
 
+def test_export_dot_orders_a_loaded_graphs_edges_by_declaration(tmp_path, capsys):
+    efg = tmp_path / "efg.json"
+    efg.write_text(json.dumps({
+        "schemaVersion": 1,
+        "events": [{"id": "a"}, {"id": "b"}],
+        "initials": ["a"],
+        "edges": [{"from": "b", "to": "a"}, {"from": "a", "to": "b"}],
+    }))
+    assert main(["export-dot", "--graph", str(efg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "digraph efg {", '  "a" [peripheries=2];', '  "b";', '  "a" -> "b";', '  "b" -> "a";', "}",
+    ]
+
+
 def test_dot_of_an_id_ending_in_a_backslash_exits_2(tmp_path, capsys):
     doc = json.loads(corpus.model_path("example-app").read_text())
     doc["windows"][0]["widgets"][0]["event"] = "e1\\"

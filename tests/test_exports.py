@@ -1,8 +1,9 @@
 """Every name a module lists in ``__all__`` resolves, so that
 ``from module import *`` works and no moved function lingers there; every
 ``guiseq`` name the benchmark scripts import or trace resolves too, read
-from their source without running them; and the benchmark's tracer reads
-what a traced pipeline's stages return."""
+from their source without running them; the one import inside a function
+of ``src/guiseq`` is the one that breaks an import cycle; and the
+benchmark's tracer reads what a traced pipeline's stages return."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ MODULES = ["guiseq"] + [
 ]
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(guiseq.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,6 +51,26 @@ def bench_names() -> dict[str, set[str]]:
                 for module, traced in ast.literal_eval(node.value).items():
                     names.setdefault(module, set()).update(traced)
     return names
+
+
+def function_local_imports() -> list[tuple[str, str, str]]:
+    """``(module file, function, statement)`` for each import inside a
+    function of ``src/guiseq``, read from the source without running it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += (
+                    (path.relative_to(SRC).as_posix(), func.name, ast.unparse(node))
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    return found
+
+
+def test_the_only_function_local_import_breaks_the_simulator_cycle():
+    # simulator imports appmodel, so AppModel.program imports simulator late
+    assert function_local_imports() == [("appmodel.py", "program", "from .simulator import Program")]
 
 
 def resolves(module: str, name: str) -> bool:

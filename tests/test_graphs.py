@@ -164,6 +164,28 @@ def test_edg_construction_rejects_bad_edges():
         Edg.of(["a", "b"], [("a", 1, "b"), ("a", 2, "b")])
 
 
+def test_edg_construction_reads_an_iterator_of_edges_once():
+    edges = [("b", 2, "a"), ("a", 1, "b"), ("a", 3, "a")]
+    d = Edg.of(["a", "b"], iter(edges))
+    assert d == Edg.of(["a", "b"], list(edges))
+    assert d.edges == (("a", 3, "a"), ("a", 1, "b"), ("b", 2, "a"))
+
+
+@pytest.mark.parametrize(
+    ("edges", "error", "message"),
+    [
+        ([("a", 1, "x")], UnknownEventError, "edge ('a', 'x') references an undeclared event"),
+        ([("a", 0, "b")], InvalidGraphError, "edge ('a', 'b') has weight 0, not a positive integer"),
+        ([("a", 1, "b"), ("a", 2, "b")], InvalidGraphError, "duplicate dependency edge ('a', 'b')"),
+    ],
+    ids=["undeclared-event", "weight-zero", "duplicate-edge"],
+)
+def test_edg_construction_rejects_an_iterator_of_bad_edges_alike(edges, error, message):
+    for source in (iter(edges), list(edges)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Edg.of(["a", "b"], source)
+
+
 def test_edg_successors_ranked_by_weight_then_declaration():
     d = Edg.of(
         ["a", "b", "c", "d"],
