@@ -20,10 +20,12 @@ behaviours that matter for event-interaction testing:
 * inert reads (``log``) and procedure calls (``call``).
 
 Each op is defined in one place, the op table ``_OPS``: its dataclass, its
-JSON keys, and what each operand names.  Parsing, dumping, validation and
-the static effects (:func:`statement_effects`) all read the table; the
-simulator's table of step builders, keyed by the same classes, is the one
-per-op dispatch outside it.
+JSON keys, and what each operand names.  Parsing (which checks each
+operand's name as it reads it), dumping and the static effects
+(:func:`statement_effects`) all read the table; the simulator's table of
+step builders, keyed by the same classes, is the one per-op dispatch
+outside it.  Loading and compiling (:attr:`AppModel.program`, which also
+lists :attr:`AppModel.coverage_universe`) each walk the statements once.
 
 Field names are owner-qualified strings such as ``"MainWindow.text"``; the
 owner prefix groups fields the way a class would, which is also how
@@ -244,26 +246,18 @@ def walk_statements(block: Iterable[Statement], prefix: str) -> Iterator[tuple[s
             yield from walk_statements(stmt.orelse, f"{sid}.e.")
 
 
-def _operands(stmt: Statement) -> list[tuple[str | None, object]]:
-    """``(role, value)`` of each operand; a conditional reads its condition's field."""
-    if isinstance(stmt, If):
-        return [("read", stmt.cond.field)]
-    operands = []
-    for attr, _, role in _BY_CLASS[type(stmt)][1]:  # a loop: faster than a comprehension here
-        operands.append((role, getattr(stmt, attr)))
-    return operands
-
-
 def statement_effects(stmt: Statement) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The model fields one statement reads and writes, by itself.
 
     A conditional reads its condition's field; the statements in its blocks,
     like the body of a called method, have effects of their own.
     """
-    operands = _operands(stmt)
+    if isinstance(stmt, If):
+        return (stmt.cond.field,), ()
+    operands = _BY_CLASS[type(stmt)][1]
     return (
-        tuple(value for role, value in operands if role == "read"),
-        tuple(value for role, value in operands if role == "write"),
+        tuple(getattr(stmt, attr) for attr, _, role in operands if role == "read"),
+        tuple(getattr(stmt, attr) for attr, _, role in operands if role == "write"),
     )
 
 
@@ -347,9 +341,9 @@ class AppModel:
 
         return Program(self)
 
-    @cached_property
+    @property
     def coverage_universe(self) -> tuple[frozenset[str], frozenset[str]]:
-        """All statement ids and branch ids the model can ever execute.
+        """All statement ids and branch ids the model can ever execute, as compiled.
 
         Statement ids name a statement by its position: ``h:<event>/<path>``
         for handler bodies, ``m:<method>/<path>`` for named methods,
@@ -359,17 +353,7 @@ class AppModel:
         conditional at position 0.  Each conditional also contributes two
         branch ids, ``<id>:then`` and ``<id>:else``.
         """
-        statements: set[str] = set()
-        branches: set[str] = set()
-        blocks = [(self.handlers.get(event, ()), f"h:{event}/") for event in self.events]
-        blocks += [(block, f"m:{name}/") for name, block in self.methods.items()]
-        blocks.append((self.on_launch, "launch/"))
-        for block, prefix in blocks:
-            for sid, stmt in walk_statements(block, prefix):
-                statements.add(sid)
-                if isinstance(stmt, If):
-                    branches.update((f"{sid}:then", f"{sid}:else"))
-        return frozenset(statements), frozenset(branches)
+        return self.program.statement_ids, self.program.branch_ids
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +362,7 @@ class AppModel:
 
 
 def validate_app_model(model: AppModel) -> list[str]:
+    """The structural violations; the names statements use are checked as parsed."""
     violations: list[str] = []
     if not model.windows:
         violations.append("model declares no windows")
@@ -410,27 +395,6 @@ def validate_app_model(model: AppModel) -> list[str]:
             violations.append(f"field {name!r} is not owner-qualified (expected 'Owner.field')")
         if not (value is None or isinstance(value, (str, bool))):
             violations.append(f"field {name!r} has unsupported initial value {value!r}")
-
-    declared_fields = set(model.fields)
-    widget_pairs = {(w.name, widget.id) for w in model.windows for widget in w.widgets}
-
-    def check_block(block: Iterable[Statement], where: str) -> None:
-        for _, stmt in walk_statements(block, ""):
-            for role, name in _operands(stmt):
-                if role in ("read", "write") and name not in declared_fields:
-                    violations.append(f"{where}: undeclared field {name!r}")
-                elif role == "window" and name not in window_names:
-                    violations.append(f"{where}: undeclared window {name!r}")
-                elif role == "widget" and (stmt.window, name) not in widget_pairs:
-                    violations.append(f"{where}: unknown widget {stmt.window!r}/{name!r}")
-                elif role == "method" and name not in model.methods:
-                    violations.append(f"{where}: call to undeclared method {name!r}")
-
-    for event, block in model.handlers.items():
-        check_block(block, f"handler {event!r}")
-    for name, block in model.methods.items():
-        check_block(block, f"method {name!r}")
-    check_block(model.on_launch, "launch block")
     return violations
 
 
@@ -443,23 +407,40 @@ def _parse_condition(doc: dict, where: str) -> Condition:
     kind = typed(doc, dict, f"{where} cond").get("kind")
     if kind not in _CONDITION_KINDS:
         raise GuiseqError(f"{where}: unknown condition kind {kind!r}")
-    if kind == "equals" and not isinstance(doc.get("value"), str):
+    value = doc.get("value")
+    if kind == "equals" and not isinstance(value, str):
         raise GuiseqError(f"{where}: 'equals' condition needs a string value")
+    if kind != "equals" and value is not None:
+        raise GuiseqError(f"{where}: {kind!r} condition takes no 'value'")
     field = typed(doc["field"], str, f"{where} cond field")
-    return Condition(kind=kind, field=field, value=doc.get("value"))
+    return Condition(kind=kind, field=field, value=value)
 
 
-def _parse_statement(doc: dict, where: str) -> Statement:
+#: What a violation calls a name of each checked role that is not declared.
+_UNDECLARED = {
+    "read": "undeclared field",
+    "write": "undeclared field",
+    "window": "undeclared window",
+    "widget": "unknown widget",
+    "method": "call to undeclared method",
+}
+
+
+def _parse_statement(doc: dict, where: str, declared: dict, violations: list[str]) -> Statement:
+    """``doc``'s statement; each name not ``declared`` (by role) adds a violation."""
     op = typed(doc, dict, f"{where} statement").get("op")
     if op == "if":
         try:
-            return If(
-                cond=_parse_condition(doc["cond"], where),
-                then=_parse_block(doc.get("then", []), where),
-                orelse=_parse_block(doc.get("else", []), where),
-            )
+            cond = _parse_condition(doc["cond"], where)
+            if cond.field not in declared["read"]:
+                violations.append(f"{where}: undeclared field {cond.field!r}")
+            blocks = [
+                _parse_block(doc.get(key, []), where, declared, violations, f"{where} {key}")
+                for key in ("then", "else")
+            ]
         except KeyError as exc:
             raise GuiseqError(f"{where}: statement 'if' missing key {exc}") from None
+        return If(cond, *blocks)
     if op not in _OPS:
         raise GuiseqError(f"{where}: unknown statement op {op!r}")
     cls, operands = _OPS[op]
@@ -472,11 +453,19 @@ def _parse_statement(doc: dict, where: str) -> Statement:
         if type(value) not in types:
             raise GuiseqError(f"{where}: {op!r} {key} must be {noun}")
         values.append(value)
+        if role in _UNDECLARED:
+            name = (values[0], value) if role == "widget" else value  # in the window, operand 0
+            if name not in declared[role]:
+                shown = "%r/%r" % name if role == "widget" else repr(name)
+                violations.append(f"{where}: {_UNDECLARED[role]} {shown}")
     return cls(*values)
 
 
-def _parse_block(docs: list, where: str) -> tuple[Statement, ...]:
-    return tuple(_parse_statement(d, where) for d in typed(docs, list, where))
+def _parse_block(docs: list, where: str, declared: dict, violations: list, what=None) -> tuple:
+    """The statements of the list ``docs``, called ``what`` (or ``where``) if it is no list."""
+    return tuple(
+        _parse_statement(d, where, declared, violations) for d in typed(docs, list, what or where)
+    )
 
 
 def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
@@ -502,21 +491,33 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
         )
         for w in typed(doc.get("windows", []), list, "windows")
     )
+    name = typed(doc.get("name", default_name), str, "model name")
+    fields = typed(doc.get("fields", {}), dict, "fields")
+    methods = doc.get("methods", {})
+    # Method names read untyped: a bad handler is reported before a bad "methods".
+    declared = {
+        "read": fields,
+        "write": fields,
+        "window": {w.name for w in windows},
+        "widget": {(w.name, widget.id) for w in windows for widget in w.widgets},
+        "method": methods if type(methods) is dict else {},
+    }
+    violations: list[str] = []
     model = AppModel(
-        name=typed(doc.get("name", default_name), str, "model name"),
+        name=name,
         windows=windows,
-        fields=typed(doc.get("fields", {}), dict, "fields"),
+        fields=fields,
         handlers={
-            event: _parse_block(block, f"handler {event!r}")
+            event: _parse_block(block, f"handler {event!r}", declared, violations)
             for event, block in typed(doc.get("handlers", {}), dict, "handlers").items()
         },
         methods={
-            name: _parse_block(block, f"method {name!r}")
-            for name, block in typed(doc.get("methods", {}), dict, "methods").items()
+            method: _parse_block(block, f"method {method!r}", declared, violations)
+            for method, block in typed(methods, dict, "methods").items()
         },
-        on_launch=_parse_block(doc.get("onLaunch", []), "launch block"),
+        on_launch=_parse_block(doc.get("onLaunch", []), "launch block", declared, violations),
     )
-    violations = validate_app_model(model)
+    violations[:0] = validate_app_model(model)
     if violations:
         raise InvalidModelError(violations)
     return model

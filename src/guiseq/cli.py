@@ -56,7 +56,8 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command, with only ``command``'s arguments: one call runs one."""
     parser = argparse.ArgumentParser(
         prog="guiseq",
         description="Grey-box GUI test-sequence generation and replay.",
@@ -64,63 +65,69 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rip", help="explore an application model into an event-flow graph")
-    p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
-    p.add_argument("--out", required=True, type=Path, help="event-flow graph output (JSON)")
-    p.add_argument("--structure", type=Path, help="also write the observed GUI structure")
-    p.add_argument("--dot", type=Path, help="also write the graph in DOT form")
+    if command == "rip":
+        p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
+        p.add_argument("--out", required=True, type=Path, help="event-flow graph output (JSON)")
+        p.add_argument("--structure", type=Path, help="also write the observed GUI structure")
+        p.add_argument("--dot", type=Path, help="also write the graph in DOT form")
 
     p = sub.add_parser("edg", help="build the event-dependency graph from a program model")
-    p.add_argument("--ir", required=True, type=Path, help="program model (JSON)")
-    p.add_argument("--efg", required=True, type=Path, help="event-flow graph (JSON)")
-    p.add_argument("--out", required=True, type=Path, help="event-dependency graph output (JSON)")
-    p.add_argument("--dot", type=Path, help="also write the graph in DOT form")
+    if command == "edg":
+        p.add_argument("--ir", required=True, type=Path, help="program model (JSON)")
+        p.add_argument("--efg", required=True, type=Path, help="event-flow graph (JSON)")
+        p.add_argument(
+            "--out", required=True, type=Path, help="event-dependency graph output (JSON)"
+        )
+        p.add_argument("--dot", type=Path, help="also write the graph in DOT form")
 
     p = sub.add_parser("gen", help="generate executable test sequences")
-    p.add_argument("--config", choices=sorted(PRESETS), help="preset configuration")
-    p.add_argument("--mode", choices=["blackbox", "greybox"], help="generator mode")
-    p.add_argument("--length", type=int, help="events per generated sequence")
-    p.add_argument("--top", type=int, help="per-event sequence budget (grey-box)")
-    p.add_argument("--efg", required=True, type=Path, help="event-flow graph (JSON)")
-    p.add_argument("--edg", type=Path, help="event-dependency graph (grey-box only)")
-    p.add_argument("--out", required=True, type=Path, help="sequence output (JSON lines)")
+    if command == "gen":
+        p.add_argument("--config", choices=sorted(PRESETS), help="preset configuration")
+        p.add_argument("--mode", choices=["blackbox", "greybox"], help="generator mode")
+        p.add_argument("--length", type=int, help="events per generated sequence")
+        p.add_argument("--top", type=int, help="per-event sequence budget (grey-box)")
+        p.add_argument("--efg", required=True, type=Path, help="event-flow graph (JSON)")
+        p.add_argument("--edg", type=Path, help="event-dependency graph (grey-box only)")
+        p.add_argument("--out", required=True, type=Path, help="sequence output (JSON lines)")
 
     p = sub.add_parser("replay", help="execute generated sequences against a model")
-    p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
-    p.add_argument("--sequences", required=True, type=Path, help="sequence file (JSON lines)")
-    p.add_argument("--report", required=True, type=Path, help="report output (JSON)")
-    p.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=1,
-        help="accepted and ignored: replay runs in one thread",
-    )
-    p.add_argument(
-        "--allow-broken",
-        action="store_true",
-        help="broken sequences do not fail the run",
-    )
+    if command == "replay":
+        p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
+        p.add_argument("--sequences", required=True, type=Path, help="sequence file (JSON lines)")
+        p.add_argument("--report", required=True, type=Path, help="report output (JSON)")
+        p.add_argument(
+            "--parallel",
+            type=_positive_int,
+            default=1,
+            help="accepted and ignored: replay runs in one thread",
+        )
+        p.add_argument(
+            "--allow-broken", action="store_true", help="broken sequences do not fail the run"
+        )
 
     p = sub.add_parser("report", help="tabulate one or more replay reports")
-    p.add_argument("reports", nargs="+", type=Path, help="report files (JSON)")
-    p.add_argument("--label", action="append", default=[], help="column label (repeatable)")
-    p.add_argument(
-        "--gen-seconds",
-        action="append",
-        default=[],
-        type=_seconds,
-        help="measured generation time per column (repeatable)",
-    )
-    p.add_argument(
-        "--exec-seconds",
-        action="append",
-        default=[],
-        type=_seconds,
-        help="measured execution time per column (repeatable)",
-    )
+    if command == "report":
+        p.add_argument("reports", nargs="+", type=Path, help="report files (JSON)")
+        p.add_argument("--label", action="append", default=[], help="column label (repeatable)")
+        p.add_argument(
+            "--gen-seconds",
+            action="append",
+            default=[],
+            type=_seconds,
+            help="measured generation time per column (repeatable)",
+        )
+        p.add_argument(
+            "--exec-seconds",
+            action="append",
+            default=[],
+            type=_seconds,
+            help="measured execution time per column (repeatable)",
+        )
 
     p = sub.add_parser("export-dot", help="render a graph file as DOT")
-    p.add_argument("--graph", required=True, type=Path, help="graph file (JSON)")
-    p.add_argument("--out", type=Path, help="output path (stdout when omitted)")
+    if command == "export-dot":
+        p.add_argument("--graph", required=True, type=Path, help="graph file (JSON)")
+        p.add_argument("--out", type=Path, help="output path (stdout when omitted)")
 
     return parser
 
@@ -282,7 +289,9 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The first command name is the command: no top-level option takes a value.
+    args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GuiseqError, OSError) as exc:

@@ -217,10 +217,12 @@ class Program:
     """An :class:`~guiseq.appmodel.AppModel`'s handlers, methods and launch
     block compiled into steps, each with its statement id, branch ids and
     operands bound.  Built once per model instance, on its first launch or
-    fire (:attr:`AppModel.program <guiseq.appmodel.AppModel.program>`)."""
+    fire (:attr:`AppModel.program <guiseq.appmodel.AppModel.program>`).  Every
+    id formatted is kept, frozen, in :attr:`statement_ids` and :attr:`branch_ids`."""
 
     def __init__(self, model: AppModel) -> None:
         self.main_window = model.main_window
+        self.statement_ids, self.branch_ids = [], []  # frozen once the blocks compile
         #: The event of each ``(window, widget id)``: what an ``enable`` sets.
         self.widget_event = {
             (w.name, widget.id): widget.event for w in model.windows for widget in w.widgets
@@ -234,11 +236,13 @@ class Program:
             event: self.block(block, f"h:{event}/") for event, block in model.handlers.items()
         }
         self.on_launch = self.block(model.on_launch, "launch/")
+        self.statement_ids, self.branch_ids = map(frozenset, (self.statement_ids, self.branch_ids))
 
     def block(self, statements: Iterable[Statement], prefix: str) -> Block:
         out = []
         for i, stmt in enumerate(statements):
             sid = f"{prefix}{i}"
+            self.statement_ids.append(sid)
             out.append((sid, _STEPS[type(stmt)](stmt, sid, self)))
         return tuple(out)
 
@@ -277,6 +281,7 @@ def _if(stmt: If, sid: str, program: Program) -> Step:
     field, test = stmt.cond.field, _TESTS[stmt.cond.kind](stmt.cond)
     then, orelse = program.block(stmt.then, f"{sid}.t."), program.block(stmt.orelse, f"{sid}.e.")
     then_id, else_id = f"{sid}:then", f"{sid}:else"
+    program.branch_ids += then_id, else_id
 
     def step(state: GuiState, depth: int) -> None:
         if test(state.fields[field]):

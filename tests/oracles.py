@@ -19,7 +19,8 @@ by walking their statements instead of compiled steps, a JSON-lines file cut
 into line strings for ``json.loads`` instead of scanned in place, a sequence
 file's events checked one occurrence at a time instead of as a set of
 distinct events, split parts grouped into a list per case instead of into
-the case itself.
+the case itself, a model's violations and coverage universe by walking its
+parsed statements again instead of as it is parsed and compiled.
 Slow is fine — most run on graphs of at most a dozen events, and the
 graph oracles once on one ripped benchmark model of about a hundred.
 """
@@ -48,6 +49,8 @@ from guiseq.appmodel import (
     Statement,
     ThrowArrayOob,
     WriteSetting,
+    _BY_CLASS,
+    walk_statements,
 )
 from guiseq.generate import SequenceRecord
 from guiseq.replay import SuiteResult, TestCase
@@ -155,6 +158,89 @@ def scanned_violations(g: Efg) -> list[str]:
             violations.append(f"duplicate edge ({src!r}, {dst!r})")
         seen_edges.add((src, dst))
     return violations
+
+
+def _operands(stmt: Statement) -> list[tuple[str | None, object]]:
+    """``(role, value)`` of each operand; a conditional reads its condition's field."""
+    if isinstance(stmt, If):
+        return [("read", stmt.cond.field)]
+    return [(role, getattr(stmt, attr)) for attr, _, role in _BY_CLASS[type(stmt)][1]]
+
+
+def walked_violations(model: AppModel) -> list[str]:
+    """``load_app_model``'s violations of a parsed model: the structural
+    checks, then a walk of every handler, method and the launch block that
+    checks each operand's name."""
+    violations: list[str] = []
+    if not model.windows:
+        violations.append("model declares no windows")
+    mains = [w.name for w in model.windows if w.main]
+    if len(mains) != 1:
+        violations.append(f"expected exactly one main window, found {len(mains)}")
+    window_names: set[str] = set()
+    for w in model.windows:
+        if w.name in window_names:
+            violations.append(f"duplicate window name {w.name!r}")
+        window_names.add(w.name)
+        widget_ids: set[str] = set()
+        for widget in w.widgets:
+            if widget.id in widget_ids:
+                violations.append(f"window {w.name!r}: duplicate widget id {widget.id!r}")
+            widget_ids.add(widget.id)
+    events: set[str] = set()
+    for e in model.events:
+        if e in events:
+            violations.append(f"duplicate event id {e!r}")
+        events.add(e)
+    for e in dict.fromkeys(model.events):
+        if e not in model.handlers:
+            violations.append(f"event {e!r} has no handler")
+    for h in model.handlers:
+        if h not in events:
+            violations.append(f"handler for unknown event {h!r}")
+    for name, value in model.fields.items():
+        if "." not in name:
+            violations.append(f"field {name!r} is not owner-qualified (expected 'Owner.field')")
+        if not (value is None or isinstance(value, (str, bool))):
+            violations.append(f"field {name!r} has unsupported initial value {value!r}")
+
+    declared_fields = set(model.fields)
+    widget_pairs = {(w.name, widget.id) for w in model.windows for widget in w.widgets}
+
+    def check_block(block: Iterable[Statement], where: str) -> None:
+        for _, stmt in walk_statements(block, ""):
+            for role, name in _operands(stmt):
+                if role in ("read", "write") and name not in declared_fields:
+                    violations.append(f"{where}: undeclared field {name!r}")
+                elif role == "window" and name not in window_names:
+                    violations.append(f"{where}: undeclared window {name!r}")
+                elif role == "widget" and (stmt.window, name) not in widget_pairs:
+                    violations.append(f"{where}: unknown widget {stmt.window!r}/{name!r}")
+                elif role == "method" and name not in model.methods:
+                    violations.append(f"{where}: call to undeclared method {name!r}")
+
+    for event, block in model.handlers.items():
+        check_block(block, f"handler {event!r}")
+    for name, block in model.methods.items():
+        check_block(block, f"method {name!r}")
+    check_block(model.on_launch, "launch block")
+    return violations
+
+
+def walked_coverage_universe(model: AppModel) -> tuple[frozenset[str], frozenset[str]]:
+    """``AppModel.coverage_universe`` by walking every block's statements
+    instead of taking the ids the compile formats."""
+    statements: set[str] = set()
+    branches: set[str] = set()
+    blocks = [(model.handlers.get(event, ()), f"h:{event}/") for event in model.events]
+    blocks += [(block, f"m:{name}/") for name, block in model.methods.items()]
+    blocks.append((model.on_launch, "launch/"))
+    for block, prefix in blocks:
+        for sid, stmt in walk_statements(block, prefix):
+            statements.add(sid)
+            if isinstance(stmt, If):
+                branches.update((f"{sid}:then", f"{sid}:else"))
+    return frozenset(statements), frozenset(branches)
 
 
 def floyd_warshall(g: Efg) -> dict[tuple[str, str], float]:

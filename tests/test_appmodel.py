@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guiseq import corpus
+from guiseq import appmodel, corpus, replay
 from guiseq.appmodel import (
+    _BY_CLASS,
     _OPS,
     Call,
     CloseWindow,
@@ -16,6 +22,7 @@ from guiseq.appmodel import (
     Deref,
     ExitApp,
     If,
+    InvalidModelError,
     Log,
     OpenWindow,
     ReadField,
@@ -30,7 +37,12 @@ from guiseq.appmodel import (
     statement_effects,
     walk_statements,
 )
+from guiseq.generate import SequenceRecord
 from guiseq.graphs import GuiseqError
+
+from oracles import walked_coverage_universe, walked_violations
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 IF_DOC = {
     "op": "if",
@@ -205,10 +217,31 @@ def test_window_event_of_another_type_is_reported_with_the_file(tmp_path, value)
             [{"op": "if", "cond": {"kind": "bogus", "field": "MainWindow.enabled"}, "then": []}],
             "handler 'e1': unknown condition kind 'bogus'",
         ),
+        (
+            ("handlers", "e3", 0, "cond", "value"),
+            [1],
+            "handler 'e3': 'isTrue' condition takes no 'value'",
+        ),
+        (
+            ("handlers", "e3", 0, "cond"),
+            {"kind": "isNull", "field": "MainWindow.text", "value": {"x": 1}},
+            "handler 'e3': 'isNull' condition takes no 'value'",
+        ),
+        (
+            ("handlers", "e3", 0, "then"),
+            {},
+            "malformed application model: handler 'e3' then is {}, not list",
+        ),
+        (
+            ("handlers", "e3", 0, "else"),
+            {},
+            "malformed application model: handler 'e3' else is {}, not list",
+        ),
     ],
     ids=[
         "handlers-as-list", "methods-as-list", "statement-as-string", "cond-as-string",
-        "cond-field-as-list", "unknown-condition-kind",
+        "cond-field-as-list", "unknown-condition-kind", "is-true-with-a-value",
+        "is-null-with-a-value", "then-as-object", "else-as-object",
     ],
 )
 def test_a_bad_value_is_reported_by_its_key(tmp_path, path, value, message):
@@ -222,3 +255,116 @@ def test_a_bad_value_is_reported_by_its_key(tmp_path, path, value, message):
     with pytest.raises(GuiseqError) as exc:
         load_app_model(model)
     assert str(exc.value) == f"{model}: {message}"
+
+
+#: A name no corpus model declares, for each role whose names are checked.
+UNDECLARED = {
+    "read": "Ghost.field",
+    "write": "Ghost.field",
+    "window": "GhostWindow",
+    "widget": "ghost",
+    "method": "ghost",
+}
+
+
+def _operand_slots(block: tuple, steps: tuple = ()):
+    """``(steps, attribute, role)`` of each checked operand of ``block``,
+    conditions and branches included; ``steps`` leads to its statement
+    through indexes and ``"then"``/``"orelse"``."""
+    for i, stmt in enumerate(block):
+        if isinstance(stmt, If):
+            yield (*steps, i), "cond", "read"
+            yield from _operand_slots(stmt.then, (*steps, i, "then"))
+            yield from _operand_slots(stmt.orelse, (*steps, i, "orelse"))
+        else:
+            for attr, _, role in _BY_CLASS[type(stmt)][1]:
+                if role in UNDECLARED:
+                    yield (*steps, i), attr, role
+
+
+def _with_operand(block: tuple, steps: tuple, attr: str, name: str) -> tuple:
+    """``block`` with the operand at ``steps`` and ``attr`` naming ``name``."""
+    i, *rest = steps
+    stmt = block[i]
+    if rest:
+        branch, *rest = rest
+        stmt = replace(stmt, **{branch: _with_operand(getattr(stmt, branch), rest, attr, name)})
+    elif attr == "cond":
+        stmt = replace(stmt, cond=replace(stmt.cond, field=name))
+    else:
+        stmt = replace(stmt, **{attr: name})
+    return (*block[:i], stmt, *block[i + 1:])
+
+
+@st.composite
+def misnamed_models(draw, model):
+    """``model`` with a few operands, in any block, pointed at other names,
+    mostly undeclared ones, and perhaps one handler dropped."""
+    names = {
+        "read": list(model.fields),
+        "window": [w.name for w in model.windows],
+        "widget": [widget.id for w in model.windows for widget in w.widgets],
+        "method": list(model.methods),
+    }
+    names["write"] = names["read"]
+    for _ in range(draw(st.integers(0, 6))):
+        blocks = [("handlers", event, block) for event, block in model.handlers.items()]
+        blocks += [("methods", method, block) for method, block in model.methods.items()]
+        blocks.append(("on_launch", None, model.on_launch))
+        slots = [(kind, key, block, *slot) for kind, key, block in blocks
+                 for slot in _operand_slots(block)]
+        kind, key, block, steps, attr, role = draw(st.sampled_from(slots))
+        name = draw(st.sampled_from([UNDECLARED[role]] * 3 + names[role]))
+        block = _with_operand(block, steps, attr, name)
+        if kind == "on_launch":
+            model = replace(model, on_launch=block)
+        else:
+            model = replace(model, **{kind: {**getattr(model, kind), key: block}})
+    if draw(st.booleans()):
+        dropped = draw(st.sampled_from(list(model.handlers)))
+        model = replace(model, handlers={e: b for e, b in model.handlers.items() if e != dropped})
+    return model
+
+
+@pytest.mark.parametrize("name", corpus.MODELS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_reports_the_violations_of_a_walk_in_its_order(tmp_path_factory, name, data):
+    """Operand names are checked as they are parsed: every violation, in the
+    order a walk of the parsed model after its structural checks finds it."""
+    model = data.draw(misnamed_models(corpus.app_model(name)))
+    path = tmp_path_factory.getbasetemp() / f"{name}.app.json"
+    path.write_text(json.dumps(app_model_to_json(model)))
+    expected = walked_violations(model)
+    if expected:
+        with pytest.raises(InvalidModelError) as exc:
+            load_app_model(path)
+        assert exc.value.violations == expected
+    else:
+        assert load_app_model(path) == model
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*corpus.MODELS, *(f"bench:{w}" for w in ("blackbox-wide", "greybox-deep", "rip-wizard"))],
+)
+def test_the_compile_lists_the_walked_coverage_universe(monkeypatch, model):
+    if model.startswith("bench:"):
+        monkeypatch.syspath_prepend(str(BENCH))
+        app = importlib.import_module("models").build_model(model.removeprefix("bench:"), 1)
+    else:
+        app = corpus.app_model(model)
+    assert app.coverage_universe == walked_coverage_universe(app)
+
+
+def test_loading_and_replaying_walk_no_statements(monkeypatch):
+    """The parse checks names and the compile lists the coverage universe:
+    nothing walks the parsed statements again."""
+    def walk(*args):
+        raise AssertionError("walk_statements was called")
+
+    monkeypatch.setattr(appmodel, "walk_statements", walk)
+    model = load_app_model(corpus.model_path("example-app"))
+    case = replay.TestCase(parts=(SequenceRecord("s1", ("e3", "e4"), (0, 1), "blackbox"),))
+    suite = replay.run_suite(model, [case])
+    assert (suite.statements_total, suite.branches_total) == (12, 2)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -574,6 +576,11 @@ def _drop(path):
         ])),
         ("app", _replace(("handlers", "e1"), {})),
         ("app", _replace(("handlers", "e3", 0, "then"), {})),
+        ("app", _replace(("handlers", "e3", 0, "else"), {})),
+        ("app", _replace(("handlers", "e3", 0, "cond", "value"), [1])),
+        ("app", _replace(("handlers", "e3", 0, "cond"), {
+            "kind": "isNull", "field": "MainWindow.text", "value": {"x": 1},
+        })),
         ("app", _replace(("onLaunch",), {})),
         ("efg", _replace(("edges",), {})),
         ("edg", b'{"schemaVersion": 1, "events": [{"id": "e1"}, {"id": "e2"}, {"id": "e3"}, '
@@ -614,6 +621,9 @@ def _drop(path):
         "app-fields-as-pairs",
         "app-handler-as-object",
         "app-then-as-object",
+        "app-else-as-object",
+        "app-is-true-with-a-value",
+        "app-is-null-with-a-value",
         "app-onlaunch-as-object",
         "efg-edges-as-object",
         "edg-edges-as-object",
@@ -715,3 +725,28 @@ def test_unbounded_recursion_exits_2_naming_the_model(tmp_path, capsys, command)
         f"error: {model}: call depth exceeded {MAX_CALL_DEPTH} at 'm:f/'; "
         "the model likely has unbounded recursion"
     ]
+
+
+#: ``--help`` of the program and of each command, each command's
+#: missing-argument error, an unknown command and a few other usage errors:
+#: argv, exit code, stdout and stderr, recorded at an 80-column terminal.
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_TEXT, ids=[" ".join(c["argv"]) or "-" for c in CLI_TEXT])
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    assert exc.value.code == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+def test_main_parses_the_process_arguments_by_default(monkeypatch, capsys):
+    (case,) = [c for c in CLI_TEXT if c["argv"] == ["replay", "--help"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["guiseq", *case["argv"]])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
