@@ -1,4 +1,6 @@
-"""The statement table: every op parses, dumps back and has pinned effects."""
+"""The statement table: every op parses, dumps back and has pinned effects.
+A load reports undeclared names in the order a walk of the parsed model
+finds them, and the compile lists the coverage universe a walk finds."""
 
 from __future__ import annotations
 
