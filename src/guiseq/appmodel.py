@@ -309,10 +309,7 @@ class AppModel:
 
     @cached_property
     def main_window(self) -> str:
-        for w in self.windows:
-            if w.main:
-                return w.name
-        raise InvalidModelError(["no main window declared"])
+        return next(w.name for w in self.windows if w.main)
 
     @cached_property
     def window_by_name(self) -> Mapping[str, WindowSpec]:
@@ -547,8 +544,6 @@ def _statement_to_json(stmt: Statement) -> dict:
         if stmt.orelse:
             doc["else"] = [_statement_to_json(s) for s in stmt.orelse]
         return doc
-    if type(stmt) not in _BY_CLASS:
-        raise GuiseqError(f"unserializable statement {stmt!r}")
     op, operands = _BY_CLASS[type(stmt)]
     return {"op": op, **{key: getattr(stmt, attr) for attr, key, _ in operands}}
 

@@ -485,7 +485,7 @@ def _graph_from_json(doc: dict) -> Efg | Edg:
         violations = validate_efg(g)
     except TypeError:
         _name_wrong_typed_edge(edges)
-        raise
+        raise  # unreached while _name_wrong_typed_edge raises; else `violations` is unbound
     if violations:
         raise InvalidGraphError(violations)
     return g

@@ -73,8 +73,7 @@ class ClassDb:
     """A program model and its methods indexed by qualified name.
 
     :meth:`effects` walks the call graph once from an event's bound handler
-    and returns both transitive field sets; :meth:`fields_read` and
-    :meth:`fields_written` are views over it.
+    and returns both transitive field sets.
     """
 
     model: ProgramModel
@@ -106,12 +105,6 @@ class ClassDb:
                 writes.update(method.writes)
                 stack.extend(method.calls)
         return frozenset(reads), frozenset(writes)
-
-    def fields_read(self, event: str) -> frozenset[str]:
-        return self.effects(event)[0]
-
-    def fields_written(self, event: str) -> frozenset[str]:
-        return self.effects(event)[1]
 
 
 def build_class_db(model: ProgramModel) -> ClassDb:

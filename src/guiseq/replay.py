@@ -67,15 +67,11 @@ class TestCase(NamedTuple):
     @property
     def events(self) -> tuple[str, ...]:
         """All events across parts, in execution order."""
-        if len(self.parts) == 1:
-            return self.parts[0].events
         return tuple(e for part in self.parts for e in part.events)
 
     @property
     def targets(self) -> tuple[int, ...]:
         """Target positions rebased onto the cumulative event list."""
-        if len(self.parts) == 1:
-            return self.parts[0].targets
         out: list[int] = []
         offset = 0
         for part in self.parts:

@@ -447,11 +447,7 @@ def fire_event(state: GuiState, event: str) -> CrashRecord | None:
         raise UnavailableEventError(f"event {event!r} fired while not available")
     state.coverage.handlers.add(event)
     try:
-        block = state.model.program.handlers[event]
-    except KeyError:
-        raise GuiseqError(f"event {event!r} has no handler") from None
-    try:
-        _run(state, block, 0)
+        _run(state, state.model.program.handlers[event], 0)
     except _CrashSignal as crash:
         state.exited = True
         return CrashRecord(kind=crash.kind, statement=crash.statement)

@@ -138,6 +138,28 @@ def test_corpus_model_round_trips_through_json(tmp_path, name):
     assert json.dumps(app_model_to_json(again)) == json.dumps(dumped)
 
 
+def test_a_window_event_round_trips_through_json(tmp_path):
+    doc = _model_doc([])
+    doc["windows"][1]["windowEvent"] = "focus"
+    doc["handlers"]["focus"] = [{"op": "close", "window": "Dlg"}]
+    path = tmp_path / "ops.app.json"
+    path.write_text(json.dumps(doc))
+    assert app_model_to_json(load_app_model(path)) == doc
+
+
+@pytest.mark.parametrize(
+    ("lookup", "message"),
+    [
+        (corpus.model_path, "unknown bundled model 'nope'"),
+        (corpus.ir_path, "unknown bundled program model 'nope'"),
+    ],
+    ids=["model", "program-model"],
+)
+def test_an_unknown_bundled_name_raises_key_error(lookup, message):
+    with pytest.raises(KeyError, match=re.escape(message)):
+        lookup("nope")
+
+
 @pytest.mark.parametrize(
     ("doc", "message"),
     [
@@ -157,10 +179,12 @@ def test_corpus_model_round_trips_through_json(tmp_path, name):
             "'enable' enabled must be a boolean",
         ),
         ({"op": "deref"}, "handler 'e': statement 'deref' missing key 'field'"),
+        ({"op": "if", "then": []}, "handler 'e': statement 'if' missing key 'cond'"),
     ],
     ids=[
         "copy-from", "readSetting-field", "if-cond", "open-window", "enable-widget",
         "call-method", "set-value", "writeSetting-key", "enable-enabled", "deref-no-field",
+        "if-no-cond",
     ],
 )
 def test_invalid_operand_is_reported_with_the_file(tmp_path, doc, message):
@@ -239,11 +263,55 @@ def test_window_event_of_another_type_is_reported_with_the_file(tmp_path, value)
             {},
             "malformed application model: handler 'e3' else is {}, not list",
         ),
+        (
+            ("handlers", "e3", 0, "cond"),
+            {"kind": "equals", "field": "MainWindow.text"},
+            "handler 'e3': 'equals' condition needs a string value",
+        ),
+        (
+            ("windows",),
+            [],
+            "model declares no windows; expected exactly one main window, found 0; "
+            "handler for unknown event 'e1'; handler for unknown event 'e2'; "
+            "handler for unknown event 'e3'; handler for unknown event 'e4'; "
+            "method 'openDialog': undeclared window 'Dialog'; "
+            "method 'closeDialog': undeclared window 'Dialog'",
+        ),
+        (
+            ("windows", 1, "name"),
+            "MainWindow",
+            "duplicate window name 'MainWindow'; "
+            "method 'openDialog': undeclared window 'Dialog'; "
+            "method 'closeDialog': undeclared window 'Dialog'",
+        ),
+        (
+            ("windows", 0, "widgets", 1, "id"),
+            "b1",
+            "window 'MainWindow': duplicate widget id 'b1'",
+        ),
+        (
+            ("windows", 1, "widgets", 0, "event"),
+            "e1",
+            "duplicate event id 'e1'; handler for unknown event 'e4'",
+        ),
+        (
+            ("fields", "x"),
+            None,
+            "field 'x' is not owner-qualified (expected 'Owner.field')",
+        ),
+        (
+            ("fields", "MainWindow.text"),
+            5,
+            "field 'MainWindow.text' has unsupported initial value 5",
+        ),
     ],
     ids=[
         "handlers-as-list", "methods-as-list", "statement-as-string", "cond-as-string",
         "cond-field-as-list", "unknown-condition-kind", "is-true-with-a-value",
         "is-null-with-a-value", "then-as-object", "else-as-object",
+        "equals-without-a-value", "no-windows", "duplicate-window-name",
+        "duplicate-widget-id", "duplicate-event-id", "field-not-owner-qualified",
+        "field-of-another-type",
     ],
 )
 def test_a_bad_value_is_reported_by_its_key(tmp_path, path, value, message):

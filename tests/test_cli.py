@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import guiseq
 from guiseq import corpus
 from guiseq.cli import _check_sequences, main
 from guiseq.generate import SequenceRecord
@@ -58,6 +61,17 @@ def test_edg_command(workdir, capsys):
     assert "built dependency graph: 3 edges" in captured.out
     assert captured.err == ""
     assert load_graph(out).edges == (("e1", 1, "e3"), ("e2", 1, "e2"), ("e4", 1, "e2"))
+
+
+def test_edg_dot_writes_what_export_dot_prints(workdir, capsys):
+    edg, dot = workdir / "edg.json", workdir / "edg.dot"
+    assert main([
+        "edg", "--ir", str(corpus.ir_path("example-app-curated")),
+        "--efg", str(workdir / "efg.json"), "--out", str(edg), "--dot", str(dot),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["export-dot", "--graph", str(edg)]) == 0
+    assert dot.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_edg_warns_about_unbound_events(workdir, capsys):
@@ -321,8 +335,11 @@ def test_report_table_and_labels(workdir, capsys):
     assert main(["report", str(report_a), "--label", "x", "--label", "y"]) == 2
     assert "more labels than report files" in capsys.readouterr().err
 
+    assert main(["report", str(report_a), "--gen-seconds", "0.5", "--gen-seconds", "1"]) == 2
+    assert "more timing values than report files" in capsys.readouterr().err
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
 @pytest.mark.parametrize("flag", ["--gen-seconds", "--exec-seconds"])
 def test_report_seconds_must_be_finite_and_not_negative(workdir, capsys, flag, value):
     report = workdir / "r.json"
@@ -750,3 +767,47 @@ def test_main_parses_the_process_arguments_by_default(monkeypatch, capsys):
         main()
     assert exc.value.code == 0
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+def test_fresh_processes_under_any_hash_seed_match_an_in_process_run(
+    tmp_path, monkeypatch, capsys
+):
+    """``python -m guiseq`` runs rip, edg, then gen and replay for configs C
+    and E on example-app under two hash seeds; every exit code, stdout,
+    stderr and artifact equals an in-process run's."""
+    model = str(corpus.model_path("example-app"))
+    argvs = [
+        ["rip", "--model", model, "--out", "efg.json", "--structure", "structure.json"],
+        ["edg", "--ir", str(corpus.ir_path("example-app-curated")), "--efg", "efg.json",
+         "--out", "edg.json"],
+        ["gen", "--config", "C", "--efg", "efg.json", "--out", "c.jsonl"],
+        ["gen", "--config", "E", "--efg", "efg.json", "--edg", "edg.json", "--out", "e.jsonl"],
+        ["replay", "--model", model, "--sequences", "c.jsonl", "--report", "c.json"],
+        ["replay", "--model", model, "--sequences", "e.jsonl", "--report", "e.json"],
+    ]
+
+    def artifacts(cwd):
+        return {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+
+    here = tmp_path / "in-process"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    expected = []
+    for argv in argvs:
+        code = main(argv)
+        expected.append((code, *capsys.readouterr()))
+    assert [code for code, *_ in expected] == [0, 0, 0, 0, 1, 1]
+
+    src = str(Path(guiseq.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for seed in ("0", "12345"):
+        cwd = tmp_path / f"seed-{seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath}
+        runs = [
+            subprocess.run([sys.executable, "-m", "guiseq", *argv], cwd=cwd, env=env,
+                           capture_output=True, text=True)
+            for argv in argvs
+        ]
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs] == expected
+        assert artifacts(cwd) == artifacts(here)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -52,8 +53,8 @@ def test_effect_closure_follows_calls():
         {"ev": "C.top"},
     )
     db = build_class_db(m)
-    assert db.fields_read("ev") == {"C.a", "C.c"}
-    assert db.fields_written("ev") == {"C.b", "C.c"}
+    assert db.effects("ev")[0] == {"C.a", "C.c"}
+    assert db.effects("ev")[1] == {"C.b", "C.c"}
 
 
 def test_effect_closure_terminates_on_mutual_recursion():
@@ -66,9 +67,9 @@ def test_effect_closure_terminates_on_mutual_recursion():
         {"ev": "C.ping", "ev2": "C.pong"},
     )
     db = build_class_db(m)
-    assert db.fields_read("ev") == {"C.x"}
-    assert db.fields_written("ev") == {"C.y"}
-    assert db.fields_read("ev2") == {"C.x"}
+    assert db.effects("ev")[0] == {"C.x"}
+    assert db.effects("ev")[1] == {"C.y"}
+    assert db.effects("ev2")[0] == {"C.x"}
 
 
 def test_build_class_db_rejects_broken_models():
@@ -93,7 +94,7 @@ def test_unbound_event_raises_but_edg_only_warns():
     m = model_of(["a"], [("m", ["a"], ["a"], [])], {"e1": "C.m"})
     db = build_class_db(m)
     with pytest.raises(UnboundEventError):
-        db.fields_read("e2")
+        db.effects("e2")
 
     g = Efg.of(["e1", "e2"], ["e1"], [("e1", "e2")])
     d, warnings = build_edg(db, g)
@@ -145,12 +146,25 @@ def test_bundled_literal_model_matches_derivation(example_app):
 def test_derive_program_model_collects_handler_effects(example_app):
     m = derive_program_model(example_app)
     db = build_class_db(m)
-    assert db.fields_read("e2") == {"MainWindow.text"}
-    assert db.fields_written("e2") == {"MainWindow.text"}
+    assert db.effects("e2")[0] == {"MainWindow.text"}
+    assert db.effects("e2")[1] == {"MainWindow.text"}
     # e3's dialog-opening branch goes through two helper methods
-    assert db.fields_written("e3") == {"Dialog.mainWindow"}
-    assert db.fields_read("e4") == {"Dialog.mainWindow"}
-    assert db.fields_written("e4") == {"MainWindow.text"}
+    assert db.effects("e3")[1] == {"Dialog.mainWindow"}
+    assert db.effects("e4")[0] == {"Dialog.mainWindow"}
+    assert db.effects("e4")[1] == {"MainWindow.text"}
+
+
+def test_derive_program_model_rejects_names_that_collide(example_app):
+    handlers_owner = replace(example_app, fields={**example_app.fields, "Handlers.x": None})
+    with pytest.raises(
+        GuiseqError, match="^field owner 'Handlers' collides with the handlers class name$"
+    ):
+        derive_program_model(handlers_owner)
+    event_as_method = replace(example_app, methods={**example_app.methods, "e2": (), "e1": ()})
+    with pytest.raises(
+        GuiseqError, match=r"^event ids collide with method names: \['e1', 'e2'\]$"
+    ):
+        derive_program_model(event_as_method)
 
 
 def test_program_model_round_trip(tmp_path, example_app):
@@ -213,8 +227,8 @@ def test_closure_matches_fixpoint_iteration(m: ProgramModel):
     reads = fixpoint_effects(m, "reads")
     writes = fixpoint_effects(m, "writes")
     for event, handler in m.bindings.items():
-        assert db.fields_read(event) == reads[handler]
-        assert db.fields_written(event) == writes[handler]
+        assert db.effects(event)[0] == reads[handler]
+        assert db.effects(event)[1] == writes[handler]
 
 
 @given(program_models(), st.data())
