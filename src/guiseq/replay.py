@@ -17,8 +17,13 @@ four decimals.
 
 :func:`run_suite` fires each distinct first-part prefix once and forks where
 cases part ways; a restart is launched once per distinct settings content.
-Every verdict, and the coverage, equals what :func:`run_test_case` computes
-from scratch for each case, so neither sharing nor case order shows.
+A one-part case's last event whose handler reads the same field values,
+under the same open windows and settings, as an earlier such last event is
+resolved from a memo, without a fork or a fire: the handler's run and the
+restart after it depend on nothing else, since no handler reads an enabled
+flag and the event's availability is checked on every hit.  Every verdict,
+and the coverage, equals what :func:`run_test_case` computes from scratch
+for each case, so neither sharing nor case order shows.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,6 +45,7 @@ from .simulator import (
     GuiState,
     UnavailableEventError,
     fire_event,
+    is_available,
     launch,
 )
 
@@ -175,6 +182,18 @@ def _replay_tree(
     ``group`` has a first part that begins with the ``depth`` events
     ``state`` has fired.  Each case that ends there, and each next event,
     uses the state; all but the last user get a fork of it.
+
+    A next event that only ends one-part cases is a leaf.  Once the event is
+    available, its outcome, the verdict of the fire and of the restart after
+    it, depends only on its key: the event, the values of the fields its
+    handler reads (:attr:`Program.handler_reads
+    <guiseq.simulator.Program.handler_reads>`), the open windows and the
+    settings.  No handler reads an enabled flag, and an exited state offers
+    no event.  So a leaf whose key an earlier leaf memoised is resolved
+    without a fork or a fire: one check that the event is available, then
+    the memoised verdict, an event crash moved to this position.  Coverage
+    needs nothing, since the fire that memoised the key already added what
+    the handler and the restart ran.
     """
     if not cases:
         return []
@@ -182,8 +201,15 @@ def _replay_tree(
     if crash is not None:  # every case fails the same way; nothing more runs
         return [_result((case, "failed", crash, None)) for case in cases]
     firsts = [case.parts[0].events for case in cases]
+    # the position of a one-part case's last event, where it may be a leaf;
+    # -1 for a case with later parts
+    last = [len(case.parts[0].events) - 1 if len(case.parts) == 1 else -1 for case in cases]
     results: list = [None] * len(cases)  # by position in ``cases``
     restarts: dict[frozenset, CrashRecord | None] = {}
+    # what each event's handler reads, from the fields: one value, or a
+    # tuple of them; an event whose handler reads none has no entry
+    values = {e: itemgetter(*fields) for e, fields in model.program.handler_reads.items() if fields}
+    leaves: dict[tuple, tuple] = {}  # leaf key -> (verdict, crash, broken_at)
     walk = [(root, 0, range(len(cases)))]
     while walk:
         state, depth, group = walk.pop()
@@ -198,22 +224,49 @@ def _replay_tree(
                 ending.append(i)
             else:
                 branches.setdefault(firsts[i][depth], []).append(i)
+        here = None  # the open windows and the settings, if a leaf needs them
+        # the branches that need the state, each with its key if it is a leaf
+        fired: list[tuple[str, list[int], tuple | None]] = []
+        for event, below in branches.items():
+            key = None
+            if last[below[0]] == depth and (
+                len(below) == 1 or all(last[i] == depth for i in below)
+            ):
+                if here is None:
+                    here = tuple(state.open_windows), frozenset(state.settings.items())
+                read = values.get(event)
+                key = event, here, read and read(state.fields)
+                if (verdict := leaves.get(key)) is not None:
+                    if not is_available(state, event):
+                        verdict = "broken", None, depth
+                    elif verdict[1] is not None and verdict[1].phase == "event":
+                        verdict = "failed", dataclasses.replace(verdict[1], position=depth), None
+                    for i in below:
+                        results[i] = _result((cases[i],) + verdict)
+                    continue
+            fired.append((event, below, key))
         # A finishing case owns its state too: its later parts and its
         # restart launch on the state's settings.
-        users = len(ending) + len(branches)
+        users = len(ending) + len(fired)
         for i in ending:
             users -= 1
             own = state if users == 0 else state.fork()
             results[i] = _finish_case(model, cases[i], own, restarts, depth)
-        for event, below in branches.items():
+        for event, below, key in fired:
             users -= 1
             own = state if users == 0 else state.fork()
-            verdict = _fire(own, event, depth)
-            if verdict is None:
-                walk.append((own, depth + 1, below))
-            else:  # nothing is shared past a crash or a broken event
-                for i in below:
-                    results[i] = _result((cases[i],) + verdict)
+            if key is None:
+                verdict = _fire(own, event, depth)
+                if verdict is None:
+                    walk.append((own, depth + 1, below))
+                    continue
+            else:
+                verdict = _finish_case(model, cases[below[0]], own, restarts, depth)[1:]
+                if verdict[0] != "broken":
+                    leaves[key] = verdict
+            # nothing is shared past a crash or a broken event, or below a leaf
+            for i in below:
+                results[i] = _result((cases[i],) + verdict)
     return results
 
 

@@ -29,7 +29,7 @@ reports byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
 from operator import eq, is_
 from typing import Any, Callable, Iterable
 
@@ -218,7 +218,8 @@ class Program:
     block compiled into steps, each with its statement id, branch ids and
     operands bound.  Built once per model instance, on its first launch or
     fire (:attr:`AppModel.program <guiseq.appmodel.AppModel.program>`).  Every
-    id formatted is kept, frozen, in :attr:`statement_ids` and :attr:`branch_ids`."""
+    id formatted is kept, frozen, in :attr:`statement_ids` and :attr:`branch_ids`,
+    and :attr:`handler_reads` lists the fields each handler reads."""
 
     def __init__(self, model: AppModel) -> None:
         self.main_window = model.main_window
@@ -230,13 +231,36 @@ class Program:
         #: Filled before any step runs, so a ``call`` looks its method up here
         #: when it runs, recursive calls included.
         self.methods: dict[str, Block] = {}
+        #: The ``(reads, callees)`` the step builders noted in each method,
+        #: then in each handler.
+        self.method_uses: dict[str, tuple[list[str], list[str]]] = {}
         for name, block in model.methods.items():
-            self.methods[name] = self.block(block, f"m:{name}/")
-        self.handlers = {
-            event: self.block(block, f"h:{event}/") for event, block in model.handlers.items()
-        }
-        self.on_launch = self.block(model.on_launch, "launch/")
+            self.methods[name], self.method_uses[name] = self.unit(block, f"m:{name}/")
+        self.handlers: dict[str, Block] = {}
+        self.handler_uses: dict[str, tuple[list[str], list[str]]] = {}
+        for event, block in model.handlers.items():
+            self.handlers[event], self.handler_uses[event] = self.unit(block, f"h:{event}/")
+        # a unit of its own, so that its notes do not land in the last handler's
+        self.on_launch = self.unit(model.on_launch, "launch/")[0]
         self.statement_ids, self.branch_ids = map(frozenset, (self.statement_ids, self.branch_ids))
+
+    @cached_property
+    def handler_reads(self) -> dict[str, tuple[str, ...]]:
+        """The fields each event's handler reads, itself or through the
+        methods it calls, in ``if`` conditions included, some of them more
+        than once.  Taken from the compile's notes on first use, which only
+        replay makes."""
+        closures = _closures(self.method_uses)
+        return {
+            event: sum(map(closures.__getitem__, callees), tuple(reads))
+            for event, (reads, callees) in self.handler_uses.items()
+        }
+
+    def unit(self, statements: Iterable[Statement], prefix: str) -> tuple[Block, tuple]:
+        """A handler, method or launch block compiled, and the ``(reads,
+        callees)`` its step builders noted, in its nested blocks too."""
+        self.reads, self.callees = uses = [], []
+        return self.block(statements, prefix), uses
 
     def block(self, statements: Iterable[Statement], prefix: str) -> Block:
         out = []
@@ -247,6 +271,25 @@ class Program:
         return tuple(out)
 
 
+def _closures(uses: dict[str, tuple[list[str], list[str]]]) -> dict[str, tuple[str, ...]]:
+    """The fields each method reads, itself or through any method it calls,
+    from each method's ``(reads, callees)``: one walk of the call graph per
+    method, with a visited set, so recursion ends."""
+    closures = {}
+    for name in uses:
+        reads: dict[str, None] = {}
+        seen: set[str] = set()
+        stack = [name]
+        while stack:
+            if (method := stack.pop()) not in seen:
+                seen.add(method)
+                direct, callees = uses[method]
+                reads.update(dict.fromkeys(direct))
+                stack += callees
+        closures[name] = tuple(reads)
+    return closures
+
+
 def _set(field: str, value: FieldValue) -> Step:
     def step(state: GuiState, depth: int) -> None:
         state.fields[field] = value
@@ -255,6 +298,7 @@ def _set(field: str, value: FieldValue) -> Step:
 
 def _read(stmt: ReadField, sid: str, program: Program) -> Step:
     field = stmt.field
+    program.reads.append(field)
 
     def step(state: GuiState, depth: int) -> None:
         state.fields[field]  # an observation, no effect
@@ -263,6 +307,7 @@ def _read(stmt: ReadField, sid: str, program: Program) -> Step:
 
 def _copy(stmt: CopyField, sid: str, program: Program) -> Step:
     src, dst = stmt.src, stmt.dst
+    program.reads.append(src)
 
     def step(state: GuiState, depth: int) -> None:
         state.fields[dst] = state.fields[src]
@@ -279,6 +324,7 @@ _TESTS: dict[str, Callable[[Condition], Callable[[FieldValue], bool]]] = {
 
 def _if(stmt: If, sid: str, program: Program) -> Step:
     field, test = stmt.cond.field, _TESTS[stmt.cond.kind](stmt.cond)
+    program.reads.append(field)
     then, orelse = program.block(stmt.then, f"{sid}.t."), program.block(stmt.orelse, f"{sid}.e.")
     then_id, else_id = f"{sid}:then", f"{sid}:else"
     program.branch_ids += then_id, else_id
@@ -320,6 +366,7 @@ def _exit_app(state: GuiState, depth: int) -> None:
 
 def _call(stmt: Call, sid: str, program: Program) -> Step:
     methods, method, prefix = program.methods, stmt.method, f"m:{stmt.method}/"
+    program.callees.append(method)
 
     def step(state: GuiState, depth: int) -> None:
         if depth >= MAX_CALL_DEPTH:
@@ -333,6 +380,7 @@ def _call(stmt: Call, sid: str, program: Program) -> Step:
 
 def _write_setting(stmt: WriteSetting, sid: str, program: Program) -> Step:
     key, field = stmt.key, stmt.field
+    program.reads.append(field)
 
     def step(state: GuiState, depth: int) -> None:
         value = state.fields[field]
@@ -362,6 +410,7 @@ def _enable(stmt: SetWidgetEnabled, sid: str, program: Program) -> Step:
 
 def _deref(stmt: Deref, sid: str, program: Program) -> Step:
     field = stmt.field
+    program.reads.append(field)
 
     def step(state: GuiState, depth: int) -> None:
         if state.fields[field] is None:

@@ -37,12 +37,14 @@ from guiseq.appmodel import (
     app_model_to_json,
     load_app_model,
     statement_effects,
+    validate_app_model,
     walk_statements,
 )
 from guiseq.generate import SequenceRecord
 from guiseq.graphs import GuiseqError
 
 from oracles import walked_coverage_universe, walked_violations
+from strategies import app_models
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -145,6 +147,18 @@ def test_a_window_event_round_trips_through_json(tmp_path):
     path = tmp_path / "ops.app.json"
     path.write_text(json.dumps(doc))
     assert app_model_to_json(load_app_model(path)) == doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=app_models())
+def test_drawn_models_are_valid_and_round_trip_through_json(tmp_path_factory, model):
+    assert validate_app_model(model) == []
+    doc = app_model_to_json(model)
+    path = tmp_path_factory.getbasetemp() / "drawn.app.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_app_model(path)
+    assert loaded == model
+    assert app_model_to_json(loaded) == doc
 
 
 @pytest.mark.parametrize(

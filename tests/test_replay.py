@@ -32,10 +32,10 @@ from guiseq.replay import (
     run_test_case,
     save_report,
 )
-from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord
+from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord, available_events, launch
 
 from oracles import listed_group_test_cases, oracle_record, report_to_json
-from strategies import awkward_text
+from strategies import app_models, awkward_text
 
 
 def record(rid, events, targets=None, split_of=None):
@@ -496,10 +496,12 @@ def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
         monkeypatch.setattr(replay_module, name, counted)
     suite = run_suite(model, cases)
     assert {r.verdict for r in suite.results} == {"passed"}
-    # one fire per node of the prefix tree: 3 + 9 + 27; one shared launch
-    # against fresh settings, then one restart per distinct settings
-    # snapshot, and every case leaves the settings empty
-    assert calls == {"fire_event": 39, "launch": 1 + 1}
+    # one fire per internal node of the prefix tree, 3 + 9, and one per
+    # distinct leaf key: the 27 leaves fire "a", "b" or "c" under the same
+    # field value, windows and settings, so 3; one shared launch against
+    # fresh settings, then one restart per distinct settings snapshot, and
+    # every case leaves the settings empty
+    assert calls == {"fire_event": 3 + 9 + 3, "launch": 1 + 1}
 
 
 def test_shuffled_cases_fire_each_prefix_above_a_crash_once(tmp_path, monkeypatch):
@@ -539,10 +541,12 @@ def test_shuffled_cases_fire_each_prefix_above_a_crash_once(tmp_path, monkeypatc
         cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
         calls.update(launch=0, fire_event=0)
         suite = run_suite(model, cases)
-        # one fire per node of the prefix tree not below a "c": 3 + 6 + 12;
-        # one launch against fresh settings and one restart, which the
-        # eight cases without a "c" share
-        assert calls == {"fire_event": 21, "launch": 1 + 1}
+        # one fire per internal node of the prefix tree not below a "c",
+        # 3 + 6, and one per distinct leaf key: the 12 leaves fire "a", "b"
+        # or "c" under the same fields, windows and settings, so 3; one
+        # launch against fresh settings and one restart, which the eight
+        # cases without a "c" share
+        assert calls == {"fire_event": 3 + 6 + 3, "launch": 1 + 1}
         assert suite.count("failed") == 27 - 8
         assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
 
@@ -644,7 +648,132 @@ def test_each_replayed_fire_checks_availability_once(example_app, example_efg, m
         monkeypatch.setattr(module, name, counted)
     suite = run_suite(example_app, cases)
     assert suite.count("broken") >= 1
-    assert calls["is_available"] == calls["fire_event"] > len(cases)
+    # 23 fires, each checking availability once: one per internal node of
+    # the prefix tree (14), per distinct leaf key (7) and per event after a
+    # case parts from the others (2); and 9 leaves whose key is memoised,
+    # each checking availability once instead of firing
+    assert calls == {"is_available": 23 + 9, "fire_event": 14 + 7 + 2}
+
+
+def buttons_model(tmp_path, handlers, fields, methods=None, on_launch=(), dialog=False):
+    """A main window with an enabled button per handler that fires the event
+    of its name; with ``dialog``, also a modeless window "Dlg" whose one
+    button fires "done", which closes it."""
+    windows = [{
+        "name": "Main", "main": True, "modal": False,
+        "widgets": [{"id": f"w{e}", "event": e, "enabled": True} for e in handlers],
+    }]
+    if dialog:
+        windows.append({"name": "Dlg", "main": False, "modal": False,
+                        "widgets": [{"id": "wdone", "event": "done", "enabled": True}]})
+        handlers = {**handlers, "done": [{"op": "close", "window": "Dlg"}]}
+    doc = {
+        "schemaVersion": 1, "name": "buttons", "windows": windows, "fields": fields,
+        "onLaunch": list(on_launch), "handlers": handlers, "methods": methods or {},
+    }
+    path = tmp_path / "buttons.json"
+    path.write_text(json.dumps(doc))
+    return load_app_model(path)
+
+
+LOG = [{"op": "log", "field": "Main.x"}]
+DEREF = [{"op": "deref", "field": "Main.hole"}]
+
+
+# Each row fires "go" as a leaf at depth 0, from the state a launch leaves,
+# and again at depth 1, after its first event, beside a sibling leaf "idle".
+# The memo resolves the second "go" from the first only when their keys are
+# equal; a key that misses what the row varies gives the wrong verdict.
+@pytest.mark.parametrize(
+    ("first", "handlers", "model_kwargs", "verdicts"),
+    [
+        # only an ``if`` condition reads the field "arm" sets
+        ("arm", {
+            "arm": [{"op": "set", "field": "Main.armed", "value": True}],
+            "go": [{"op": "if", "cond": {"kind": "isTrue", "field": "Main.armed"},
+                    "then": DEREF}],
+        }, {}, ["passed", "failed"]),
+        # "go" fires under two window stacks; no verdict depends on them
+        # once the event is available, so this row holds with or without
+        # the windows in the key
+        ("open", {
+            "open": [{"op": "open", "window": "Dlg"}],
+            "go": [{"op": "close", "window": "Dlg"}],
+        }, {"dialog": True}, ["passed", "passed"]),
+        # the settings "save" writes make the restart crash
+        ("save", {
+            "save": [{"op": "writeSetting", "key": "k", "field": "Main.poison"}],
+            "go": LOG,
+        }, {"on_launch": [
+            {"op": "readSetting", "key": "k", "field": "Main.got"},
+            {"op": "if", "cond": {"kind": "equals", "field": "Main.got", "value": "p"},
+             "then": DEREF},
+        ]}, ["passed", "failed"]),
+        # only the method "go" calls reads the field "fill" sets
+        ("fill", {
+            "fill": [{"op": "set", "field": "Main.hole", "value": "v"}],
+            "go": [{"op": "call", "method": "check"}],
+        }, {"methods": {"check": DEREF}}, ["failed", "passed"]),
+        # the same key one event deeper: the crash is at position 1
+        ("skip", {"skip": LOG, "go": DEREF}, {}, ["failed", "failed"]),
+        # "lock" disables "go": the memoised verdict needs an available event
+        ("lock", {
+            "lock": [{"op": "enable", "window": "Main", "widget": "wgo", "enabled": False}],
+            "go": LOG,
+        }, {}, ["passed", "broken"]),
+    ],
+    ids=["if-condition", "open-windows", "settings", "called-method", "crash-depth", "disabled"],
+)
+def test_a_memoised_leaf_replays_like_the_case_alone(
+    tmp_path, first, handlers, model_kwargs, verdicts
+):
+    fields = {"Main.x": "v", "Main.armed": False, "Main.hole": None,
+              "Main.poison": "p", "Main.got": None}
+    model = buttons_model(tmp_path, {**handlers, "idle": []}, fields, **model_kwargs)
+    words = [("go",), ("idle",), (first, "go"), (first, "idle")]
+    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    suite = run_suite(model, cases)
+    assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
+    assert [suite.results[i].verdict for i in (0, 2)] == verdicts
+
+
+@st.composite
+def drawn_cases(draw, model):
+    """Eight to sixteen cases over two events available after the launch
+    (or any two), so that prefixes meet and each event ends cases at
+    several nodes: two or three events long, one event more if they begin
+    with the first of the two, so that leaves meet across depths.  Now and
+    then a case is split into two parts."""
+    events = available_events(launch(model, {})[0])
+    events = events if len(events) > 1 else model.events
+    alphabet = draw(st.lists(st.sampled_from(events), min_size=min(2, len(events)),
+                             max_size=2, unique=True))
+    length = draw(st.integers(2, 3))
+    walks = [
+        walk[: length + (walk[0] == alphabet[0])]
+        for walk in draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=4, max_size=4),
+                                  min_size=8, max_size=16))
+    ]
+    cases = []
+    for n, walk in enumerate(walks):
+        cut = draw(st.integers(0, 3 * len(walk)))  # mostly past the end: one part
+        parts = [walk[:cut], walk[cut:]] if 0 < cut < len(walk) else [walk]
+        cases.append(Case(parts=tuple(
+            record(f"p{n}.{k}", part, split_of=None if k == 0 else f"p{n}.0")
+            for k, part in enumerate(parts)
+        )))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prefix_sharing_replay_equals_replaying_each_case_alone_on_drawn_models(data):
+    model = data.draw(app_models())
+    cases = data.draw(drawn_cases(model))
+    suite = run_suite(model, cases)
+    results, coverage = replayed_alone(model, cases)
+    assert suite.results == results
+    assert suite_coverage(suite) == coverage
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from guiseq import corpus
 from guiseq.appmodel import _OPS, If, InvalidModelError, load_app_model
 from guiseq.graphs import GuiseqError
+from guiseq.programdb import build_class_db, derive_program_model
 from guiseq.simulator import (
     _STEPS,
     CRASH_ARRAY_OOB,
@@ -21,6 +22,7 @@ from guiseq.simulator import (
 )
 
 from oracles import interpreted_fire, interpreted_launch, scanned_available_events
+from strategies import app_models
 
 
 def write_model(tmp_path, doc):
@@ -315,6 +317,26 @@ WINDOW_EVENTS_DOC = {
         "disable": [enable("tools", False), enable("target", False), enable("tools", True)],
     },
 }
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+def test_each_handlers_read_set_is_what_the_program_model_reads(name):
+    model = corpus.app_model(name)
+    db = build_class_db(derive_program_model(model))
+    reads = model.program.handler_reads
+    assert reads.keys() == set(model.events)
+    assert {e: frozenset(fields) for e, fields in reads.items()} == {
+        e: db.effects(e)[0] for e in model.events
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=app_models(cycles=True))
+def test_each_drawn_handlers_read_set_is_what_the_program_model_reads(model):
+    db = build_class_db(derive_program_model(model))
+    assert {e: frozenset(fields) for e, fields in model.program.handler_reads.items()} == {
+        e: db.effects(e)[0] for e in model.events
+    }
 
 
 def test_every_op_has_a_step_builder():
