@@ -21,16 +21,17 @@ behaviours that matter for event-interaction testing:
 
 Each op is defined in one place, the op table ``_OPS``: its dataclass, its
 JSON keys, and what each operand names.  Parsing (which checks each
-operand's name as it reads it), dumping and the static effects
-(:func:`statement_effects`) all read the table; the simulator's table of
-step builders, keyed by the same classes, is the one per-op dispatch
-outside it.  Loading and compiling (:attr:`AppModel.program`, which also
-lists :attr:`AppModel.coverage_universe`) each walk the statements once.
+operand's name as it reads it) and dumping read the table.  The simulator's
+table of step builders, keyed by the same classes, is the other per-op
+dispatch: it compiles each statement and notes the fields it reads and
+writes and the method it calls.  Loading and compiling
+(:attr:`AppModel.program`, which also lists :attr:`AppModel.coverage_universe`
+and holds those notes) each walk the statements once.
 
 Field names are owner-qualified strings such as ``"MainWindow.text"``; the
 owner prefix groups fields the way a class would, which is also how
 :func:`~guiseq.programdb.derive_program_model` reconstructs a static
-read/write model from the handlers.
+read/write model from the compile's notes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .graphs import SCHEMA_VERSION, GuiseqError, read_document, typed
 
@@ -68,8 +69,6 @@ __all__ = [
     "WindowSpec",
     "AppModel",
     "InvalidModelError",
-    "walk_statements",
-    "statement_effects",
     "load_app_model",
     "app_model_to_json",
 ]
@@ -232,33 +231,6 @@ _LITERAL_TYPES = {"value": ((str, bool), "a string or boolean"), "flag": ((bool,
 _STRING = ((str,), "a string")
 
 _CONDITION_KINDS = ("isNull", "isTrue", "equals")
-
-
-def walk_statements(block: Iterable[Statement], prefix: str) -> Iterator[tuple[str, Statement]]:
-    """``(statement id, statement)`` for every statement of ``block`` in
-    pre-order, descending into conditionals; ids as in
-    :attr:`AppModel.coverage_universe`."""
-    for i, stmt in enumerate(block):
-        sid = f"{prefix}{i}"
-        yield sid, stmt
-        if isinstance(stmt, If):
-            yield from walk_statements(stmt.then, f"{sid}.t.")
-            yield from walk_statements(stmt.orelse, f"{sid}.e.")
-
-
-def statement_effects(stmt: Statement) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The model fields one statement reads and writes, by itself.
-
-    A conditional reads its condition's field; the statements in its blocks,
-    like the body of a called method, have effects of their own.
-    """
-    if isinstance(stmt, If):
-        return (stmt.cond.field,), ()
-    operands = _BY_CLASS[type(stmt)][1]
-    return (
-        tuple(getattr(stmt, attr) for attr, _, role in operands if role == "read"),
-        tuple(getattr(stmt, attr) for attr, _, role in operands if role == "write"),
-    )
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ classes may declare the same short name without colliding.
 From that model, :func:`build_class_db` indexes and checks the methods once,
 and :meth:`ClassDb.effects` answers the query the dependency analysis needs:
 the fields an event's handler *transitively* reads and writes, both gathered
-in one walk of the call graph (cycles included; a visited set makes the walk
-terminate).  :func:`build_edg` walks once per event, then emits a weighted
-dependency edge from every event whose write set overlaps another
-event's read set (self-pairs included: a handler that reads what it wrote
-earlier depends on its previous run).  It indexes each field's readers once
-and counts, per writer, the readers of its fields, rather than comparing
-every pair of events.
+over its :func:`call_closure`, the package's one call-graph walk (cycles
+included; a visited set makes it terminate).  :func:`build_edg` asks once
+per event, then emits a weighted dependency edge from every event whose
+write set overlaps another event's read set (self-pairs included: a handler
+that reads what it wrote earlier depends on its previous run).  It indexes
+each field's readers once and counts, per writer, the readers of its
+fields, rather than comparing every pair of events.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
-from .appmodel import AppModel, Call, statement_effects, walk_statements
+from .appmodel import AppModel
 from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, read_document, typed, typed_list
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "UnboundEventError",
     "build_class_db",
     "build_edg",
+    "call_closure",
     "derive_program_model",
     "load_program_model",
     "program_model_to_json",
@@ -72,39 +73,42 @@ class ProgramModel:
 class ClassDb:
     """A program model and its methods indexed by qualified name.
 
-    :meth:`effects` walks the call graph once from an event's bound handler
-    and returns both transitive field sets.
+    :meth:`effects` returns both transitive field sets of an event's bound
+    handler.
     """
 
     model: ProgramModel
     methods: Mapping[str, ProgramMethod]
 
     def effects(self, event: str) -> tuple[frozenset[str], frozenset[str]]:
-        """The fields an event's handler transitively reads and writes.
-
-        Depth-first walk over the call graph with a visited set, so mutually
-        recursive methods contribute each effect exactly once and the walk
-        always terminates.
-        """
+        """The fields an event's handler transitively reads and writes: the
+        effects of every method in its handler's :func:`call_closure`."""
         try:
             root = self.model.bindings[event]
         except KeyError:
             raise UnboundEventError(f"event {event!r} has no handler binding") from None
         if root not in self.methods:
             raise GuiseqError(f"event {event!r} is bound to unknown method {root!r}")
-        reads: set[str] = set()
-        writes: set[str] = set()
-        visited: set[str] = set()
-        stack = [root]
-        while stack:
-            name = stack.pop()
-            if name not in visited:
-                visited.add(name)
-                method = self.methods[name]  # build_class_db checked every callee
-                reads.update(method.reads)
-                writes.update(method.writes)
-                stack.extend(method.calls)
-        return frozenset(reads), frozenset(writes)
+        methods = self.methods  # build_class_db checked every callee
+        reached = [methods[name] for name in call_closure(root, lambda m: methods[m].calls)]
+        return (
+            frozenset(chain.from_iterable(m.reads for m in reached)),
+            frozenset(chain.from_iterable(m.writes for m in reached)),
+        )
+
+
+def call_closure(root: str, calls: Callable[[str], Iterable[str]]) -> dict[str, None]:
+    """``root`` and every method it calls, itself or through others, each
+    once, as keys in the order a depth-first walk of the call graph reaches
+    them; ``calls(name)`` lists a method's callees.  A visited set makes the
+    walk end on recursive calls."""
+    reached: dict[str, None] = {}
+    stack = [root]
+    while stack:
+        if (name := stack.pop()) not in reached:
+            reached[name] = None
+            stack += calls(name)
+    return reached
 
 
 def build_class_db(model: ProgramModel) -> ClassDb:
@@ -172,39 +176,16 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
 HANDLERS = "Handlers"
 
 
-def _direct_method(name: str, block) -> ProgramMethod:
-    """``Handlers.name`` with the first-seen-ordered direct reads,
-    writes and calls of a statement block.
-
-    Descends into conditionals but not into calls — called methods carry
-    their own effects and appear in ``calls``, which is exactly what lets
-    :meth:`ClassDb.effects` reconstruct the transitive sets.
-    """
-    reads: dict[str, None] = {}
-    writes: dict[str, None] = {}
-    calls: dict[str, None] = {}
-    for _, stmt in walk_statements(block, ""):
-        stmt_reads, stmt_writes = statement_effects(stmt)
-        reads.update(dict.fromkeys(stmt_reads))
-        writes.update(dict.fromkeys(stmt_writes))
-        if isinstance(stmt, Call):
-            calls[f"{HANDLERS}.{stmt.method}"] = None
-    return ProgramMethod(
-        name=f"{HANDLERS}.{name}",
-        reads=tuple(reads),
-        writes=tuple(writes),
-        calls=tuple(calls),
-    )
-
-
 def derive_program_model(app: AppModel) -> ProgramModel:
     """Extract the field-traffic model an exact static analysis would see.
 
     Application fields are owner-qualified (``"MainWindow.text"``), so each
     owner prefix becomes a field-holding class; handler and method bodies
-    become methods of the synthetic class :data:`HANDLERS`, carrying their
-    direct reads/writes/calls.  The result is the ground-truth counterpart to a
-    hand-curated analysis of the same application.
+    become methods of the synthetic class :data:`HANDLERS`, carrying the
+    direct reads/writes/calls the compile noted (:attr:`AppModel.program
+    <guiseq.appmodel.AppModel.program>`), each once, first noted first; an
+    event with no handler gets an empty method.  The result is the
+    ground-truth counterpart to a hand-curated analysis of the same application.
     """
     owners: dict[str, list[str]] = {}
     for name in app.fields:
@@ -216,9 +197,18 @@ def derive_program_model(app: AppModel) -> ProgramModel:
     if taken:
         raise GuiseqError(f"event ids collide with method names: {sorted(taken)}")
 
-    blocks = [(event, app.handlers.get(event, ())) for event in app.events]
-    blocks += app.methods.items()
-    methods = [_direct_method(name, block) for name, block in blocks]
+    program = app.program
+    notes = [(event, program.handler_uses.get(event, ((), (), ()))) for event in app.events]
+    notes += program.method_uses.items()
+    methods = [
+        ProgramMethod(
+            name=f"{HANDLERS}.{name}",
+            reads=tuple(dict.fromkeys(reads)),
+            writes=tuple(dict.fromkeys(writes)),
+            calls=tuple(dict.fromkeys(f"{HANDLERS}.{callee}" for callee in callees)),
+        )
+        for name, (reads, writes, callees) in notes
+    ]
     classes = tuple(
         ProgramClass(name=owner, fields=tuple(fields), methods=())
         for owner, fields in owners.items()

@@ -18,12 +18,12 @@ four decimals.
 :func:`run_suite` fires each distinct first-part prefix once and forks where
 cases part ways; a restart is launched once per distinct settings content.
 A one-part case's last event whose handler reads the same field values,
-under the same open windows and settings, as an earlier such last event is
-resolved from a memo, without a fork or a fire: the handler's run and the
-restart after it depend on nothing else, since no handler reads an enabled
-flag and the event's availability is checked on every hit.  Every verdict,
-and the coverage, equals what :func:`run_test_case` computes from scratch
-for each case, so neither sharing nor case order shows.
+under the same settings, as an earlier such last event is resolved from a
+memo, without a fork or a fire: the handler's run and the restart after it
+depend on nothing else, since no handler reads an enabled flag or the
+window stack and the event's availability is checked on every hit.  Every
+verdict, and the coverage, equals what :func:`run_test_case` computes from
+scratch for each case, so neither sharing nor case order shows.
 """
 
 from __future__ import annotations
@@ -187,13 +187,15 @@ def _replay_tree(
     available, its outcome, the verdict of the fire and of the restart after
     it, depends only on its key: the event, the values of the fields its
     handler reads (:attr:`Program.handler_reads
-    <guiseq.simulator.Program.handler_reads>`), the open windows and the
-    settings.  No handler reads an enabled flag, and an exited state offers
-    no event.  So a leaf whose key an earlier leaf memoised is resolved
-    without a fork or a fire: one check that the event is available, then
-    the memoised verdict, an event crash moved to this position.  Coverage
-    needs nothing, since the fire that memoised the key already added what
-    the handler and the restart ran.
+    <guiseq.simulator.Program.handler_reads>`) and the settings.  No handler
+    reads an enabled flag, and an exited state offers no event.  No handler
+    reads the window stack either: ``open`` and ``close`` of a window other
+    than the main one change no verdict, and the main window is open while
+    the application runs, so closing it always exits.  So a leaf whose key
+    an earlier leaf memoised is resolved without a fork or a fire: one check
+    that the event is available, then the memoised verdict, an event crash
+    moved to this position.  Coverage needs nothing, since the fire that
+    memoised the key already added what the handler and the restart ran.
     """
     if not cases:
         return []
@@ -224,7 +226,7 @@ def _replay_tree(
                 ending.append(i)
             else:
                 branches.setdefault(firsts[i][depth], []).append(i)
-        here = None  # the open windows and the settings, if a leaf needs them
+        here = None  # the settings, if a leaf needs them
         # the branches that need the state, each with its key if it is a leaf
         fired: list[tuple[str, list[int], tuple | None]] = []
         for event, below in branches.items():
@@ -233,7 +235,7 @@ def _replay_tree(
                 len(below) == 1 or all(last[i] == depth for i in below)
             ):
                 if here is None:
-                    here = tuple(state.open_windows), frozenset(state.settings.items())
+                    here = frozenset(state.settings.items())
                 read = values.get(event)
                 key = event, here, read and read(state.fields)
                 if (verdict := leaves.get(key)) is not None:

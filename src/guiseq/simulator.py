@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from itertools import chain
 from operator import eq, is_
 from typing import Any, Callable, Iterable
 
@@ -55,6 +56,7 @@ from .appmodel import (
     WriteSetting,
 )
 from .graphs import GuiseqError
+from .programdb import call_closure
 
 __all__ = [
     "CRASH_NULL_DEREF",
@@ -218,8 +220,10 @@ class Program:
     block compiled into steps, each with its statement id, branch ids and
     operands bound.  Built once per model instance, on its first launch or
     fire (:attr:`AppModel.program <guiseq.appmodel.AppModel.program>`).  Every
-    id formatted is kept, frozen, in :attr:`statement_ids` and :attr:`branch_ids`,
-    and :attr:`handler_reads` lists the fields each handler reads."""
+    id formatted is kept, frozen, in :attr:`statement_ids` and :attr:`branch_ids`.
+    The step builders note what each handler and method reads, writes and
+    calls: the package's one effect analysis of statements, which
+    :func:`~guiseq.programdb.derive_program_model` and :attr:`handler_reads` read."""
 
     def __init__(self, model: AppModel) -> None:
         self.main_window = model.main_window
@@ -231,13 +235,13 @@ class Program:
         #: Filled before any step runs, so a ``call`` looks its method up here
         #: when it runs, recursive calls included.
         self.methods: dict[str, Block] = {}
-        #: The ``(reads, callees)`` the step builders noted in each method,
-        #: then in each handler.
-        self.method_uses: dict[str, tuple[list[str], list[str]]] = {}
+        #: The ``(reads, writes, callees)`` the step builders noted in each
+        #: method, then in each handler.
+        self.method_uses: dict[str, tuple[list[str], list[str], list[str]]] = {}
         for name, block in model.methods.items():
             self.methods[name], self.method_uses[name] = self.unit(block, f"m:{name}/")
         self.handlers: dict[str, Block] = {}
-        self.handler_uses: dict[str, tuple[list[str], list[str]]] = {}
+        self.handler_uses: dict[str, tuple[list[str], list[str], list[str]]] = {}
         for event, block in model.handlers.items():
             self.handlers[event], self.handler_uses[event] = self.unit(block, f"h:{event}/")
         # a unit of its own, so that its notes do not land in the last handler's
@@ -250,16 +254,23 @@ class Program:
         methods it calls, in ``if`` conditions included, some of them more
         than once.  Taken from the compile's notes on first use, which only
         replay makes."""
-        closures = _closures(self.method_uses)
+        uses = self.method_uses
+        closures = {
+            name: tuple(dict.fromkeys(chain.from_iterable(
+                uses[method][0] for method in call_closure(name, lambda m: uses[m][2])
+            )))
+            for name in uses
+        }
         return {
-            event: sum(map(closures.__getitem__, callees), tuple(reads))
-            for event, (reads, callees) in self.handler_uses.items()
+            event: sum(map(closures.__getitem__, called), tuple(reads))
+            for event, (reads, _, called) in self.handler_uses.items()
         }
 
     def unit(self, statements: Iterable[Statement], prefix: str) -> tuple[Block, tuple]:
         """A handler, method or launch block compiled, and the ``(reads,
-        callees)`` its step builders noted, in its nested blocks too."""
-        self.reads, self.callees = uses = [], []
+        writes, callees)`` its step builders noted, in its nested blocks
+        too, in the order a pre-order walk of its statements meets them."""
+        self.reads, self.writes, self.callees = uses = [], [], []
         return self.block(statements, prefix), uses
 
     def block(self, statements: Iterable[Statement], prefix: str) -> Block:
@@ -271,26 +282,9 @@ class Program:
         return tuple(out)
 
 
-def _closures(uses: dict[str, tuple[list[str], list[str]]]) -> dict[str, tuple[str, ...]]:
-    """The fields each method reads, itself or through any method it calls,
-    from each method's ``(reads, callees)``: one walk of the call graph per
-    method, with a visited set, so recursion ends."""
-    closures = {}
-    for name in uses:
-        reads: dict[str, None] = {}
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            if (method := stack.pop()) not in seen:
-                seen.add(method)
-                direct, callees = uses[method]
-                reads.update(dict.fromkeys(direct))
-                stack += callees
-        closures[name] = tuple(reads)
-    return closures
+def _set(field: str, value: FieldValue, program: Program) -> Step:
+    program.writes.append(field)
 
-
-def _set(field: str, value: FieldValue) -> Step:
     def step(state: GuiState, depth: int) -> None:
         state.fields[field] = value
     return step
@@ -308,6 +302,7 @@ def _read(stmt: ReadField, sid: str, program: Program) -> Step:
 def _copy(stmt: CopyField, sid: str, program: Program) -> Step:
     src, dst = stmt.src, stmt.dst
     program.reads.append(src)
+    program.writes.append(dst)
 
     def step(state: GuiState, depth: int) -> None:
         state.fields[dst] = state.fields[src]
@@ -324,7 +319,7 @@ _TESTS: dict[str, Callable[[Condition], Callable[[FieldValue], bool]]] = {
 
 def _if(stmt: If, sid: str, program: Program) -> Step:
     field, test = stmt.cond.field, _TESTS[stmt.cond.kind](stmt.cond)
-    program.reads.append(field)
+    program.reads.append(field)  # before the branches' notes: pre-order
     then, orelse = program.block(stmt.then, f"{sid}.t."), program.block(stmt.orelse, f"{sid}.e.")
     then_id, else_id = f"{sid}:then", f"{sid}:else"
     program.branch_ids += then_id, else_id
@@ -392,6 +387,7 @@ def _write_setting(stmt: WriteSetting, sid: str, program: Program) -> Step:
 
 def _read_setting(stmt: ReadSetting, sid: str, program: Program) -> Step:
     key, field = stmt.key, stmt.field
+    program.writes.append(field)
 
     def step(state: GuiState, depth: int) -> None:
         # A key never written reads as None, the same as a stored None: the
@@ -428,8 +424,8 @@ def _throw(stmt: ThrowArrayOob, sid: str, program: Program) -> Step:
 #: :data:`guiseq.appmodel._OPS`, which cannot hold it because this module
 #: imports that one.
 _STEPS: dict[type, Callable[[Any, str, Program], Step]] = {
-    SetField: lambda stmt, sid, program: _set(stmt.field, stmt.value),
-    SetNull: lambda stmt, sid, program: _set(stmt.field, None),
+    SetField: lambda stmt, sid, program: _set(stmt.field, stmt.value, program),
+    SetNull: lambda stmt, sid, program: _set(stmt.field, None, program),
     ReadField: _read,
     Log: _read,
     CopyField: _copy,

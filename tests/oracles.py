@@ -19,8 +19,9 @@ by walking their statements instead of compiled steps, a JSON-lines file cut
 into line strings for ``json.loads`` instead of scanned in place, a sequence
 file's events checked one occurrence at a time instead of as a set of
 distinct events, split parts grouped into a list per case instead of into
-the case itself, a model's violations and coverage universe by walking its
-parsed statements again instead of as it is parsed and compiled.
+the case itself, a model's violations, coverage universe and program model
+by walking its parsed statements again (:func:`walk_statements`,
+:func:`statement_effects`) instead of as it is parsed and compiled.
 Slow is fine — most run on graphs of at most a dozen events, and the
 graph oracles once on one ripped benchmark model of about a hundred.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from guiseq.appmodel import (
     AppModel,
@@ -50,12 +51,11 @@ from guiseq.appmodel import (
     ThrowArrayOob,
     WriteSetting,
     _BY_CLASS,
-    walk_statements,
 )
 from guiseq.generate import SequenceRecord
 from guiseq.replay import SuiteResult, TestCase
 from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document, shortest_path
-from guiseq.programdb import ProgramModel
+from guiseq.programdb import HANDLERS, ProgramClass, ProgramMethod, ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
 from guiseq.simulator import (
     CRASH_ARRAY_OOB,
@@ -73,6 +73,64 @@ from guiseq.simulator import (
 )
 
 INF = float("inf")
+
+
+def walk_statements(block: Iterable[Statement], prefix: str) -> Iterator[tuple[str, Statement]]:
+    """``(statement id, statement)`` for every statement of ``block`` in
+    pre-order, descending into conditionals; ids as in
+    ``AppModel.coverage_universe``."""
+    for i, stmt in enumerate(block):
+        sid = f"{prefix}{i}"
+        yield sid, stmt
+        if isinstance(stmt, If):
+            yield from walk_statements(stmt.then, f"{sid}.t.")
+            yield from walk_statements(stmt.orelse, f"{sid}.e.")
+
+
+def statement_effects(stmt: Statement) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The model fields one statement reads and writes, by itself, from the
+    op table's operand roles.
+
+    A conditional reads its condition's field; the statements in its blocks,
+    like the body of a called method, have effects of their own.
+    """
+    if isinstance(stmt, If):
+        return (stmt.cond.field,), ()
+    operands = _BY_CLASS[type(stmt)][1]
+    return (
+        tuple(getattr(stmt, attr) for attr, _, role in operands if role == "read"),
+        tuple(getattr(stmt, attr) for attr, _, role in operands if role == "write"),
+    )
+
+
+def walked_program_model(app: AppModel) -> ProgramModel:
+    """``derive_program_model`` by walking every handler's and method's
+    statements with :func:`statement_effects` instead of reading the
+    compile's notes: each method's direct reads, writes and calls, first
+    seen first, descending into conditionals but not into calls."""
+    owners: dict[str, list[str]] = {}
+    for name in app.fields:
+        owner, field_name = name.rsplit(".", 1)
+        owners.setdefault(owner, []).append(field_name)
+    blocks = [(event, app.handlers.get(event, ())) for event in app.events]
+    blocks += app.methods.items()
+    methods = []
+    for name, block in blocks:
+        reads: dict[str, None] = {}
+        writes: dict[str, None] = {}
+        calls: dict[str, None] = {}
+        for _, stmt in walk_statements(block, ""):
+            stmt_reads, stmt_writes = statement_effects(stmt)
+            reads.update(dict.fromkeys(stmt_reads))
+            writes.update(dict.fromkeys(stmt_writes))
+            if isinstance(stmt, Call):
+                calls[f"{HANDLERS}.{stmt.method}"] = None
+        methods.append(ProgramMethod(f"{HANDLERS}.{name}", tuple(reads), tuple(writes), tuple(calls)))
+    classes = tuple(ProgramClass(owner, tuple(fields), ()) for owner, fields in owners.items())
+    return ProgramModel(
+        classes=classes + (ProgramClass(HANDLERS, (), tuple(methods)),),
+        bindings={event: f"{HANDLERS}.{event}" for event in app.events},
+    )
 
 
 def fixpoint_effects(model: ProgramModel, kind: str) -> dict[str, frozenset[str]]:

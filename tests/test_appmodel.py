@@ -1,4 +1,5 @@
-"""The statement table: every op parses, dumps back and has pinned effects.
+"""The statement table: every op parses, dumps back, has pinned effects and
+compiles to pinned notes, and statements of different kinds compare unequal.
 A load reports undeclared names in the order a walk of the parsed model
 finds them, and the compile lists the coverage universe a walk finds."""
 
@@ -8,13 +9,14 @@ import importlib
 import json
 import re
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guiseq import appmodel, corpus, replay
+from guiseq import appmodel, corpus, replay, simulator
 from guiseq.appmodel import (
     _BY_CLASS,
     _OPS,
@@ -36,14 +38,17 @@ from guiseq.appmodel import (
     WriteSetting,
     app_model_to_json,
     load_app_model,
-    statement_effects,
     validate_app_model,
-    walk_statements,
 )
 from guiseq.generate import SequenceRecord
 from guiseq.graphs import GuiseqError
 
-from oracles import walked_coverage_universe, walked_violations
+from oracles import (
+    statement_effects,
+    walk_statements,
+    walked_coverage_universe,
+    walked_violations,
+)
 from strategies import app_models
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -115,6 +120,24 @@ def test_statement_parses_dumps_back_and_has_pinned_effects(tmp_path, doc, cls, 
     assert dumped == doc
     assert json.dumps(dumped) == json.dumps(doc)  # same key order
     assert statement_effects(stmt) == (reads, writes)
+    noted_reads, noted_writes, callees = model.program.handler_uses["e"]
+    if cls is If:  # the condition first, then what the branches note: A.y
+        reads += ("A.y",)
+    assert (tuple(noted_reads), tuple(noted_writes)) == (reads, writes)
+    assert callees == (["m"] if cls is Call else [])
+
+
+def test_statements_of_different_kinds_compare_unequal():
+    same_operands = [
+        [ReadField("A.x"), Log("A.x"), Deref("A.x"), SetNull("A.x")],
+        [OpenWindow("W"), CloseWindow("W")],
+        [ExitApp(), ThrowArrayOob()],
+    ]
+    for statements in same_operands:
+        assert statements == [type(stmt)(*vars(stmt).values()) for stmt in statements]
+        for a, b in combinations(statements, 2):
+            assert a != b and b != a, (a, b)
+        assert len(set(statements)) == len(statements)
 
 
 def test_walk_statements_is_pre_order_with_branch_ids(tmp_path):
@@ -442,13 +465,25 @@ def test_the_compile_lists_the_walked_coverage_universe(monkeypatch, model):
 
 
 def test_loading_and_replaying_walk_no_statements(monkeypatch):
-    """The parse checks names and the compile lists the coverage universe:
-    nothing walks the parsed statements again."""
-    def walk(*args):
-        raise AssertionError("walk_statements was called")
+    """The parse checks names, and the compile lists the coverage universe
+    and notes each statement's effects: loading and replaying parse each
+    statement once and compile it once.  The statement walker, the tests'
+    oracle now, is not in the package."""
+    parsed, compiled = [], []
 
-    monkeypatch.setattr(appmodel, "walk_statements", walk)
+    def parse(doc, *args, _parse=appmodel._parse_statement):
+        parsed.append(doc)
+        return _parse(doc, *args)
+
+    monkeypatch.setattr(appmodel, "_parse_statement", parse)
+    for cls, build in simulator._STEPS.items():
+        def counted(stmt, *args, _build=build):
+            compiled.append(stmt)
+            return _build(stmt, *args)
+        monkeypatch.setitem(simulator._STEPS, cls, counted)
     model = load_app_model(corpus.model_path("example-app"))
     case = replay.TestCase(parts=(SequenceRecord("s1", ("e3", "e4"), (0, 1), "blackbox"),))
     suite = replay.run_suite(model, [case])
     assert (suite.statements_total, suite.branches_total) == (12, 2)
+    assert len(parsed) == len(compiled) == 12
+    assert not any(hasattr(appmodel, name) for name in ("walk_statements", "statement_effects"))

@@ -693,9 +693,9 @@ DEREF = [{"op": "deref", "field": "Main.hole"}]
             "go": [{"op": "if", "cond": {"kind": "isTrue", "field": "Main.armed"},
                     "then": DEREF}],
         }, {}, ["passed", "failed"]),
-        # "go" fires under two window stacks; no verdict depends on them
-        # once the event is available, so this row holds with or without
-        # the windows in the key
+        # "go" fires under two window stacks, and the second "go" is a hit:
+        # no verdict depends on the stack once the event is available
+        # (test_a_leaf_under_another_window_stack_fires_once counts the fires)
         ("open", {
             "open": [{"op": "open", "window": "Dlg"}],
             "go": [{"op": "close", "window": "Dlg"}],
@@ -735,6 +735,25 @@ def test_a_memoised_leaf_replays_like_the_case_alone(
     suite = run_suite(model, cases)
     assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
     assert [suite.results[i].verdict for i in (0, 2)] == verdicts
+
+
+def test_a_leaf_under_another_window_stack_fires_once(tmp_path, monkeypatch):
+    handlers = {"open": [{"op": "open", "window": "Dlg"}], "go": LOG, "idle": []}
+    model = buttons_model(tmp_path, handlers, {"Main.x": "v"}, dialog=True)
+    words = [("go",), ("idle",), ("open", "go"), ("open", "idle")]
+    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    fired = []
+    for module in (simulator, replay_module):
+        def counted(state, event, _fire=module.fire_event):
+            fired.append(event)
+            return _fire(state, event)
+        monkeypatch.setattr(module, "fire_event", counted)
+    suite = run_suite(model, cases)
+    # "go" and "idle" after "open", with Dlg open above Main, have the keys
+    # they had from the launch, with Main alone
+    assert sorted(fired) == ["go", "idle", "open"]
+    monkeypatch.undo()
+    assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from guiseq import corpus
 from guiseq.appmodel import _OPS, If, InvalidModelError, load_app_model
 from guiseq.graphs import GuiseqError
-from guiseq.programdb import build_class_db, derive_program_model
+from guiseq.programdb import HANDLERS, derive_program_model
 from guiseq.simulator import (
     _STEPS,
     CRASH_ARRAY_OOB,
@@ -21,7 +21,13 @@ from guiseq.simulator import (
     launch,
 )
 
-from oracles import interpreted_fire, interpreted_launch, scanned_available_events
+from oracles import (
+    fixpoint_effects,
+    interpreted_fire,
+    interpreted_launch,
+    scanned_available_events,
+    walked_program_model,
+)
 from strategies import app_models
 
 
@@ -319,24 +325,29 @@ WINDOW_EVENTS_DOC = {
 }
 
 
+def assert_notes_match_the_walked_program_model(model):
+    """The program model derived from the compile's notes is the one a walk
+    of the statements finds, tuple order included, and each handler's read
+    set is what that model's handler reads, by fixpoint iteration."""
+    walked = walked_program_model(model)
+    assert derive_program_model(model) == walked
+    reads = fixpoint_effects(walked, "reads")
+    assert {e: frozenset(fields) for e, fields in model.program.handler_reads.items()} == {
+        e: reads[f"{HANDLERS}.{e}"] for e in model.events
+    }
+
+
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
 def test_each_handlers_read_set_is_what_the_program_model_reads(name):
     model = corpus.app_model(name)
-    db = build_class_db(derive_program_model(model))
-    reads = model.program.handler_reads
-    assert reads.keys() == set(model.events)
-    assert {e: frozenset(fields) for e, fields in reads.items()} == {
-        e: db.effects(e)[0] for e in model.events
-    }
+    assert model.program.handler_reads.keys() == set(model.events)
+    assert_notes_match_the_walked_program_model(model)
 
 
 @settings(max_examples=150, deadline=None)
 @given(model=app_models(cycles=True))
 def test_each_drawn_handlers_read_set_is_what_the_program_model_reads(model):
-    db = build_class_db(derive_program_model(model))
-    assert {e: frozenset(fields) for e, fields in model.program.handler_reads.items()} == {
-        e: db.effects(e)[0] for e in model.events
-    }
+    assert_notes_match_the_walked_program_model(model)
 
 
 def test_every_op_has_a_step_builder():
