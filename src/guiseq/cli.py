@@ -240,7 +240,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     with _naming(args.sequences):
         cases = group_test_cases(records)
     with _naming(args.model):
-        suite = run_suite(model, cases, parallelism=args.parallel)
+        suite = run_suite(model, cases)
     save_report(suite, args.report)
     failed, broken = suite.count("failed"), suite.count("broken")
     print(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -105,30 +106,6 @@ class GenerationResult:
 # ---------------------------------------------------------------------------
 
 
-def _paths_of_length(g: Efg, head: str, length: int) -> Iterator[tuple[str, ...]]:
-    """All flow-graph paths of exactly ``length`` events starting at ``head``,
-    in lexicographic declaration order (nodes may repeat; these are walks).
-    The walk keeps its own stack, so no length runs out of Python's."""
-    adjacency = g.adjacency
-    if length == 1:
-        yield (head,)
-        return
-    path = [head]
-    pending = [iter(adjacency[head])]  # the successors left to try, per event of ``path``
-    while pending:
-        if len(path) == length - 1:  # every successor completes a path
-            stem = tuple(path)
-            for nxt in pending.pop():
-                yield stem + (nxt,)
-            path.pop()
-        elif (nxt := next(pending[-1], None)) is None:
-            pending.pop()
-            path.pop()
-        else:
-            path.append(nxt)
-            pending.append(iter(adjacency[nxt]))
-
-
 def _best_entry(g: Efg, head: str) -> tuple[str, list[str]] | None:
     """The initial event with the shortest connection to ``head``.
 
@@ -164,6 +141,7 @@ def gen_blackbox(
         raise GuiseqError(f"sequence length must be positive, got {length}")
     reachable = set(g.initials).union(g.nearest_initial)
     unreachable = [e for e in g.events if e not in reachable]
+    adjacency = g.adjacency
     sequences: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     for head in g.events:
         if head not in reachable:
@@ -172,8 +150,10 @@ def gen_blackbox(
         assert entry is not None  # head is reachable
         prefix = (entry[0], *entry[1])[:-1]  # () when head is initial
         targets = tuple(range(len(prefix), len(prefix) + length))
-        for path in _paths_of_length(g, head, length):
-            sequences.append((prefix + path, targets))
+        paths = [prefix + (head,)]
+        for _ in range(length - 1):  # extended in order: lexicographic declaration order
+            paths = [p + (n,) for p in paths for n in adjacency[p[-1]]]
+        sequences += zip(paths, repeat(targets))
     return sequences, unreachable
 
 
@@ -188,11 +168,11 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     For each event in declaration order: depth-first search over dependency
     successors ordered by descending weight (declaration order on ties).  A
     path is complete at ``length`` events or at a dead end; complete paths
-    are collected — skipping any duplicates while searching on — until
-    ``top`` of them (unbounded when None) have been found for this start.
-    With ``top=None`` the result is exactly the set of maximal
-    length-truncated dependency paths from each event.  The search keeps its
-    own stack, so no length runs out of Python's.
+    are collected until ``top`` of them (unbounded when None) have been
+    found for this start.  No path repeats, since :meth:`Edg.of` rejects a
+    repeated event id or edge.  With ``top=None`` the result is exactly the
+    set of maximal length-truncated dependency paths from each event.  The
+    search keeps its own stack, so no length runs out of Python's.
     """
     if length < 1:
         raise GuiseqError(f"sequence length must be positive, got {length}")
@@ -200,7 +180,6 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
         raise GuiseqError(f"per-event sequence budget must be positive, got {top}")
     successors = d.successors
     collected: list[AbstractSequence] = []
-    seen: set[tuple[str, ...]] = set()
 
     for start in d.events:
         budget = top if top is not None else -1  # -1 never hits zero
@@ -211,13 +190,10 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
             if nexts:
                 pending.append(iter(nexts))
             else:
-                complete = tuple(path)
-                if complete not in seen:
-                    seen.add(complete)
-                    collected.append(tuple.__new__(AbstractSequence, (complete,)))
-                    budget -= 1
-                    if budget == 0:
-                        break
+                collected.append(tuple.__new__(AbstractSequence, (tuple(path),)))
+                budget -= 1
+                if budget == 0:
+                    break
                 path.pop()
             # Step to the next successor of the deepest event that has one left.
             while pending and (nxt := next(pending[-1], None)) is None:
@@ -255,46 +231,37 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
     repeated event needs a genuine cycle, so that hop is strict.  Where a
     hop has no connection the part ends and the remainder starts a new part
     from its own entry; an unreachable head drops the remainder with a
-    diagnostic.  Each distinct entry and hop is read once per call, and
-    every value is built by ``tuple.__new__`` with its fields in order.
+    diagnostic.  Entries and hops are memoised for the call, so each
+    distinct one is read once, and every value is built by
+    ``tuple.__new__`` with its fields in order.
     """
     conversions: list[Conversion] = []
     diagnostics: list[str] = []
-    entries: dict[str, tuple[str, list[str]] | None] = {}
-    hops: dict[tuple[str, str], list[str] | None] = {}
+    entry_of = cache(partial(_best_entry, g))
+    hop_of = cache(lambda a, b: shortest_path(g, a, b, strict=a == b))
     for abstract in abstracts:
         parts: list[_Part] = []
-        remaining = list(abstract.events)
-        dropped = False
+        remaining = abstract.events
         while remaining:
-            head = remaining[0]
-            if head not in entries:
-                entries[head] = _best_entry(g, head)
-            entry = entries[head]
+            entry = entry_of(remaining[0])
             if entry is None:
                 diagnostics.append(
-                    f"abstract sequence {list(abstract.events)!r}: event {head!r} is "
+                    f"abstract sequence {list(abstract.events)!r}: event {remaining[0]!r} is "
                     "unreachable from the initial events; "
                     + ("remainder dropped" if parts else "sequence skipped")
                 )
-                dropped = True
                 break
             initial, connection = entry
-            events: list[str] = [initial, *connection] if connection else [initial]
-            targets: list[int] = [len(events) - 1]
-            consumed = 1
-            for pair in zip(remaining, remaining[1:]):
-                if pair not in hops:
-                    hops[pair] = shortest_path(g, *pair, strict=pair[0] == pair[1])
-                hop = hops[pair]
-                if hop is None:
+            events = [initial, *connection]
+            targets = [len(events) - 1]
+            for a, b in zip(remaining, remaining[1:]):
+                if (hop := hop_of(a, b)) is None:
                     break
-                events.extend(hop)
+                events += hop
                 targets.append(len(events) - 1)
-                consumed += 1
             parts.append(tuple.__new__(_Part, (tuple(events), tuple(targets))))
-            remaining = remaining[consumed:]
-        if parts or not dropped:
+            remaining = remaining[len(targets):]
+        if parts or not abstract.events:  # an unreachable first head skips the sequence
             conversions.append(
                 tuple.__new__(Conversion, (tuple(abstract.events), tuple(parts)))
             )

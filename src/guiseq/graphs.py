@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import json.scanner
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -200,9 +201,13 @@ class Edg:
 
     @classmethod
     def of(cls, events: Iterable[str], edges: Iterable[tuple[str, int, str]]) -> "Edg":
-        """Take the edges once, check each, then sort them by declaration index."""
+        """Check the events for a repeated id, take the edges once, check
+        each, then sort them by declaration index."""
         ev = tuple(events)
         index = {e: i for i, e in enumerate(ev)}
+        if len(index) < len(ev):
+            repeated = [e for e, n in Counter(ev).items() if n > 1]
+            raise InvalidGraphError([f"duplicate event id {e!r}" for e in repeated])
         seen_pairs: set[tuple[str, str]] = set()
         ordered = list(edges)
         for src, weight, dst in ordered:

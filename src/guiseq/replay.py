@@ -215,10 +215,6 @@ def _replay_tree(
     walk = [(root, 0, range(len(cases)))]
     while walk:
         state, depth, group = walk.pop()
-        if len(group) == 1:
-            i = group[0]
-            results[i] = _finish_case(model, cases[i], state, restarts, depth)
-            continue
         ending: list[int] = []
         branches: dict[str, list[int]] = {}
         for i in group:
@@ -305,13 +301,10 @@ class SuiteResult:
         return round(len(self.covered_branches) / self.branches_total, 4)
 
 
-def run_suite(
-    model: AppModel, cases: Sequence[TestCase], parallelism: int = 1
-) -> SuiteResult:
-    """Replay all cases with one coverage sink for the suite, firing each
-    distinct first-part prefix once, and list their results in the order of
-    ``cases``.  ``parallelism`` is accepted and ignored: replay runs in one
-    thread."""
+def run_suite(model: AppModel, cases: Sequence[TestCase]) -> SuiteResult:
+    """Replay all cases in one thread with one coverage sink for the suite,
+    firing each distinct first-part prefix once, and list their results in
+    the order of ``cases``."""
     coverage = Coverage()
     results = _replay_tree(model, cases, coverage)
     statements, branches = model.coverage_universe

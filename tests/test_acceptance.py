@@ -44,8 +44,8 @@ def events_of(result):
     return [r.events for r in result.records]
 
 
-def replay(app, result, parallelism: int = 1):
-    return run_suite(app, group_test_cases(result.records), parallelism=parallelism)
+def replay(app, result):
+    return run_suite(app, group_test_cases(result.records))
 
 
 def test_01_blackbox_length_two_golden(example_efg):

@@ -494,6 +494,22 @@ def test_gen_rejects_a_dependency_event_the_flow_graph_does_not_declare(workdir,
     assert not out.exists()
 
 
+def test_gen_rejects_a_dependency_graph_that_repeats_an_event_id(workdir, capsys):
+    edg = workdir / "edg.json"
+    edg.write_text(json.dumps({
+        "schemaVersion": 1,
+        "events": [{"id": e} for e in ("e1", "e2", "e1", "e3", "e4")],
+        "edges": [{"from": "e1", "to": "e3", "weight": 1}],
+    }))
+    out = workdir / "x.jsonl"
+    assert main(["gen", "--config", "D", "--efg", str(workdir / "efg.json"),
+                 "--edg", str(edg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(edg) in err[0] and "duplicate event id 'e1'" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--config", "A", "--top", "0"],
     ["--mode", "blackbox", "--length", "1", "--top", "-2"],

@@ -3,12 +3,14 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guiseq.generate import gen_abstract
 from guiseq.graphs import (
     Edg,
     Efg,
@@ -184,6 +186,28 @@ def test_edg_construction_rejects_an_iterator_of_bad_edges_alike(edges, error, m
     for source in (iter(edges), list(edges)):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             Edg.of(["a", "b"], source)
+
+
+def test_edg_construction_rejects_a_repeated_event_id():
+    for events in (["a", "b", "a"], iter(["a", "b", "a"])):
+        with pytest.raises(InvalidGraphError, match=r"^duplicate event id 'a'$"):
+            Edg.of(events, [("a", 1, "b")])
+
+
+def test_deep_abstract_search_on_a_complete_edg_holds_linear_memory():
+    """Every event depends on every event, so each step of a length-1500
+    search has five siblings: a search that kept them all as paths would
+    hold O(successors x length^2) events."""
+    events = [f"e{i}" for i in range(5)]
+    d = Edg.of(events, [(a, 1, b) for a in events for b in events])
+    tracemalloc.start()
+    try:
+        paths = gen_abstract(d, 1500, top=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.events for p in paths] == [(e,) + ("e0",) * 1499 for e in events]
+    assert peak < 1_000_000
 
 
 def test_edg_successors_ranked_by_weight_then_declaration():
