@@ -57,78 +57,17 @@ def _seconds(text: str) -> float:
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of every command, with only ``command``'s arguments: one call runs one."""
+    """The parser of every command in :data:`_COMMANDS`, with only
+    ``command``'s arguments: one call runs one."""
     parser = argparse.ArgumentParser(
         prog="guiseq",
         description="Grey-box GUI test-sequence generation and replay.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rip", help="explore an application model into an event-flow graph")
-    if command == "rip":
-        p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
-        p.add_argument("--out", required=True, type=Path, help="event-flow graph output (JSON)")
-        p.add_argument("--structure", type=Path, help="also write the observed GUI structure")
-        p.add_argument("--dot", type=Path, help="also write the graph in DOT form")
-
-    p = sub.add_parser("edg", help="build the event-dependency graph from a program model")
-    if command == "edg":
-        p.add_argument("--ir", required=True, type=Path, help="program model (JSON)")
-        p.add_argument("--efg", required=True, type=Path, help="event-flow graph (JSON)")
-        p.add_argument(
-            "--out", required=True, type=Path, help="event-dependency graph output (JSON)"
-        )
-        p.add_argument("--dot", type=Path, help="also write the graph in DOT form")
-
-    p = sub.add_parser("gen", help="generate executable test sequences")
-    if command == "gen":
-        p.add_argument("--config", choices=sorted(PRESETS), help="preset configuration")
-        p.add_argument("--mode", choices=["blackbox", "greybox"], help="generator mode")
-        p.add_argument("--length", type=int, help="events per generated sequence")
-        p.add_argument("--top", type=int, help="per-event sequence budget (grey-box)")
-        p.add_argument("--efg", required=True, type=Path, help="event-flow graph (JSON)")
-        p.add_argument("--edg", type=Path, help="event-dependency graph (grey-box only)")
-        p.add_argument("--out", required=True, type=Path, help="sequence output (JSON lines)")
-
-    p = sub.add_parser("replay", help="execute generated sequences against a model")
-    if command == "replay":
-        p.add_argument("--model", required=True, type=Path, help="application model (JSON)")
-        p.add_argument("--sequences", required=True, type=Path, help="sequence file (JSON lines)")
-        p.add_argument("--report", required=True, type=Path, help="report output (JSON)")
-        p.add_argument(
-            "--parallel",
-            type=_positive_int,
-            default=1,
-            help="accepted and ignored: replay runs in one thread",
-        )
-        p.add_argument(
-            "--allow-broken", action="store_true", help="broken sequences do not fail the run"
-        )
-
-    p = sub.add_parser("report", help="tabulate one or more replay reports")
-    if command == "report":
-        p.add_argument("reports", nargs="+", type=Path, help="report files (JSON)")
-        p.add_argument("--label", action="append", default=[], help="column label (repeatable)")
-        p.add_argument(
-            "--gen-seconds",
-            action="append",
-            default=[],
-            type=_seconds,
-            help="measured generation time per column (repeatable)",
-        )
-        p.add_argument(
-            "--exec-seconds",
-            action="append",
-            default=[],
-            type=_seconds,
-            help="measured execution time per column (repeatable)",
-        )
-
-    p = sub.add_parser("export-dot", help="render a graph file as DOT")
-    if command == "export-dot":
-        p.add_argument("--graph", required=True, type=Path, help="graph file (JSON)")
-        p.add_argument("--out", type=Path, help="output path (stdout when omitted)")
-
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments if name == command else ():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -214,13 +153,10 @@ def _check_sequences(model: AppModel, records: Sequence[SequenceRecord], path: P
     are checked at once; only when one is unknown are the records scanned,
     for the first offender."""
     known = model.event_window
-    try:
-        all_known = known.keys() >= set().union(*[record.events for record in records])
-    except TypeError:  # an unhashable event, such as a list
-        all_known = False
+    all_known = known.keys() >= set().union(*[record.events for record in records])
     for record in records:
         for event in () if all_known else record.events:
-            if type(event) is not str or event not in known:
+            if event not in known:
                 raise GuiseqError(
                     f"{path}: sequence {record.id!r}: event {event!r} is not an event "
                     f"of model {model.name!r}"
@@ -261,11 +197,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     labels = args.label + [p.stem for p in args.reports[len(args.label) :]]
     if len(labels) != len(docs):
         raise GuiseqError("more labels than report files")
-    times = args.gen_seconds + [None] * (len(docs) - len(args.gen_seconds))
-    etimes = args.exec_seconds + [None] * (len(docs) - len(args.exec_seconds))
-    if len(times) != len(docs) or len(etimes) != len(docs):
-        raise GuiseqError("more timing values than report files")
-    print(render_report_table(list(zip(labels, docs)), times, etimes), end="")
+    table = render_report_table(list(zip(labels, docs)), args.gen_seconds, args.exec_seconds)
+    print(table, end="")
     return 0
 
 
@@ -278,13 +211,54 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Each command's handler, help line and ``(flag, add_argument options)`` pairs.
 _COMMANDS = {
-    "rip": _cmd_rip,
-    "edg": _cmd_edg,
-    "gen": _cmd_gen,
-    "replay": _cmd_replay,
-    "report": _cmd_report,
-    "export-dot": _cmd_export_dot,
+    "rip": (_cmd_rip, "explore an application model into an event-flow graph", (
+        ("--model", dict(required=True, type=Path, help="application model (JSON)")),
+        ("--out", dict(required=True, type=Path, help="event-flow graph output (JSON)")),
+        ("--structure", dict(type=Path, help="also write the observed GUI structure")),
+        ("--dot", dict(type=Path, help="also write the graph in DOT form")),
+    )),
+    "edg": (_cmd_edg, "build the event-dependency graph from a program model", (
+        ("--ir", dict(required=True, type=Path, help="program model (JSON)")),
+        ("--efg", dict(required=True, type=Path, help="event-flow graph (JSON)")),
+        ("--out", dict(required=True, type=Path, help="event-dependency graph output (JSON)")),
+        ("--dot", dict(type=Path, help="also write the graph in DOT form")),
+    )),
+    "gen": (_cmd_gen, "generate executable test sequences", (
+        ("--config", dict(choices=sorted(PRESETS), help="preset configuration")),
+        ("--mode", dict(choices=["blackbox", "greybox"], help="generator mode")),
+        ("--length", dict(type=int, help="events per generated sequence")),
+        ("--top", dict(type=int, help="per-event sequence budget (grey-box)")),
+        ("--efg", dict(required=True, type=Path, help="event-flow graph (JSON)")),
+        ("--edg", dict(type=Path, help="event-dependency graph (grey-box only)")),
+        ("--out", dict(required=True, type=Path, help="sequence output (JSON lines)")),
+    )),
+    "replay": (_cmd_replay, "execute generated sequences against a model", (
+        ("--model", dict(required=True, type=Path, help="application model (JSON)")),
+        ("--sequences", dict(required=True, type=Path, help="sequence file (JSON lines)")),
+        ("--report", dict(required=True, type=Path, help="report output (JSON)")),
+        ("--parallel", dict(
+            type=_positive_int, default=1, help="accepted and ignored: replay runs in one thread"
+        )),
+        ("--allow-broken", dict(action="store_true", help="broken sequences do not fail the run")),
+    )),
+    "report": (_cmd_report, "tabulate one or more replay reports", (
+        ("reports", dict(nargs="+", type=Path, help="report files (JSON)")),
+        ("--label", dict(action="append", default=[], help="column label (repeatable)")),
+        ("--gen-seconds", dict(
+            action="append", default=[], type=_seconds,
+            help="measured generation time per column (repeatable)",
+        )),
+        ("--exec-seconds", dict(
+            action="append", default=[], type=_seconds,
+            help="measured execution time per column (repeatable)",
+        )),
+    )),
+    "export-dot": (_cmd_export_dot, "render a graph file as DOT", (
+        ("--graph", dict(required=True, type=Path, help="graph file (JSON)")),
+        ("--out", dict(type=Path, help="output path (stdout when omitted)")),
+    )),
 }
 
 
@@ -293,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The first command name is the command: no top-level option takes a value.
     args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (GuiseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

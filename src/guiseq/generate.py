@@ -356,27 +356,24 @@ class _SharedStrings(dict):
         return value
 
 
-def _shared(items: list, strings: _SharedStrings, what: str | None = None) -> tuple:
-    """``items`` as a tuple, its strings shared through ``strings``.  Any other
-    item is an error naming ``what``, or is kept for replay's model check."""
+def _shared(items: list, strings: _SharedStrings, what: str) -> tuple:
+    """``items`` as a tuple, its strings shared through ``strings``; any
+    other item is an error naming ``what``."""
     try:
         return tuple(map(strings.__getitem__, items))
     except TypeError:  # an item that is not a string
-        if what is not None:
-            raise TypeError(f"{what} is {items!r}, not a list of str") from None
-        return tuple(strings[i] if type(i) is str else i for i in items)
+        raise TypeError(f"{what} is {items!r}, not a list of str") from None
 
 
 def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
-    # Events are not typed here, which would slow every load: replay checks
-    # them, and the targets, against the model before any case runs.  The
-    # fields are checked in declaration order, and all six are passed by
-    # position to ``tuple.__new__``: the generated constructor runs a Python
-    # frame per record.
+    # The fields are checked in declaration order, each string typed as it
+    # is shared, and all six are passed by position to ``tuple.__new__``: the
+    # generated constructor runs a Python frame per record.  Replay checks
+    # the events and targets against the model before any case runs.
     split_of = doc.get("splitOf")
     return tuple.__new__(SequenceRecord, (
         typed(doc["id"], str, "id"),
-        _shared(typed(doc["events"], list, "events"), strings),
+        _shared(typed(doc["events"], list, "events"), strings, "events"),
         typed_list(doc["targets"], int, "targets"),
         strings[o] if type(o := doc["origin"]) is str else typed(o, str, "origin"),
         _shared(typed(doc["abstract"], list, "abstract"), strings, "abstract")

@@ -370,9 +370,9 @@ def read_document_lines(
     it), so a raw U+2028, U+2029 or U+0085 inside a JSON string stays in its
     line.  An object that fills its line exactly is decoded in place by the
     C scanner of :mod:`json` and, at the right schema version, given straight
-    to ``parse``.  Any other line, and any document ``parse`` rejects, goes
-    to :func:`_parse_document`, which decodes text with :func:`json.loads`
-    and names what is wrong."""
+    to ``parse``.  Any other non-blank line, the ones ``parse`` rejects
+    included, is read again by :func:`_parse_document`, which decodes it with
+    :func:`json.loads` and names what is wrong."""
     text = _read_text(path)
     docs = []
     start, lineno = 0, 1
@@ -381,20 +381,15 @@ def read_document_lines(
         if end < 0:
             end = len(text)
         try:
-            source, stop = _scan_once(text, start)
-        except (StopIteration, ValueError, RecursionError):
-            stop = -1
-        if stop != end or type(source) is not dict:
-            source = text[start:end]
-            if source.strip():
-                docs.append(_parse_document(source, path, lineno, kind, parse))
-        elif type(version := source.get("schemaVersion")) is not int or version != SCHEMA_VERSION:
-            docs.append(_parse_document(source, path, lineno, kind, parse))
-        else:
-            try:
-                docs.append(parse(source))
-            except (KeyError, TypeError, AttributeError, ValueError, RecursionError, GuiseqError):
-                docs.append(_parse_document(source, path, lineno, kind, parse))  # names it
+            doc, stop = _scan_once(text, start)
+            version = doc["schemaVersion"]
+            if stop != end or type(version) is not int or version != SCHEMA_VERSION:
+                raise ValueError("not a whole line at the schema version")
+            docs.append(parse(doc))
+        except (StopIteration, KeyError, TypeError, AttributeError, ValueError, RecursionError,
+                GuiseqError):
+            if text[start:end].strip():
+                docs.append(_parse_document(text[start:end], path, lineno, kind, parse))
         start, lineno = end + 1, lineno + 1
     return docs
 

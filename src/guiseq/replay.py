@@ -414,22 +414,25 @@ def render_report_table(
 ) -> str:
     """Side-by-side summary of replay reports.
 
-    ``columns`` pairs a label with a report document.  Timing rows show "-"
-    unless measured values are supplied — the report files themselves never
-    carry wall-clock times, so repeated runs stay byte-identical.
+    ``columns`` pairs a label with a report document.  A timing cell shows
+    "-" unless a measured value is supplied for its column — the report files
+    themselves never carry wall-clock times, so repeated runs stay
+    byte-identical.  More timing values than columns is an error.
     """
-    gen_seconds = gen_seconds or [None] * len(columns)
-    exec_seconds = exec_seconds or [None] * len(columns)
 
-    def fmt_time(value: float | None) -> str:
-        return "-" if value is None else f"{value:.2f}s"
+    def times(values: Sequence[float | None] | None) -> list[str]:
+        values = values or ()
+        if len(values) > len(columns):
+            raise GuiseqError("more timing values than report files")
+        cells = ["-" if v is None else f"{v:.2f}s" for v in values]
+        return cells + ["-"] * (len(columns) - len(cells))
 
     rows = [
         ("", [label for label, _ in columns]),
         ("# es", [str(doc["summary"]["total"]) for _, doc in columns]),
         ("# broken es", [str(doc["summary"]["broken"]) for _, doc in columns]),
-        ("gen t", [fmt_time(v) for v in gen_seconds]),
-        ("exec t", [fmt_time(v) for v in exec_seconds]),
+        ("gen t", times(gen_seconds)),
+        ("exec t", times(exec_seconds)),
         ("line cov.", [f"{doc['summary']['statementCoverage']:.4f}" for _, doc in columns]),
         ("branch cov.", [f"{doc['summary']['branchCoverage']:.4f}" for _, doc in columns]),
     ]

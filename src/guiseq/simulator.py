@@ -128,8 +128,9 @@ class GuiState:
         The simulator is deterministic, so continuing a fork is observably
         the same as relaunching against the same settings and firing the
         events that led here again, only without that work.  Every field
-        is passed by position, in declaration order: replay makes about one
-        fork per case, and keywords cost more than the copies.
+        is passed by position, in declaration order: the ripper forks once
+        per probe and replay for every case its leaf memo does not resolve,
+        and keywords cost more than the copies.
         """
         return GuiState(
             self.model,

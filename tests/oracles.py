@@ -573,7 +573,7 @@ def scanned_check_sequences(
     known = model.event_window
     for record in records:
         for event in record.events:
-            if type(event) is not str or event not in known:
+            if event not in known:
                 raise GuiseqError(
                     f"{path}: sequence {record.id!r}: event {event!r} is not an event "
                     f"of model {model.name!r}"

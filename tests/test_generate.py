@@ -412,20 +412,32 @@ def test_raw_line_separators_inside_strings_stay_in_their_line(tmp_path):
 
 def test_loaded_records_share_one_string_per_event(tmp_path):
     p = tmp_path / "suite.jsonl"
-    p.write_text(
+    line1, line2, line3 = (
         '{"schemaVersion":1,"id":"s1","events":["open","ok","open"],"targets":[2],'
-        '"origin":"greybox","abstract":["open"]}\n'
-        '{"schemaVersion":1,"id":"s2","events":["ok",true,1],"targets":[0],"origin":"greybox"}\n'
-        '{"schemaVersion":1,"id":"s3","events":["ok",[]],"targets":[0],"origin":"greybox"}\n'
+        '"origin":"greybox","abstract":["open"]}\n',
+        '{"schemaVersion":1,"id":"s2","events":["ok",true,1],"targets":[0],"origin":"greybox"}\n',
+        '{"schemaVersion":1,"id":"s3","events":["ok",[]],"targets":[0],"origin":"greybox"}\n',
     )
-    first, second, third = load_sequences(p)
-    assert first.events[0] is first.events[2] is first.abstract[0]
+    typed_line2 = line2.replace("true,1", '"open"')
+    p.write_text(line1 + typed_line2)
+    first, second = load_sequences(p)
+    assert first.events[0] is first.events[2] is first.abstract[0] is second.events[1]
     assert first.events[1] is second.events[0]
     assert first.origin is second.origin
-    # Only strings are shared: true and 1 stay what they were, and a list
-    # holding an unhashable item is kept as it is.
-    assert [type(e) for e in second.events] == [str, bool, int]
-    assert third.events == ("ok", []) and third.origin is first.origin
+    # Only strings are shared: any other event, a true, a 1 or an unhashable
+    # list, makes its line a malformed record.
+    p.write_text(line1 + line2 + line3)
+    with pytest.raises(GuiseqError) as rejected:
+        load_sequences(p)
+    assert str(rejected.value) == (
+        f"{p}: line 2: malformed sequence record: events is ['ok', True, 1], not a list of str"
+    )
+    p.write_text(line1 + typed_line2 + line3)
+    with pytest.raises(GuiseqError) as rejected:
+        load_sequences(p)
+    assert str(rejected.value) == (
+        f"{p}: line 3: malformed sequence record: events is ['ok', []], not a list of str"
+    )
 
 
 # ---------------------------------------------------------------------------

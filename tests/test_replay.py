@@ -966,3 +966,23 @@ def test_report_table_rendering():
         "line cov.   | 0.9167\n"
         "branch cov. | 0.5000\n"
     )
+
+
+@pytest.mark.parametrize(
+    ("timings", "rows"),
+    [
+        ({"gen_seconds": [1.0]}, ("gen t       | 1.00s  | -", "exec t      | -      | -")),
+        ({"exec_seconds": [2.0]}, ("gen t       | -      | -", "exec t      | 2.00s  | -")),
+        ({"gen_seconds": [1.0, 2.0, 3.0]}, None),
+        ({"gen_seconds": [], "exec_seconds": [1.0, 2.0, 3.0]}, None),
+    ],
+    ids=["short-gen", "short-exec", "long-gen", "long-exec"],
+)
+def test_report_table_pads_short_timing_lists_and_rejects_long_ones(timings, rows):
+    doc = {"summary": {"total": 1, "broken": 0, "statementCoverage": 1.0, "branchCoverage": 1.0}}
+    columns = [("a", doc), ("b", doc)]
+    if rows is None:
+        with pytest.raises(GuiseqError, match="^more timing values than report files$"):
+            render_report_table(columns, **timings)
+    else:
+        assert render_report_table(columns, **timings).splitlines()[3:5] == list(rows)

@@ -3,15 +3,17 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import assume, given, settings
 
 from guiseq import corpus, ripper
 from guiseq.appmodel import load_app_model
 from guiseq.cli import main
 from guiseq.graphs import GuiseqError
 from guiseq.ripper import build_efg_from_structure, rip, save_structure, structure_to_json
-from guiseq.simulator import CRASH_NULL_DEREF, available_events
+from guiseq.simulator import CRASH_NULL_DEREF, available_events, launch
 
 from oracles import relaunching_rip
+from strategies import app_models
 
 EXAMPLE_EDGES = {
     ("e1", "e1"), ("e1", "e2"), ("e1", "e3"),
@@ -129,6 +131,13 @@ def test_crashing_event_is_recorded_but_contributes_nothing(tmp_path):
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
 def test_rip_equals_the_relaunching_oracle(name):
     model = corpus.app_model(name)
+    assert rip(model) == relaunching_rip(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=app_models())
+def test_rip_equals_the_relaunching_oracle_on_drawn_models(model):
+    assume(available_events(launch(model, {})[0]))  # rip refuses a launch that offers none
     assert rip(model) == relaunching_rip(model)
 
 

@@ -386,7 +386,8 @@ def walk_both(model, picks):
 
 
 @pytest.mark.parametrize(
-    "name", ["example-app", "jabref-scenario", "rachota-scenario", "features", "window-events"]
+    "name",
+    ["example-app", "jabref-scenario", "rachota-scenario", "features", "window-events", "drawn"],
 )
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -394,7 +395,9 @@ def test_compiled_handlers_run_like_the_interpreter(tmp_path_factory, name, data
     """Random walks of events and relaunches give equal fields, window stack,
     enabled flags, settings, coverage, entered handlers, crashes and exit
     flags under the compiled steps and the statement-walking oracle."""
-    if name in ("features", "window-events"):
+    if name == "drawn":
+        model = data.draw(app_models())
+    elif name in ("features", "window-events"):
         doc = FEATURES_DOC if name == "features" else WINDOW_EVENTS_DOC
         model = write_model(tmp_path_factory.getbasetemp(), doc)
     else:
