@@ -20,10 +20,15 @@ reports byte-identical.
   :data:`MAX_CALL_DEPTH` raises :class:`~guiseq.graphs.GuiseqError`.
 * **Fork.**  :meth:`GuiState.fork` copies an instance; continuing the copy
   equals relaunching and firing the same events again.  Only the
-  :class:`Coverage` sink is shared.
+  :class:`Coverage` sink is shared, and with it the memo of calls below.
 * **Coverage.**  Statement ids, branch ids (see
   :attr:`~guiseq.appmodel.AppModel.coverage_universe`) and entered handlers
-  go to the sink the launch was given.
+  go to the sink the launch was given.  The sink also memoises each ``call``
+  of a write-free method, one whose statements and callees set no field,
+  flag, window or setting and do not exit: such a call runs once per
+  ``(method, depth, values of the fields it reads)``, its only inputs, and
+  a repeat raises the same crash or returns at once.  A repeat adds no
+  coverage because the sink already holds what the first run covered.
 """
 
 from __future__ import annotations
@@ -101,11 +106,18 @@ class CrashRecord:
 @dataclass
 class Coverage:
     """A sink for what ran: statement ids, branch ids and the events whose
-    handler was entered."""
+    handler was entered; and ``calls``, the memo of the write-free method
+    calls made by the runs that record into it."""
 
     statements: set[str] = dc_field(default_factory=set)
     branches: set[str] = dc_field(default_factory=set)
     handlers: set[str] = dc_field(default_factory=set)
+    #: The outcome of each write-free method call this sink saw, by ``(method,
+    #: depth, values of the fields its call closure reads)``: the crash's
+    #: ``(kind, statement)``, or None.  Not a result, so sinks compare without it.
+    calls: dict[tuple, tuple[str, str] | None] = dc_field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass(slots=True)
@@ -236,11 +248,17 @@ class Program:
         #: Filled before any step runs, so a ``call`` looks its method up here
         #: when it runs, recursive calls included.
         self.methods: dict[str, Block] = {}
+        #: The fields each write-free method's call closure reads, the key of
+        #: its calls' memo; filled at the end of the compile, like ``methods``.
+        self.write_free: dict[str, tuple[str, ...]] = {}
         #: The ``(reads, writes, callees)`` the step builders noted in each
         #: method, then in each handler.
         self.method_uses: dict[str, tuple[list[str], list[str], list[str]]] = {}
+        writers = set()  # methods with a statement that changes the state
         for name, block in model.methods.items():
             self.methods[name], self.method_uses[name] = self.unit(block, f"m:{name}/")
+            if self.writing:
+                writers.add(name)
         self.handlers: dict[str, Block] = {}
         self.handler_uses: dict[str, tuple[list[str], list[str], list[str]]] = {}
         for event, block in model.handlers.items():
@@ -248,6 +266,17 @@ class Program:
         # a unit of its own, so that its notes do not land in the last handler's
         self.on_launch = self.unit(model.on_launch, "launch/")[0]
         self.statement_ids, self.branch_ids = map(frozenset, (self.statement_ids, self.branch_ids))
+        uses = self.method_uses
+        #: The fields each method reads, itself or through the methods it
+        #: calls, each once: summed over its ``call_closure``.
+        self.closure_reads: dict[str, tuple[str, ...]] = {}
+        for name in uses:
+            closure = call_closure(name, lambda m: uses[m][2])
+            self.closure_reads[name] = reads = tuple(dict.fromkeys(chain.from_iterable(
+                uses[method][0] for method in closure
+            )))
+            if writers.isdisjoint(closure):
+                self.write_free[name] = reads
 
     @cached_property
     def handler_reads(self) -> dict[str, tuple[str, ...]]:
@@ -255,23 +284,18 @@ class Program:
         methods it calls, in ``if`` conditions included, some of them more
         than once.  Taken from the compile's notes on first use, which only
         replay makes."""
-        uses = self.method_uses
-        closures = {
-            name: tuple(dict.fromkeys(chain.from_iterable(
-                uses[method][0] for method in call_closure(name, lambda m: uses[m][2])
-            )))
-            for name in uses
-        }
         return {
-            event: sum(map(closures.__getitem__, called), tuple(reads))
+            event: sum(map(self.closure_reads.__getitem__, called), tuple(reads))
             for event, (reads, _, called) in self.handler_uses.items()
         }
 
     def unit(self, statements: Iterable[Statement], prefix: str) -> tuple[Block, tuple]:
         """A handler, method or launch block compiled, and the ``(reads,
         writes, callees)`` its step builders noted, in its nested blocks
-        too, in the order a pre-order walk of its statements meets them."""
+        too, in the order a pre-order walk of its statements meets them.
+        ``writing`` then tells whether any of them is not in :data:`_WRITE_FREE`."""
         self.reads, self.writes, self.callees = uses = [], [], []
+        self.writing = False
         return self.block(statements, prefix), uses
 
     def block(self, statements: Iterable[Statement], prefix: str) -> Block:
@@ -279,7 +303,9 @@ class Program:
         for i, stmt in enumerate(statements):
             sid = f"{prefix}{i}"
             self.statement_ids.append(sid)
-            out.append((sid, _STEPS[type(stmt)](stmt, sid, self)))
+            out.append((sid, _STEPS[kind := type(stmt)](stmt, sid, self)))
+            if kind not in _WRITE_FREE:
+                self.writing = True
         return tuple(out)
 
 
@@ -361,16 +387,28 @@ def _exit_app(state: GuiState, depth: int) -> None:
 
 
 def _call(stmt: Call, sid: str, program: Program) -> Step:
-    methods, method, prefix = program.methods, stmt.method, f"m:{stmt.method}/"
+    # the dicts, not the program, which would make every compiled model a cycle
+    methods, write_free, method = program.methods, program.write_free, stmt.method
     program.callees.append(method)
 
     def step(state: GuiState, depth: int) -> None:
         if depth >= MAX_CALL_DEPTH:
             raise GuiseqError(
-                f"call depth exceeded {MAX_CALL_DEPTH} at {prefix!r}; "
+                f"call depth exceeded {MAX_CALL_DEPTH} at {f'm:{method}/'!r}; "
                 "the model likely has unbounded recursion"
             )
-        _run(state, methods[method], depth + 1)
+        if (reads := write_free.get(method)) is None:
+            return _run(state, methods[method], depth + 1)
+        memo, key = state.coverage.calls, (method, depth, *map(state.fields.__getitem__, reads))
+        if key not in memo:
+            try:
+                _run(state, methods[method], depth + 1)
+            except _CrashSignal as crash:
+                memo[key] = crash.kind, crash.statement
+                raise
+            memo[key] = None
+        elif memo[key] is not None:
+            raise _CrashSignal(*memo[key])
     return step
 
 
@@ -420,6 +458,10 @@ def _throw(stmt: ThrowArrayOob, sid: str, program: Program) -> Step:
         raise _CrashSignal(CRASH_ARRAY_OOB, sid)
     return step
 
+
+#: The statement classes that change no state: a method made of these alone,
+#: and calling only such methods, runs alike on equal values of what it reads.
+_WRITE_FREE = frozenset({ReadField, Log, If, Deref, ThrowArrayOob, Call})
 
 #: The step builder of each statement class: the one per-op dispatch outside
 #: :data:`guiseq.appmodel._OPS`, which cannot hold it because this module

@@ -67,17 +67,24 @@ awkward_text = st.text(
 field_values = st.sampled_from([None, True, False, "a", "b"])
 
 
+#: The ops that change no state, which a write-free method is made of.
+WRITE_FREE_OPS = ["read", "log"] * 3 + ["deref", "throwArrayOob"]
+
+
 @st.composite
-def statements(draw, names: dict, depth: int, callees: tuple[str, ...]) -> Statement:
-    """One statement of any of the 15 ops over the model's ``names``: an
-    ``if`` only while ``depth`` is above 0 (its blocks get ``depth - 1``), a
-    ``call`` only to one of ``callees``.  Field traffic, ``if`` and ``call``
-    come three times as often as any other op, most of which can end, block
-    or break a case, so that cases run on."""
-    ops = ["set", "setNull", "read", "copy", "log"] * 3 + [
+def statements(
+    draw, names: dict, depth: int, callees: tuple[str, ...], write_free: bool = False
+) -> Statement:
+    """One statement of any of the 15 ops over the model's ``names``, or of
+    :data:`WRITE_FREE_OPS` if ``write_free``: an ``if`` only while ``depth``
+    is above 0 (its blocks get ``depth - 1``), a ``call`` only to one of
+    ``callees``.  Field traffic, ``if`` and ``call`` come three times as
+    often as any other op, most of which can end, block or break a case, so
+    that cases run on."""
+    ops = WRITE_FREE_OPS if write_free else ["set", "setNull", "read", "copy", "log"] * 3 + [
         "open", "close", "exit", "writeSetting", "readSetting", "enable", "deref", "throwArrayOob"
     ]
-    ops += ["if"] * 3 * (depth > 0) + ["call"] * 3 * bool(callees)
+    ops = ops + ["if"] * 3 * (depth > 0) + ["call"] * 3 * bool(callees)
     op = draw(st.sampled_from(ops))
     field = st.sampled_from(names["fields"])
     key = st.sampled_from(["k0", "k1"])
@@ -85,7 +92,7 @@ def statements(draw, names: dict, depth: int, callees: tuple[str, ...]) -> State
     if op == "if":
         kind = draw(st.sampled_from(["isNull", "isTrue", "equals"]))
         value = draw(st.sampled_from(["a", "b"])) if kind == "equals" else None
-        then, orelse = (draw(blocks(names, depth - 1, callees)) for _ in range(2))
+        then, orelse = (draw(blocks(names, depth - 1, callees, write_free)) for _ in range(2))
         return If(Condition(kind, draw(field), value), then, orelse)
     return {
         "set": lambda: SetField(draw(field), draw(st.sampled_from([True, False, "a", "b"]))),
@@ -107,9 +114,9 @@ def statements(draw, names: dict, depth: int, callees: tuple[str, ...]) -> State
     }[op]()
 
 
-def blocks(names: dict, depth: int, callees: tuple[str, ...]):
+def blocks(names: dict, depth: int, callees: tuple[str, ...], write_free: bool = False):
     """Blocks of up to three :func:`statements`."""
-    return st.lists(statements(names, depth, callees), max_size=3).map(tuple)
+    return st.lists(statements(names, depth, callees, write_free), max_size=3).map(tuple)
 
 
 @st.composite
@@ -120,7 +127,14 @@ def app_models(draw, max_windows: int = 3, depth: int = 2, cycles: bool = False)
     at most ``depth`` deep; a launch block that reads a setting and may
     crash on it.  Window ``W<i>`` is opened by an event of an earlier window
     and closed by its own last widget.  A method calls only earlier methods,
-    so replay ends, unless ``cycles`` lets it call any method."""
+    so replay ends, unless ``cycles`` lets it call any method.
+
+    Two shapes come more often than the ops' weights alone would draw them.
+    About half the handlers end by disabling a widget of another window, or
+    of their own if there is one window: an event whose availability a
+    sibling probe reads.  A write-free method ``pure``, drawn from
+    :data:`WRITE_FREE_OPS`, is called by about half the handlers and any
+    method may call it, so walks repeat its calls."""
     fields = {f"F.x{i}": draw(field_values) for i in range(draw(st.integers(1, 4)))}
     windows = []
     for i in range(draw(st.integers(1, max_windows))):
@@ -138,14 +152,22 @@ def app_models(draw, max_windows: int = 3, depth: int = 2, cycles: bool = False)
         "windows": [w.name for w in windows],
         "widgets": [(w.name, widget.id) for w in windows for widget in w.widgets],
     }
-    methods = [f"m{k}" for k in range(draw(st.integers(0, 2)))]
-    bodies = {
-        name: draw(blocks(names, depth, tuple(methods if cycles else methods[:k])))
-        for k, name in enumerate(methods)
-    }
-    handlers = {
-        event: draw(blocks(names, depth, tuple(methods))) for w in windows for event in w.events
-    }
+    methods = ["pure"] + [f"m{k}" for k in range(draw(st.integers(0, 2)))]
+    bodies = {"pure": draw(blocks(names, depth, (), write_free=True))}
+    bodies.update(
+        (name, draw(blocks(names, depth, tuple(methods if cycles else methods[:k]))))
+        for k, name in enumerate(methods[1:], 1)
+    )
+    handlers = {}
+    for w in windows:
+        others = [(v.name, widget.id) for v in windows if v is not w for widget in v.widgets]
+        for event in w.events:
+            handlers[event] = draw(blocks(names, depth, tuple(methods)))
+            if draw(st.booleans()):
+                handlers[event] = (Call("pure"),) + handlers[event]
+            if draw(st.booleans()):
+                target = draw(st.sampled_from(others or names["widgets"]))
+                handlers[event] += (SetWidgetEnabled(*target, False),)
     for i, w in enumerate(windows[1:], 1):
         opener = draw(st.sampled_from([e for v in windows[:i] for e in v.events]))
         handlers[opener] = (OpenWindow(w.name),) + handlers[opener]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from guiseq.simulator import (
     CRASH_ARRAY_OOB,
     CRASH_NULL_DEREF,
     MAX_CALL_DEPTH,
+    Coverage,
+    CrashRecord,
     available_events,
     fire_event,
     is_available,
@@ -109,14 +113,16 @@ def test_modeless_window_blocks_nothing(jabref_app):
 
 
 @pytest.mark.parametrize(
-    "name", ["example-app", "jabref-scenario", "rachota-scenario", "window-events"]
+    "name", ["example-app", "jabref-scenario", "rachota-scenario", "window-events", "drawn"]
 )
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_availability_matches_the_scanning_oracle(tmp_path_factory, name, data):
     """Random walks that fire available events and relaunch against the same
     settings; at every step both availability checks agree with the oracle."""
-    if name == "window-events":
+    if name == "drawn":
+        model = data.draw(app_models())
+    elif name == "window-events":
         model = write_model(tmp_path_factory.getbasetemp(), WINDOW_EVENTS_DOC)
     else:
         model = corpus.app_model(name)
@@ -145,15 +151,16 @@ def observed(state):
     )
 
 
-@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario", "drawn"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_fork_continues_like_a_relaunch_that_fires_the_prefix_again(name, data):
     """Fork a state after a random walk; continuing the fork and continuing a
     fresh launch that fired the same walk again stay equal, through a final
     relaunch against the settings each one carries, and the forked state
-    itself does not change but for the coverage sink it shares."""
-    model = corpus.app_model(name)
+    itself does not change but for the coverage sink it shares, call memo
+    included."""
+    model = data.draw(app_models()) if name == "drawn" else corpus.app_model(name)
     original, _ = launch(model, {})
     prefix = []
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
@@ -325,6 +332,55 @@ WINDOW_EVENTS_DOC = {
 }
 
 
+def call(method):
+    return {"op": "call", "method": method}
+
+
+#: Calls that the memo of write-free calls answers: ``check`` writes nothing
+#: and derefs ``Main.text``, which ``clear`` sets to None; handlers call it at
+#: depth 0, ``outer`` at depth 1, and ``bump``, which writes a field, calls
+#: it too.  ``mode`` flips a field that ``check`` reads in its ``if``.
+MEMO_DOC = {
+    "windows": [
+        {
+            "name": "Main",
+            "main": True,
+            "widgets": [widget(e) for e in ("a", "b", "bump", "reset", "clear", "fill", "mode")],
+        },
+    ],
+    "fields": {"Main.text": "x", "Main.mode": "a", "Main.n": "0"},
+    "methods": {
+        "check": [
+            {"op": "deref", "field": "Main.text"},
+            {
+                "op": "if",
+                "cond": {"kind": "equals", "field": "Main.mode", "value": "a"},
+                "then": [{"op": "log", "field": "Main.mode"}],
+                "else": [{"op": "read", "field": "Main.n"}],
+            },
+        ],
+        "outer": [call("check"), {"op": "read", "field": "Main.n"}],
+        "bump": [call("check"), {"op": "set", "field": "Main.n", "value": "1"}],
+    },
+    "handlers": {
+        "a": [call("check")],
+        "b": [call("outer")],
+        "bump": [call("bump")],
+        "reset": [{"op": "set", "field": "Main.n", "value": "0"}],
+        "clear": [{"op": "setNull", "field": "Main.text"}],
+        "fill": [{"op": "set", "field": "Main.text", "value": "y"}],
+        "mode": [
+            {
+                "op": "if",
+                "cond": {"kind": "equals", "field": "Main.mode", "value": "a"},
+                "then": [{"op": "set", "field": "Main.mode", "value": "b"}],
+                "else": [{"op": "set", "field": "Main.mode", "value": "a"}],
+            }
+        ],
+    },
+}
+
+
 def assert_notes_match_the_walked_program_model(model):
     """The program model derived from the compile's notes is the one a walk
     of the statements finds, tuple order included, and each handler's read
@@ -387,7 +443,10 @@ def walk_both(model, picks):
 
 @pytest.mark.parametrize(
     "name",
-    ["example-app", "jabref-scenario", "rachota-scenario", "features", "window-events", "drawn"],
+    [
+        "example-app", "jabref-scenario", "rachota-scenario",
+        "features", "window-events", "memo", "drawn",
+    ],
 )
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -395,11 +454,11 @@ def test_compiled_handlers_run_like_the_interpreter(tmp_path_factory, name, data
     """Random walks of events and relaunches give equal fields, window stack,
     enabled flags, settings, coverage, entered handlers, crashes and exit
     flags under the compiled steps and the statement-walking oracle."""
+    docs = {"features": FEATURES_DOC, "window-events": WINDOW_EVENTS_DOC, "memo": MEMO_DOC}
     if name == "drawn":
         model = data.draw(app_models())
-    elif name in ("features", "window-events"):
-        doc = FEATURES_DOC if name == "features" else WINDOW_EVENTS_DOC
-        model = write_model(tmp_path_factory.getbasetemp(), doc)
+    elif name in docs:
+        model = write_model(tmp_path_factory.getbasetemp(), docs[name])
     else:
         model = corpus.app_model(name)
     steps = iter(range(data.draw(st.integers(min_value=0, max_value=30))))
@@ -427,6 +486,101 @@ def test_the_features_model_reaches_each_feature_under_both(tmp_path):
     assert {"m:countdown/0.t.1", "m:countdown/0.e.0.t.1", "m:countdown/0.e.0.e.0"} <= statements
     assert {"h:stop/0", "h:quit/0"} <= statements
     assert not {"h:stop/1", "h:quit/1"} & statements
+
+
+class CountingSet(set):
+    """A statement set that counts how often each id is added: ``_run`` adds
+    every statement it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = Counter()
+
+    def add(self, sid):
+        self.runs[sid] += 1
+        super().add(sid)
+
+
+def counting_sink():
+    return Coverage(statements=CountingSet())
+
+
+def test_a_write_free_method_runs_once_per_key_in_each_sink(tmp_path):
+    """``check`` runs once per (depth, values it reads) in a sink, across
+    relaunches into it, and a memoised crash is raised again; ``bump``
+    writes, so it runs on every call; a fresh sink starts with no entry."""
+    model = write_model(tmp_path, MEMO_DOC)
+    sink = counting_sink()
+    state, _ = launch(model, {}, coverage=sink)
+    walk = ("a", "a", "b", "b", "bump", "reset", "bump", "reset", "mode", "a", "b", "mode", "a")
+    for event in walk:
+        assert fire_event(state, event) is None
+    # mode "a" at depths 0 and 1, then mode "b" at depths 0 and 1; the
+    # ``reset`` after each ``bump`` gives its next call equal values to read
+    assert sink.statements.runs["m:check/0"] == 4
+    assert sink.statements.runs["m:outer/0"] == 2
+    assert sink.statements.runs["m:bump/0"] == 2
+    assert {"m:check/1:then", "m:check/1:else"} <= sink.branches
+    fire_event(state, "clear")
+    crash = fire_event(state, "a")
+    assert crash == CrashRecord(CRASH_NULL_DEREF, "m:check/0")
+    assert sink.statements.runs["m:check/0"] == 5
+
+    covered = set(sink.statements)
+    state, _ = launch(model, {}, coverage=sink)
+    fire_event(state, "clear")
+    assert fire_event(state, "a") == crash
+    assert state.exited
+    assert sink.statements.runs["m:check/0"] == 5 and sink.statements == covered
+
+    other = counting_sink()
+    state, _ = launch(model, {}, coverage=other)
+    assert fire_event(state, "a") is None
+    assert other.statements.runs["m:check/0"] == 1
+    assert sink.statements.runs["m:check/0"] == 5
+
+
+def test_a_memoised_call_still_raises_past_the_depth_limit(tmp_path):
+    """``probe`` ran at depth 0; reached again through a chain of write-free
+    calls, with the same field values, its own call passes
+    :data:`MAX_CALL_DEPTH`, so it raises, every time."""
+    doc = two_window_doc()
+    doc["fields"] = {"Main.x": "v"}
+    chain = {f"d{k}": [call(f"d{k + 1}")] for k in range(MAX_CALL_DEPTH - 2)}
+    doc["methods"] = chain | {
+        f"d{MAX_CALL_DEPTH - 2}": [call("probe")],
+        "probe": [call("leaf")],
+        "leaf": [{"op": "read", "field": "Main.x"}],
+    }
+    doc["handlers"] |= {"open": [call("probe")], "quit": [call("d0")]}
+    model = write_model(tmp_path, doc)
+    state, _ = launch(model, {})
+    assert fire_event(state, "open") is None
+    for _ in range(2):
+        with pytest.raises(GuiseqError, match=f"exceeded {MAX_CALL_DEPTH} at 'm:leaf/'"):
+            fire_event(state, "quit")
+
+
+def test_a_compiled_model_is_freed_without_the_garbage_collector(tmp_path):
+    """No step refers to the program, so a model whose methods call no
+    method, its compiled program and the states of a walk that memoises a
+    call's crash are freed by reference counts alone."""
+    doc = two_window_doc()
+    doc["fields"] = {"Main.x": None}
+    doc["methods"] = {"check": [{"op": "deref", "field": "Main.x"}]}
+    doc["handlers"]["open"] = [call("check")]
+    model = write_model(tmp_path, doc)
+    gc.collect()
+    gc.disable()
+    try:
+        state, _ = launch(model, {})
+        crash = fire_event(state, "open")
+        state, _ = launch(model, {}, coverage=state.coverage)
+        assert fire_event(state, "open") == crash is not None
+        del model, state
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
