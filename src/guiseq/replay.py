@@ -16,12 +16,10 @@ statement and branch fractions of the model's coverage universe, rounded to
 four decimals.
 
 :func:`run_suite` fires each distinct first-part prefix once and forks where
-cases part ways; a restart is launched once per distinct settings content.
-A one-part case's last event whose handler reads the same field values,
-under the same settings, as an earlier such last event is resolved from a
-memo, without a fork or a fire: the handler's run and the restart after it
-depend on nothing else, since no handler reads an enabled flag or the
-window stack and the event's availability is checked on every hit.  Every
+cases part ways.  The coverage sink's memo, where a hit adds no coverage
+(:class:`~guiseq.simulator.Coverage`), holds each restart's outcome by
+settings content, and each leaf's, a one-part case's last event, by the
+event, the settings and the values of the fields its handler reads.  Every
 verdict, and the coverage, equals what :func:`run_test_case` computes from
 scratch for each case, so neither sharing nor case order shows.
 """
@@ -127,7 +125,7 @@ def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseRe
     state, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:
         return _result((case, "failed", crash, None))
-    return _finish_case(model, case, state, {})
+    return _finish_case(case, state)
 
 
 def _fire(state: GuiState, event: str, position: int) -> tuple | None:
@@ -142,19 +140,13 @@ def _fire(state: GuiState, event: str, position: int) -> tuple | None:
     return None
 
 
-def _finish_case(
-    model: AppModel,
-    case: TestCase,
-    state: GuiState,
-    restarts: dict[frozenset, CrashRecord | None],
-    start: int = 0,
-) -> CaseResult:
+def _finish_case(case: TestCase, state: GuiState, start: int = 0) -> CaseResult:
     """Replay ``case`` on from ``state``, a live instance of its first part
     that has fired that part's first ``start`` events, recording into the
-    state's coverage sink.  ``restarts`` memoises the restart's crash by the
-    frozen set of the settings' items; a snapshot missing from it is
-    launched, into the same sink."""
-    offset = 0
+    state's coverage sink.  The restart is launched, into the same sink, once
+    per settings snapshot the sink's memo has not seen; a hit adds no
+    coverage, since the sink holds what that launch covered."""
+    model, offset = state.model, 0
     for n, part in enumerate(case.parts):
         if n:
             state, crash = launch(model, state.settings, phase="launch", coverage=state.coverage)
@@ -165,10 +157,10 @@ def _finish_case(
                 return _result((case,) + verdict)
         offset += len(part.events)
         start = 0
-    key = frozenset(state.settings.items())
-    if key not in restarts:
-        restarts[key] = launch(model, state.settings, phase="restart", coverage=state.coverage)[1]
-    crash = restarts[key]
+    memo, key = state.coverage.memo, frozenset(state.settings.items())
+    if key not in memo:
+        memo[key] = launch(model, state.settings, phase="restart", coverage=state.coverage)[1]
+    crash = memo[key]
     return _result((case, "passed" if crash is None else "failed", crash, None))
 
 
@@ -192,10 +184,9 @@ def _replay_tree(
     reads the window stack either: ``open`` and ``close`` of a window other
     than the main one change no verdict, and the main window is open while
     the application runs, so closing it always exits.  So a leaf whose key
-    an earlier leaf memoised is resolved without a fork or a fire: one check
+    the sink's memo holds is resolved without a fork or a fire: one check
     that the event is available, then the memoised verdict, an event crash
-    moved to this position.  Coverage needs nothing, since the fire that
-    memoised the key already added what the handler and the restart ran.
+    moved to this position.
     """
     if not cases:
         return []
@@ -207,24 +198,23 @@ def _replay_tree(
     # -1 for a case with later parts
     last = [len(case.parts[0].events) - 1 if len(case.parts) == 1 else -1 for case in cases]
     results: list = [None] * len(cases)  # by position in ``cases``
-    restarts: dict[frozenset, CrashRecord | None] = {}
     # what each event's handler reads, from the fields: one value, or a
     # tuple of them; an event whose handler reads none has no entry
     values = {e: itemgetter(*fields) for e, fields in model.program.handler_reads.items() if fields}
-    leaves: dict[tuple, tuple] = {}  # leaf key -> (verdict, crash, broken_at)
+    memo = coverage.memo
     walk = [(root, 0, range(len(cases)))]
     while walk:
         state, depth, group = walk.pop()
-        ending: list[int] = []
+        # each case that ends here, then each next event the memo does not
+        # resolve: ``(event or None, cases, leaf key or None)``
+        users: list[tuple[str | None, list[int], tuple | None]] = []
         branches: dict[str, list[int]] = {}
         for i in group:
             if len(firsts[i]) == depth:
-                ending.append(i)
+                users.append((None, [i], None))
             else:
                 branches.setdefault(firsts[i][depth], []).append(i)
         here = None  # the settings, if a leaf needs them
-        # the branches that need the state, each with its key if it is a leaf
-        fired: list[tuple[str, list[int], tuple | None]] = []
         for event, below in branches.items():
             key = None
             if last[below[0]] == depth and (
@@ -234,7 +224,7 @@ def _replay_tree(
                     here = frozenset(state.settings.items())
                 read = values.get(event)
                 key = event, here, read and read(state.fields)
-                if (verdict := leaves.get(key)) is not None:
+                if (verdict := memo.get(key)) is not None:
                     if not is_available(state, event):
                         verdict = "broken", None, depth
                     elif verdict[1] is not None and verdict[1].phase == "event":
@@ -242,26 +232,20 @@ def _replay_tree(
                     for i in below:
                         results[i] = _result((cases[i],) + verdict)
                     continue
-            fired.append((event, below, key))
-        # A finishing case owns its state too: its later parts and its
-        # restart launch on the state's settings.
-        users = len(ending) + len(fired)
-        for i in ending:
-            users -= 1
-            own = state if users == 0 else state.fork()
-            results[i] = _finish_case(model, cases[i], own, restarts, depth)
-        for event, below, key in fired:
-            users -= 1
-            own = state if users == 0 else state.fork()
-            if key is None:
+            users.append((event, below, key))
+        # all but the last user get a fork; a finishing case owns its state
+        # too, since its later parts and its restart launch on its settings
+        for n, (event, below, key) in enumerate(users, 1 - len(users)):
+            own = state.fork() if n else state
+            if event is not None and key is None:
                 verdict = _fire(own, event, depth)
                 if verdict is None:
                     walk.append((own, depth + 1, below))
                     continue
             else:
-                verdict = _finish_case(model, cases[below[0]], own, restarts, depth)[1:]
-                if verdict[0] != "broken":
-                    leaves[key] = verdict
+                verdict = _finish_case(cases[below[0]], own, depth)[1:]
+                if key is not None and verdict[0] != "broken":
+                    memo[key] = verdict
             # nothing is shared past a crash or a broken event, or below a leaf
             for i in below:
                 results[i] = _result((cases[i],) + verdict)
@@ -389,7 +373,7 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
 
 
 def _report_from_json(doc: dict) -> dict:
-    summary = doc["summary"]
+    summary = typed(doc["summary"], dict, "summary")
     total = typed(summary["total"], int, "summary 'total'")
     broken = typed(summary["broken"], int, "summary 'broken'")
     if total < 0:

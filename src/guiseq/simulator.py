@@ -20,15 +20,15 @@ reports byte-identical.
   :data:`MAX_CALL_DEPTH` raises :class:`~guiseq.graphs.GuiseqError`.
 * **Fork.**  :meth:`GuiState.fork` copies an instance; continuing the copy
   equals relaunching and firing the same events again.  Only the
-  :class:`Coverage` sink is shared, and with it the memo of calls below.
+  :class:`Coverage` sink is shared, with its memo of outcomes.
 * **Coverage.**  Statement ids, branch ids (see
   :attr:`~guiseq.appmodel.AppModel.coverage_universe`) and entered handlers
-  go to the sink the launch was given.  The sink also memoises each ``call``
-  of a write-free method, one whose statements and callees set no field,
-  flag, window or setting and do not exit: such a call runs once per
-  ``(method, depth, values of the fields it reads)``, its only inputs, and
-  a repeat raises the same crash or returns at once.  A repeat adds no
-  coverage because the sink already holds what the first run covered.
+  go to the sink the launch was given.  Its ``memo`` holds replay's restart
+  and leaf outcomes and each ``call`` of a write-free method, one whose
+  statements and callees set no field, flag, window or setting and do not
+  exit: it runs once per ``(method, depth, values of the fields it
+  reads)``, its only inputs, and a repeat raises the same crash or returns
+  at once.  A hit adds no coverage: the sink holds what the first run covered.
 """
 
 from __future__ import annotations
@@ -106,18 +106,22 @@ class CrashRecord:
 @dataclass
 class Coverage:
     """A sink for what ran: statement ids, branch ids and the events whose
-    handler was entered; and ``calls``, the memo of the write-free method
-    calls made by the runs that record into it."""
+    handler was entered; and ``memo``, the outcomes the runs that record
+    into it have computed, the package's one home for them."""
 
     statements: set[str] = dc_field(default_factory=set)
     branches: set[str] = dc_field(default_factory=set)
     handlers: set[str] = dc_field(default_factory=set)
-    #: The outcome of each write-free method call this sink saw, by ``(method,
-    #: depth, values of the fields its call closure reads)``: the crash's
-    #: ``(kind, statement)``, or None.  Not a result, so sinks compare without it.
-    calls: dict[tuple, tuple[str, str] | None] = dc_field(
-        default_factory=dict, compare=False, repr=False
-    )
+    #: Three kinds of outcome, by keys that never compare equal (a restart key
+    #: is no tuple; a call key's second item is an int, a leaf key's a frozenset):
+    #: * a write-free method call's crash ``(kind, statement)`` or None, by
+    #:   ``(method, depth, *values of the fields its call closure reads)``;
+    #: * a replay leaf's ``(verdict, crash, broken_at)``, by ``(event,
+    #:   frozenset(settings.items()), values of the fields its handler reads)``;
+    #: * a replay restart's crash or None, by ``frozenset(settings.items())``.
+    #: Each is exact because a hit adds no coverage: this sink already holds
+    #: what the first run covered.  Not a result, so sinks compare without it.
+    memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -387,8 +391,7 @@ def _exit_app(state: GuiState, depth: int) -> None:
 
 
 def _call(stmt: Call, sid: str, program: Program) -> Step:
-    # the dicts, not the program, which would make every compiled model a cycle
-    methods, write_free, method = program.methods, program.write_free, stmt.method
+    method = stmt.method
     program.callees.append(method)
 
     def step(state: GuiState, depth: int) -> None:
@@ -397,12 +400,14 @@ def _call(stmt: Call, sid: str, program: Program) -> Step:
                 f"call depth exceeded {MAX_CALL_DEPTH} at {f'm:{method}/'!r}; "
                 "the model likely has unbounded recursion"
             )
-        if (reads := write_free.get(method)) is None:
-            return _run(state, methods[method], depth + 1)
-        memo, key = state.coverage.calls, (method, depth, *map(state.fields.__getitem__, reads))
+        # looked up as it runs: a step holding the blocks that hold it is a cycle
+        program = state.model.program
+        if (reads := program.write_free.get(method)) is None:
+            return _run(state, program.methods[method], depth + 1)
+        memo, key = state.coverage.memo, (method, depth, *map(state.fields.__getitem__, reads))
         if key not in memo:
             try:
-                _run(state, methods[method], depth + 1)
+                _run(state, program.methods[method], depth + 1)
             except _CrashSignal as crash:
                 memo[key] = crash.kind, crash.statement
                 raise

@@ -14,7 +14,10 @@ relaunching and firing each context again instead of forking, a sequence
 record as a document for ``json.dumps`` instead of rendered text, a graph
 and a replay report as documents for ``json.dumps`` instead of rendered
 text (:func:`graph_to_json`, the oracle of ``graphs.save_graph``, and
-:func:`report_to_json`, the oracle of ``replay.save_report``), handlers run
+:func:`report_to_json`, the oracle of ``replay.save_report``), a suite
+replayed one case at a time, each from its own launch into a sink of its
+own, instead of along shared prefixes with memos (:func:`replayed_alone`,
+:func:`report_alone`), handlers run
 by walking their statements instead of compiled steps, a JSON-lines file cut
 into line strings for ``json.loads`` instead of scanned in place, a sequence
 file's events checked one occurrence at a time instead of as a set of
@@ -28,6 +31,7 @@ graph oracles once on one ripped benchmark model of about a hundred.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -53,7 +57,7 @@ from guiseq.appmodel import (
     _BY_CLASS,
 )
 from guiseq.generate import SequenceRecord
-from guiseq.replay import SuiteResult, TestCase
+from guiseq.replay import SuiteResult, TestCase, run_test_case
 from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document, shortest_path
 from guiseq.programdb import HANDLERS, ProgramClass, ProgramMethod, ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
@@ -552,6 +556,32 @@ def report_to_json(suite: SuiteResult) -> dict:
             "branchCoverage": suite.branch_coverage,
         },
     }
+
+
+def oracle_report(suite: SuiteResult) -> str:
+    """The text of :func:`report_to_json`'s document, as a report file holds it."""
+    return json.dumps(report_to_json(suite), indent=2, sort_keys=True) + "\n"
+
+
+def replayed_alone(model: AppModel, cases: Iterable[TestCase]) -> tuple[tuple, tuple]:
+    """Each case replayed from scratch into a sink of its own: the results,
+    and the union of the sinks as a suite's three coverage fields."""
+    results, statements, branches, handlers = [], set(), set(), set()
+    for case in cases:
+        coverage = Coverage()
+        results.append(run_test_case(model, case, coverage))
+        statements |= coverage.statements
+        branches |= coverage.branches
+        handlers |= coverage.handlers
+    return tuple(results), (frozenset(statements), frozenset(branches), frozenset(handlers))
+
+
+def report_alone(model: AppModel, cases: Iterable[TestCase]) -> str:
+    """The report ``replay`` writes for ``cases``, built from
+    :func:`replayed_alone`: what sharing and memos must not change."""
+    results, covered = replayed_alone(model, cases)
+    statements, branches = model.coverage_universe
+    return oracle_report(SuiteResult(model.name, results, len(statements), len(branches), *covered))
 
 
 def split_document_lines(path: Path | str, kind: str, parse: Callable[[dict], object]) -> list:

@@ -7,17 +7,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import guiseq
 from guiseq import corpus
+from guiseq.appmodel import app_model_to_json
 from guiseq.cli import _check_sequences, main
-from guiseq.generate import SequenceRecord
+from guiseq.generate import SequenceRecord, load_sequences
 from guiseq.graphs import GuiseqError, load_graph
-from guiseq.simulator import MAX_CALL_DEPTH
+from guiseq.programdb import derive_program_model, program_model_to_json
+from guiseq.replay import group_test_cases
+from guiseq.simulator import MAX_CALL_DEPTH, available_events, launch
 
-from oracles import scanned_check_sequences
+from oracles import report_alone, scanned_check_sequences
+from strategies import app_models
 
 
 @pytest.fixture()
@@ -397,6 +401,18 @@ def test_report_with_a_count_or_coverage_out_of_range_exits_2_naming_the_file(
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert str(bad) in lines[0] and key in lines[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("summary", [[], "x", 3, None], ids=["list", "string", "number", "null"])
+def test_report_whose_summary_is_not_an_object_exits_2_naming_it(tmp_path, capsys, summary):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schemaVersion": 1, "summary": summary}))
+    assert main(["report", str(bad)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    head = f"error: {bad}: "  # the path names the test, and so "summary" too
+    assert len(lines) == 1 and lines[0].startswith(head), captured.err
+    assert "summary" in lines[0][len(head):]
 
 
 def test_export_dot_to_stdout_and_file(workdir, capsys):
@@ -802,6 +818,36 @@ def test_main_parses_the_process_arguments_by_default(monkeypatch, capsys):
         main()
     assert exc.value.code == 0
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=app_models())
+def test_the_pipeline_on_drawn_models_reports_what_replaying_each_case_alone_does(
+    tmp_path_factory, model
+):
+    """rip, edg on the derived program model, then gen with each config and
+    ``replay --allow-broken``, all through ``main``: each report is the one
+    built by replaying each generated case from scratch, and replay exits 1
+    exactly when a case failed."""
+    assume(available_events(launch(model, {})[0]))  # rip refuses a launch that offers none
+    try:
+        program = derive_program_model(model)
+    except GuiseqError:  # an event id that is also a method name
+        assume(False)
+    out = tmp_path_factory.mktemp("pipeline")
+    names = ("app.json", "ir.json", "efg.json", "edg.json", "s.jsonl", "r.json")
+    app, ir, efg, edg, seqs, report = (str(out / name) for name in names)
+    Path(app).write_text(json.dumps(app_model_to_json(model)))
+    Path(ir).write_text(json.dumps(program_model_to_json(program)))
+    assert main(["rip", "--model", app, "--out", efg]) == 0
+    assert main(["edg", "--ir", ir, "--efg", efg, "--out", edg]) == 0
+    for config in "ABCDEF":
+        assert main(["gen", "--config", config, "--efg", efg, "--edg", edg, "--out", seqs]) == 0
+        code = main(["replay", "--model", app, "--sequences", seqs, "--report", report,
+                     "--allow-broken"])
+        expected = report_alone(model, group_test_cases(load_sequences(seqs)))
+        assert Path(report).read_text(encoding="utf-8") == expected, config
+        assert code == ('"verdict": "failed"' in expected), config
 
 
 def test_fresh_processes_under_any_hash_seed_match_an_in_process_run(

@@ -34,7 +34,14 @@ from guiseq.replay import (
 )
 from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord, available_events, launch
 
-from oracles import listed_group_test_cases, oracle_record, report_to_json
+from oracles import (
+    listed_group_test_cases,
+    oracle_record,
+    oracle_report,
+    replayed_alone,
+    report_alone,
+    report_to_json,
+)
 from strategies import app_models, awkward_text
 
 
@@ -50,19 +57,6 @@ def record(rid, events, targets=None, split_of=None):
 
 def greybox_cases(efg, edg):
     return group_test_cases(generate_sequences(PRESETS["D"], efg, edg).records)
-
-
-def replayed_alone(model, cases):
-    """Each case replayed from scratch into a sink of its own: the results,
-    and the union of the sinks as a suite's three coverage fields."""
-    results, statements, branches, handlers = [], set(), set(), set()
-    for case in cases:
-        coverage = Coverage()
-        results.append(run_test_case(model, case, coverage))
-        statements |= coverage.statements
-        branches |= coverage.branches
-        handlers |= coverage.handlers
-    return tuple(results), (frozenset(statements), frozenset(branches), frozenset(handlers))
 
 
 def suite_coverage(suite):
@@ -748,6 +742,41 @@ def test_a_leaf_under_another_window_stack_fires_once(tmp_path, monkeypatch):
     assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
 
 
+def test_call_leaf_and_restart_memos_share_one_dict_without_meeting(tmp_path, monkeypatch):
+    """The event "go" calls a write-free method also named "go", so its call
+    key and its leaf key share their name and read value, and the launch's
+    settings make the restart key too.  The memo serves a call hit and a
+    leaf hit, and the report is still the one built case by case."""
+    handlers = {"go": [{"op": "call", "method": "go"}], "idle": []}
+    model = buttons_model(tmp_path, handlers, {"Main.x": "v"}, methods={"go": LOG})
+    # the walk takes the last branch first, so the last "go" here fires after
+    # the leaf hit's key went into the memo
+    words = [("go", "idle"), ("idle", "go", "idle"), ("idle", "idle", "go"),
+             ("idle",) * 3 + ("go",), ("go", "go", "idle")]
+    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    fired, runs = [], []
+
+    def counted_fire(state, event, _fire=replay_module.fire_event):
+        fired.append(event)
+        return _fire(state, event)
+
+    def counted_run(state, block, depth, _run=simulator._run):
+        runs.append(block)
+        return _run(state, block, depth)
+
+    monkeypatch.setattr(replay_module, "fire_event", counted_fire)
+    monkeypatch.setattr(simulator, "_run", counted_run)
+    suite = run_suite(model, cases)
+    method = model.program.methods["go"]
+    # "go" fires four times and its method runs once: every later fire hits
+    # the call memo, and the fourth case's "go" is a leaf hit
+    assert fired.count("go") == 4 and runs.count(method) == 1
+    monkeypatch.undo()
+    path = tmp_path / "report.json"
+    save_report(suite, path)
+    assert path.read_text(encoding="utf-8") == report_alone(model, cases)
+
+
 @st.composite
 def drawn_cases(draw, model):
     """Eight to sixteen cases over two events available after the launch
@@ -841,10 +870,6 @@ def test_report_lists_split_parts_and_break_positions(rachota_app, rachota_efg, 
     )
     assert bdoc["tests"][0]["brokenAt"] == 1
     assert bdoc["summary"]["broken"] == 1
-
-
-def oracle_report(suite):
-    return json.dumps(report_to_json(suite), indent=2, sort_keys=True) + "\n"
 
 
 @st.composite

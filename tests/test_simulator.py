@@ -562,25 +562,29 @@ def test_a_memoised_call_still_raises_past_the_depth_limit(tmp_path):
 
 
 def test_a_compiled_model_is_freed_without_the_garbage_collector(tmp_path):
-    """No step refers to the program, so a model whose methods call no
-    method, its compiled program and the states of a walk that memoises a
-    call's crash are freed by reference counts alone."""
-    doc = two_window_doc()
-    doc["fields"] = {"Main.x": None}
-    doc["methods"] = {"check": [{"op": "deref", "field": "Main.x"}]}
-    doc["handlers"]["open"] = [call("check")]
-    model = write_model(tmp_path, doc)
-    gc.collect()
-    gc.disable()
-    try:
-        state, _ = launch(model, {})
-        crash = fire_event(state, "open")
-        state, _ = launch(model, {}, coverage=state.coverage)
-        assert fire_event(state, "open") == crash is not None
-        del model, state
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    """No step refers to the program or its blocks, so a model, its compiled
+    program and the states of a walk that memoises a call's crash are freed
+    by reference counts alone: with a handler that calls a method that calls
+    none, and with one whose method calls a method."""
+    check = [{"op": "deref", "field": "Main.x"}]
+    outer = {"check": check, "outer": [call("check")]}
+    for methods, entry in ({"check": check}, "check"), (outer, "outer"):
+        doc = two_window_doc()
+        doc["fields"] = {"Main.x": None}
+        doc["methods"] = methods
+        doc["handlers"]["open"] = [call(entry)]
+        model = write_model(tmp_path, doc)
+        gc.collect()
+        gc.disable()
+        try:
+            state, _ = launch(model, {})
+            crash = fire_event(state, "open")
+            state, _ = launch(model, {}, coverage=state.coverage)
+            assert fire_event(state, "open") == crash is not None
+            del model, state
+            assert gc.collect() == 0, entry
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
