@@ -17,9 +17,10 @@ four decimals.
 
 :func:`run_suite` fires each distinct first-part prefix once and forks where
 cases part ways.  The coverage sink's memo, where a hit adds no coverage
-(:class:`~guiseq.simulator.Coverage`), holds each restart's outcome by
-settings content, and each leaf's, a one-part case's last event, by the
-event, the settings and the values of the fields its handler reads.  Every
+(:class:`~guiseq.simulator.Coverage`), holds each restart's outcome by the
+frozen settings, and each leaf's, a one-part case's last event, by a tuple
+of them, the event and the values of the fields its handler reads: no call
+key, a tuple that starts with a str, meets either.  Every
 verdict, and the coverage, equals what :func:`run_test_case` computes from
 scratch for each case, so neither sharing nor case order shows.
 """
@@ -120,8 +121,9 @@ _result = partial(tuple.__new__, CaseResult)
 
 
 def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseResult:
-    """Replay one case from a launch against fresh settings, sharing nothing,
-    and record what it covers in ``coverage``."""
+    """Replay one case alone, from a launch against fresh settings, into
+    ``coverage``; its memo of calls and restarts is shared by every run
+    recording into it, so a sink serves one model."""
     state, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:
         return _result((case, "failed", crash, None))
@@ -223,7 +225,7 @@ def _replay_tree(
                 if here is None:
                     here = frozenset(state.settings.items())
                 read = values.get(event)
-                key = event, here, read and read(state.fields)
+                key = here, event, read and read(state.fields)
                 if (verdict := memo.get(key)) is not None:
                     if not is_available(state, event):
                         verdict = "broken", None, depth
@@ -237,14 +239,16 @@ def _replay_tree(
         # too, since its later parts and its restart launch on its settings
         for n, (event, below, key) in enumerate(users, 1 - len(users)):
             own = state.fork() if n else state
-            if event is not None and key is None:
-                verdict = _fire(own, event, depth)
-                if verdict is None:
+            if event is None:  # the one case in ``below`` ends here
+                results[below[0]] = _finish_case(cases[below[0]], own, depth)
+                continue
+            if key is None:
+                if (verdict := _fire(own, event, depth)) is None:
                     walk.append((own, depth + 1, below))
                     continue
             else:
                 verdict = _finish_case(cases[below[0]], own, depth)[1:]
-                if key is not None and verdict[0] != "broken":
+                if verdict[0] != "broken":
                     memo[key] = verdict
             # nothing is shared past a crash or a broken event, or below a leaf
             for i in below:

@@ -23,12 +23,12 @@ reports byte-identical.
   :class:`Coverage` sink is shared, with its memo of outcomes.
 * **Coverage.**  Statement ids, branch ids (see
   :attr:`~guiseq.appmodel.AppModel.coverage_universe`) and entered handlers
-  go to the sink the launch was given.  Its ``memo`` holds replay's restart
-  and leaf outcomes and each ``call`` of a write-free method, one whose
-  statements and callees set no field, flag, window or setting and do not
-  exit: it runs once per ``(method, depth, values of the fields it
-  reads)``, its only inputs, and a repeat raises the same crash or returns
-  at once.  A hit adds no coverage: the sink holds what the first run covered.
+  go to the sink the launch was given.  Its ``memo`` holds outcomes, among
+  them each ``call`` of a write-free method, one whose statements and
+  callees set no field, flag, window or setting and do not exit: it runs
+  once per ``(method, depth, values of the fields it reads)``, its only
+  inputs, and a repeat raises the same crash or returns at once.  A hit adds
+  no coverage: the sink holds what the first run covered.
 """
 
 from __future__ import annotations
@@ -112,15 +112,12 @@ class Coverage:
     statements: set[str] = dc_field(default_factory=set)
     branches: set[str] = dc_field(default_factory=set)
     handlers: set[str] = dc_field(default_factory=set)
-    #: Three kinds of outcome, by keys that never compare equal (a restart key
-    #: is no tuple; a call key's second item is an int, a leaf key's a frozenset):
-    #: * a write-free method call's crash ``(kind, statement)`` or None, by
-    #:   ``(method, depth, *values of the fields its call closure reads)``;
-    #: * a replay leaf's ``(verdict, crash, broken_at)``, by ``(event,
-    #:   frozenset(settings.items()), values of the fields its handler reads)``;
-    #: * a replay restart's crash or None, by ``frozenset(settings.items())``.
-    #: Each is exact because a hit adds no coverage: this sink already holds
-    #: what the first run covered.  Not a result, so sinks compare without it.
+    #: A write-free method call's crash ``(kind, statement)``, or None, by
+    #: ``(method, depth, *values of the fields its call closure reads)``; no
+    #: other module's key is a tuple that starts with a str.  A hit is exact
+    #: as it adds no coverage: this sink holds what the first run covered.  No
+    #: key names a model, so a sink serves one; nor is the memo a result, so
+    #: sinks compare without it.
     memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
 

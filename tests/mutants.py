@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python tests/mutants.py [row name ...]
+    python tests/mutants.py
 
 Each row of :data:`MUTANTS` names a file under ``src/``, a text that must
 occur in it exactly once, the text that replaces it, and the pytest node ids
@@ -100,13 +100,13 @@ MUTANTS = (
     ),
     Mutant(
         "leaf-key-without-settings", REPLAY,
-        "key = event, here, read and read(state.fields)",
+        "key = here, event, read and read(state.fields)",
         "key = event, read and read(state.fields)",
         (LEAF + "[settings]",),
     ),
     Mutant(
         "leaf-key-without-field-values", REPLAY,
-        "key = event, here, read and read(state.fields)", "key = event, here, None",
+        "key = here, event, read and read(state.fields)", "key = here, event, None",
         (LEAF + "[if-condition]", LEAF + "[called-method]"),
     ),
     Mutant(
@@ -117,7 +117,7 @@ MUTANTS = (
     ),
     Mutant(
         "branch-verdict-one-deeper", REPLAY,
-        "verdict = _fire(own, event, depth)", "verdict = _fire(own, event, depth + 1)",
+        "(verdict := _fire(own, event, depth))", "(verdict := _fire(own, event, depth + 1))",
         (T_REPLAY + "test_shuffled_cases_fire_each_prefix_above_a_crash_once",),
     ),
     Mutant(
@@ -181,20 +181,15 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> int:
     ).returncode
 
 
-def main(argv: list[str]) -> int:
-    names = {m.name for m in MUTANTS}
-    if unknown := [name for name in argv if name not in names]:
-        print(f"no row named {', '.join(unknown)}")
-        return 1
-    rows = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     bad = 0
-    for m in rows:
+    for m in MUTANTS:
         if (count := (SRC / m.path).read_text().count(m.text)) != 1:
             print(f"{m.name}: its text occurs {count} times in src/{m.path}, not once")
             bad += 1
     if bad:
         return 1
-    tests = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     survived = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp, "clean")
@@ -202,7 +197,7 @@ def main(argv: list[str]) -> int:
         if (status := run_tests(clean, tests)) != 0:
             print(f"the named tests fail on an unchanged copy of src/ (pytest exit {status})")
             return 1
-        for m in rows:
+        for m in MUTANTS:
             copy = Path(tmp, m.name)
             shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
             target = copy / m.path
@@ -214,9 +209,9 @@ def main(argv: list[str]) -> int:
                 print(f"survived: {m.name} (pytest exit status {status})")
                 survived += 1
             shutil.rmtree(copy)
-    print(f"{len(rows) - survived} of {len(rows)} mutant(s) killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutant(s) killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
