@@ -355,9 +355,12 @@ def read_document(path: Path | str, kind: str, parse: Callable[[dict], T]) -> T:
     return _parse_document(_read_text(path), path, None, kind, parse)
 
 
-#: The C scanner behind :func:`json.loads`, called at an offset of a whole
-#: file's text so that a line that holds one object is decoded in place.
+#: The C scanner behind :func:`json.loads`, called at a line's offset in the
+#: text read so far so that a line that holds one object is decoded in place.
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
+#: How many characters :func:`read_document_lines` reads at a time.
+_CHUNK = 1 << 16
 
 
 def read_document_lines(
@@ -366,31 +369,46 @@ def read_document_lines(
     r""":func:`read_document` for a JSON-lines file: one document per
     non-blank line, errors naming the file and the line.
 
-    Lines end at ``"\n"`` only (reading turns ``"\r\n"`` and ``"\r"`` into
-    it), so a raw U+2028, U+2029 or U+0085 inside a JSON string stays in its
-    line.  An object that fills its line exactly is decoded in place by the
-    C scanner of :mod:`json` and, at the right schema version, given straight
-    to ``parse``.  Any other non-blank line, the ones ``parse`` rejects
-    included, is read again by :func:`_parse_document`, which decodes it with
-    :func:`json.loads` and names what is wrong."""
-    text = _read_text(path)
-    docs = []
-    start, lineno = 0, 1
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        try:
-            doc, stop = _scan_once(text, start)
-            version = doc["schemaVersion"]
-            if stop != end or type(version) is not int or version != SCHEMA_VERSION:
-                raise ValueError("not a whole line at the schema version")
-            docs.append(parse(doc))
-        except (StopIteration, KeyError, TypeError, AttributeError, ValueError, RecursionError,
-                GuiseqError):
-            if text[start:end].strip():
-                docs.append(_parse_document(text[start:end], path, lineno, kind, parse))
-        start, lineno = end + 1, lineno + 1
+    The file is read :data:`_CHUNK` characters at a time, a partial last
+    line carried into the next chunk, so no more of its text is held than a
+    chunk and the longest line.  Lines end at ``"\n"`` only (reading turns
+    ``"\r\n"`` and ``"\r"`` into it), so a raw U+2028, U+2029 or U+0085
+    inside a JSON string stays in its line.  An object that fills its line
+    exactly is decoded in place by the C scanner of :mod:`json` and, at the
+    right schema version, given straight to ``parse``.  Any other non-blank
+    line, the ones ``parse`` rejects included, is read again by
+    :func:`_parse_document`, which decodes it with :func:`json.loads` and
+    names what is wrong.  A byte that is not UTF-8, anywhere in the file,
+    is reported before a malformed line."""
+    docs, lineno, text = [], 1, ""
+    try:
+        with open(path, encoding="utf-8") as f:
+            # one "\n" ends a last line that has none
+            while chunk := f.read(_CHUNK) or text and "\n":
+                text += chunk
+                start = 0
+                while (end := text.find("\n", start)) >= 0:
+                    try:
+                        doc, stop = _scan_once(text, start)
+                        version = doc["schemaVersion"]
+                        if stop != end or type(version) is not int or version != SCHEMA_VERSION:
+                            raise ValueError("not a whole line at the schema version")
+                        docs.append(parse(doc))
+                    except (StopIteration, KeyError, TypeError, AttributeError, ValueError,
+                            RecursionError, GuiseqError):
+                        if text[start:end].strip():
+                            try:
+                                docs.append(
+                                    _parse_document(text[start:end], path, lineno, kind, parse)
+                                )
+                            except GuiseqError:
+                                f.read()  # a later byte that is not UTF-8 comes first
+                                raise
+                    start, lineno = end + 1, lineno + 1
+                text = text[start:]
+    except UnicodeDecodeError as exc:
+        _read_text(path)  # names the byte by its offset in the file
+        raise GuiseqError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return docs
 
 

@@ -27,7 +27,6 @@ scratch for each case, so neither sharing nor case order shows.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
@@ -138,7 +137,7 @@ def _fire(state: GuiState, event: str, position: int) -> tuple | None:
     except UnavailableEventError:
         return "broken", None, position
     if crash is not None:
-        return "failed", dataclasses.replace(crash, position=position), None
+        return "failed", CrashRecord(crash.kind, crash.statement, crash.phase, position), None
     return None
 
 
@@ -229,8 +228,9 @@ def _replay_tree(
                 if (verdict := memo.get(key)) is not None:
                     if not is_available(state, event):
                         verdict = "broken", None, depth
-                    elif verdict[1] is not None and verdict[1].phase == "event":
-                        verdict = "failed", dataclasses.replace(verdict[1], position=depth), None
+                    elif (crash := verdict[1]) is not None and crash.phase == "event":
+                        crash = CrashRecord(crash.kind, crash.statement, crash.phase, depth)
+                        verdict = "failed", crash, None
                     for i in below:
                         results[i] = _result((cases[i],) + verdict)
                     continue

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 SIM, REPLAY, GRAPHS = "guiseq/simulator.py", "guiseq/replay.py", "guiseq/graphs.py"
 T_SIM, T_REPLAY = "tests/test_simulator.py::", "tests/test_replay.py::"
-T_CLI = "tests/test_cli.py::"
+T_CLI, T_GRAPHS = "tests/test_cli.py::", "tests/test_graphs.py::"
 LEAF = T_REPLAY + "test_a_memoised_leaf_replays_like_the_case_alone"
 
 MUTANTS = (
@@ -96,7 +96,8 @@ MUTANTS = (
         "restart-key-without-values", REPLAY,
         "memo, key = state.coverage.memo, frozenset(state.settings.items())",
         "memo, key = state.coverage.memo, frozenset(state.settings)",
-        (T_REPLAY + "test_one_restart_per_distinct_settings_snapshot",),
+        (T_REPLAY + "test_one_restart_per_distinct_settings_snapshot",
+         T_REPLAY + "test_prefix_sharing_replay_equals_replaying_each_case_alone_on_drawn_models"),
     ),
     Mutant(
         "leaf-key-without-settings", REPLAY,
@@ -111,8 +112,7 @@ MUTANTS = (
     ),
     Mutant(
         "memoised-crash-keeps-its-position", REPLAY,
-        'verdict = "failed", dataclasses.replace(verdict[1], position=depth), None',
-        'verdict = "failed", verdict[1], None',
+        "CrashRecord(crash.kind, crash.statement, crash.phase, depth)", "crash",
         (LEAF + "[crash-depth]",),
     ),
     Mutant(
@@ -157,14 +157,24 @@ MUTANTS = (
         (T_REPLAY + "test_written_files_are_the_oracles_bytes_on_the_corpus",),
     ),
     Mutant(
+        "reader-drops-the-carried-line", GRAPHS,
+        "                text = text[start:]\n", "                text = \"\"\n",
+        (T_GRAPHS + "test_a_record_line_longer_than_a_chunk_reads_like_the_oracle[7]",),
+    ),
+    Mutant(
+        "line-error-before-a-later-bad-byte", GRAPHS,
+        "f.read()  # a later byte", "None  # a later byte",
+        (T_GRAPHS + "test_a_later_byte_that_is_not_utf8_wins_over_a_malformed_line_1",),
+    ),
+    Mutant(
         "efg-accepts-an-undeclared-target", GRAPHS,
         "sorted(targets[src], key=by_index)", "sorted(targets[src], key=lambda e: index.get(e, 0))",
-        ("tests/test_graphs.py::test_efg_construction_rejects_an_undeclared_endpoint",),
+        (T_GRAPHS + "test_efg_construction_rejects_an_undeclared_endpoint",),
     ),
     Mutant(
         "edg-accepts-a-repeated-event-id", GRAPHS,
         "        if len(index) < len(ev):\n", "        if False:\n",
-        ("tests/test_graphs.py::test_edg_construction_rejects_a_repeated_event_id",),
+        (T_GRAPHS + "test_edg_construction_rejects_a_repeated_event_id",),
     ),
 )
 

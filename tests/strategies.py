@@ -134,7 +134,10 @@ def app_models(draw, max_windows: int = 3, depth: int = 2, cycles: bool = False)
     of their own if there is one window: an event whose availability a
     sibling probe reads.  A write-free method ``pure``, drawn from
     :data:`WRITE_FREE_OPS`, is called by about half the handlers and any
-    method may call it, so walks repeat its calls."""
+    method may call it, so walks repeat its calls.  Every handler ends
+    by writing ``"a"`` or ``"b"`` to the setting the launch block reads, so
+    that cases leave it set to different values, on one of which a restart
+    may crash."""
     fields = {f"F.x{i}": draw(field_values) for i in range(draw(st.integers(1, 4)))}
     windows = []
     for i in range(draw(st.integers(1, max_windows))):
@@ -177,4 +180,7 @@ def app_models(draw, max_windows: int = 3, depth: int = 2, cycles: bool = False)
     on_launch = (ReadSetting("k0", setting_field),)
     if draw(st.booleans()):
         on_launch += (If(Condition("equals", setting_field, "a"), (ThrowArrayOob(),)),)
+    for event in handlers:
+        value = draw(st.sampled_from(["a", "b"]))
+        handlers[event] += (SetField(setting_field, value), WriteSetting("k0", setting_field))
     return AppModel("drawn", tuple(windows), fields, handlers, bodies, on_launch)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guiseq import graphs
 from guiseq.generate import gen_abstract
 from guiseq.graphs import (
     Edg,
@@ -498,3 +499,69 @@ def test_line_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, en
             return f"error: {exc}"
 
     assert outcome(read_document_lines) == outcome(split_document_lines)
+
+
+def read_outcome(read, path) -> str:
+    try:
+        return json.dumps(read(path, "document", lambda doc: doc))
+    except GuiseqError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@given(
+    lines=st.lists(document_lines(), max_size=5),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    end=st.sampled_from(["", "\n", "\r\n", "\r"]),
+)
+@settings(max_examples=75)
+def test_line_reader_agrees_with_json_loads_per_line_at_any_chunk_size(
+    tmp_path_factory, chunk, lines, newline, end
+):
+    """Chunks of a few characters cut lines, ``"\\r\\n"`` pairs and UTF-8
+    sequences anywhere; the reader still sees the oracle's lines."""
+    path = tmp_path_factory.getbasetemp() / "chunked.jsonl"
+    path.write_bytes((newline.join(lines) + end).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK", chunk)
+        assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
+
+
+@pytest.mark.parametrize("chunk", [7, graphs._CHUNK])
+def test_a_record_line_longer_than_a_chunk_reads_like_the_oracle(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    docs = [{"schemaVersion": 1, "id": f"s{n}", "events": ["e" * chunk] * 3} for n in range(3)]
+    path = tmp_path / "long.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    assert read_document_lines(path, "document", lambda doc: doc) == docs
+    assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
+
+
+@pytest.mark.parametrize("chunk", [3, graphs._CHUNK])
+def test_a_last_line_without_a_newline_reads_like_the_oracle(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    path = tmp_path / "open-ended.jsonl"
+    path.write_text('{"schemaVersion": 1, "id": "a"}\n\n{"schemaVersion": 1, "id": "b"}')
+    assert [d["id"] for d in read_document_lines(path, "document", lambda doc: doc)] == ["a", "b"]
+    assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
+
+
+def test_a_later_byte_that_is_not_utf8_wins_over_a_malformed_line_1(tmp_path):
+    """Line 1 is malformed and read in the first chunk; the bad byte lies
+    past it, and is still the one reported, by its offset in the file."""
+    path = tmp_path / "late-byte.jsonl"
+    raw = b"{\n" + b"\n" * (graphs._CHUNK + 10) + b"\xff\n"
+    path.write_bytes(raw)
+    with pytest.raises(GuiseqError) as exc:
+        read_document_lines(path, "document", lambda doc: doc)
+    assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte at byte {len(raw) - 2}"
+
+
+def test_a_file_that_decodes_when_read_again_still_names_itself(tmp_path, monkeypatch):
+    """A file whose bad byte is gone by the time it is read again (one
+    written to meanwhile) is still a :class:`GuiseqError` naming it."""
+    path = tmp_path / "changing.jsonl"
+    path.write_bytes(b'{"schemaVersion": 1}\n\xff\n')
+    monkeypatch.setattr(graphs, "_read_text", lambda path: "")
+    with pytest.raises(GuiseqError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+        read_document_lines(path, "document", lambda doc: doc)
