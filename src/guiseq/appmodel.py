@@ -19,7 +19,7 @@ behaviours that matter for event-interaction testing:
   crashes unconditionally — guard it with an ``if``);
 * inert reads (``log``) and procedure calls (``call``).
 
-Each op is defined in one place, the op table ``_OPS``: its dataclass, its
+Each op is defined in one place, the op table ``_OPS``: its class, its
 JSON keys, and what each operand names.  Parsing (which checks each
 operand's name as it reads it) and dumping read the table.  The simulator's
 table of step builders, keyed by the same classes, is the other per-op
@@ -36,12 +36,11 @@ read/write model from the compile's notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Union
 
-from .graphs import SCHEMA_VERSION, GuiseqError, read_document, typed
+from .graphs import SCHEMA_VERSION, GuiseqError, Value, read_document, typed
 
 if TYPE_CHECKING:
     from .simulator import Program
@@ -84,8 +83,7 @@ class InvalidModelError(GuiseqError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Value):
     """Predicate over a single field: ``isNull``, ``isTrue``, or ``equals``."""
 
     kind: str
@@ -93,85 +91,70 @@ class Condition:
     value: str | None = None
 
 
-@dataclass(frozen=True)
-class SetField:
+class SetField(Value):
     field: str
     value: str | bool
 
 
-@dataclass(frozen=True)
-class SetNull:
+class SetNull(Value):
     field: str
 
 
-@dataclass(frozen=True)
-class ReadField:
+class ReadField(Value):
     field: str
 
 
-@dataclass(frozen=True)
-class CopyField:
+class CopyField(Value):
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class If:
+class If(Value):
     cond: Condition
     then: tuple["Statement", ...]
-    orelse: tuple["Statement", ...] = dc_field(default=())
+    orelse: tuple["Statement", ...] = ()
 
 
-@dataclass(frozen=True)
-class OpenWindow:
+class OpenWindow(Value):
     window: str
 
 
-@dataclass(frozen=True)
-class CloseWindow:
+class CloseWindow(Value):
     window: str
 
 
-@dataclass(frozen=True)
-class ExitApp:
+class ExitApp(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Value):
     method: str
 
 
-@dataclass(frozen=True)
-class WriteSetting:
+class WriteSetting(Value):
     key: str
     field: str
 
 
-@dataclass(frozen=True)
-class ReadSetting:
+class ReadSetting(Value):
     key: str
     field: str
 
 
-@dataclass(frozen=True)
-class SetWidgetEnabled:
+class SetWidgetEnabled(Value):
     window: str
     widget: str
     enabled: bool
 
 
-@dataclass(frozen=True)
-class Deref:
+class Deref(Value):
     field: str
 
 
-@dataclass(frozen=True)
-class ThrowArrayOob:
+class ThrowArrayOob(Value):
     pass
 
 
-@dataclass(frozen=True)
 class Log(ReadField):
     """A read that only observes: the ``log`` op, analysed and run as ``read``."""
 
@@ -198,8 +181,8 @@ Statement = Union[
 # The statement table
 # ---------------------------------------------------------------------------
 
-#: The op table: each op's dataclass and a ``(JSON key, role)`` per dataclass
-#: field, in order.  A role says what the operand names: a model field the
+#: The op table: each op's class and a ``(JSON key, role)`` per field of
+#: the class, in order.  A role says what the operand names: a model field the
 #: statement ``"read"``s or ``"write"``s, a declared ``"window"`` or
 #: ``"method"``, or a ``"widget"`` of the statement's window.  ``"value"``
 #: (string or boolean) and ``"flag"`` (boolean) are literals; None is any
@@ -221,9 +204,9 @@ _OPS: dict[str, tuple[type, tuple[tuple[str, str | None], ...]]] = {
     "log": (Log, (("field", "read"),)),
 }
 
-#: The table by dataclass: the op and ``(attribute, JSON key, role)`` per operand.
+#: The table by class: the op and ``(field, JSON key, role)`` per operand.
 _BY_CLASS = {
-    cls: (op, tuple((f.name, *operand) for f, operand in zip(fields(cls), operands)))
+    cls: (op, tuple((f, *operand) for f, operand in zip(cls.__match_args__, operands)))
     for op, (cls, operands) in _OPS.items()
 }
 #: The JSON types, and their name in errors, of literals; other operands are strings.
@@ -233,15 +216,13 @@ _STRING = ((str,), "a string")
 _CONDITION_KINDS = ("isNull", "isTrue", "equals")
 
 
-@dataclass(frozen=True)
-class Widget:
+class Widget(Value):
     id: str
     event: str
     enabled: bool = True
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(Value):
     name: str
     widgets: tuple[Widget, ...]
     modal: bool = False
@@ -256,8 +237,7 @@ class WindowSpec:
         return events if self.window_event is None else (self.window_event, *events)
 
 
-@dataclass(frozen=True)
-class AppModel:
+class AppModel(Value):
     """A complete application description.
 
     ``handlers`` maps event ids to statement blocks; ``methods`` holds named
@@ -271,7 +251,7 @@ class AppModel:
     fields: Mapping[str, FieldValue]
     handlers: Mapping[str, tuple[Statement, ...]]
     methods: Mapping[str, tuple[Statement, ...]]
-    on_launch: tuple[Statement, ...] = dc_field(default=())
+    on_launch: tuple[Statement, ...] = ()
 
     @cached_property
     def events(self) -> tuple[str, ...]:
@@ -427,7 +407,7 @@ def _parse_statement(doc: dict, where: str, declared: dict, violations: list[str
             if name not in declared[role]:
                 shown = "%r/%r" % name if role == "widget" else repr(name)
                 violations.append(f"{where}: {_UNDECLARED[role]} {shown}")
-    return cls(*values)
+    return tuple.__new__(cls, values)  # every field, in order, without a Python frame
 
 
 def _parse_block(docs: list, where: str, declared: dict, violations: list, what=None) -> tuple:
@@ -448,12 +428,10 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
                 else typed(event, str, f"window {w['name']!r} windowEvent")
             ),
             widgets=tuple(
-                Widget(
-                    id=typed(widget["id"], str, "widget id"),
-                    event=typed(widget["event"], str, f"widget {widget['id']!r} event"),
-                    enabled=typed(
-                        widget.get("enabled", True), bool, f"widget {widget['id']!r} enabled"
-                    ),
+                Widget(  # by position, the constructor's fast path: id, event, enabled
+                    typed(widget["id"], str, "widget id"),
+                    typed(widget["event"], str, f"widget {widget['id']!r} event"),
+                    typed(widget.get("enabled", True), bool, f"widget {widget['id']!r} enabled"),
                 )
                 for widget in typed(w.get("widgets", []), list, f"window {w['name']!r} widgets")
             ),

@@ -17,7 +17,6 @@ only reach them.  Ties always go to declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -31,6 +30,7 @@ from .graphs import (
     Efg,
     GuiseqError,
     QuotedStrings,
+    Value,
     read_document_lines,
     shortest_path,
     typed,
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Value):
     """A named generator configuration.
 
     ``top`` bounds how many abstract sequences each start event contributes
@@ -84,7 +83,7 @@ class SequenceRecord(NamedTuple):
     for.  Grey-box records carry the originating abstract sequence; parts of
     a split conversion all carry the full abstract and, except for the first
     part, a ``split_of`` link to the first part's id.  A named tuple: an
-    immutable value, built in a third of a frozen dataclass's time.
+    immutable value that loading builds with one ``tuple.__new__`` call.
     """
 
     id: str
@@ -95,8 +94,7 @@ class SequenceRecord(NamedTuple):
     split_of: str | None = None
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(Value):
     records: tuple[SequenceRecord, ...]
     diagnostics: tuple[str, ...]
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import json.scanner
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -45,6 +44,7 @@ __all__ = [
     "GuiseqError",
     "UnknownEventError",
     "InvalidGraphError",
+    "Value",
     "Efg",
     "Edg",
     "AbstractSequence",
@@ -73,8 +73,66 @@ class InvalidGraphError(GuiseqError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class Efg:
+class Value(tuple):
+    """Base of the package's immutable value classes.
+
+    Each name a subclass body annotates is a field, after its base class's
+    fields, and a value assigned to the name there is the field's default;
+    making the class runs no generated code.  A value is the tuple of its
+    fields, read by name.  It equals only a value of its own class with
+    equal fields, hashes like the tuple of its fields, is always true, takes
+    no attribute assignment, and its repr names its class and fields.
+    ``__eq__`` and ``__repr__`` read only ``__match_args__``: the mutable
+    records of :mod:`guiseq.simulator` share them.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()  # the field names, in order
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+        for i, field in enumerate(own, len(cls.__match_args__)):
+            setattr(cls, field, property(itemgetter(i)))
+        cls.__match_args__ += own
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls.__match_args__
+        if kwargs or len(args) != len(fields):  # every field by position is the fast path
+            rest = fields[len(args):]
+            try:
+                args = (*args, *[kwargs.pop(f) if f in kwargs else cls._defaults[f] for f in rest])
+            except KeyError as missing:
+                raise TypeError(f"{cls.__name__}() missing field {missing}") from None
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        return tuple.__new__(cls, args)
+
+    def __eq__(self, other: object) -> bool:  # not NotImplemented: tuple's == would say True
+        if type(other) is not type(self):
+            return False
+        fields = self.__match_args__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    __ne__ = object.__ne__  # not tuple's, which ignores the class
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __bool__(self) -> bool:  # even with no fields, unlike an empty tuple
+        return True
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle pass the fields, not one tuple
+        return tuple(self)
+
+
+class Efg(Value):
     """Event-flow graph: events in declaration order, initials, unweighted edges."""
 
     events: tuple[str, ...]
@@ -192,8 +250,7 @@ class Efg:
             raise UnknownEventError(f"event {event!r} is not declared in the graph")
 
 
-@dataclass(frozen=True)
-class Edg:
+class Edg(Value):
     """Event-dependency graph: weighted edges ``(source, weight, target)``, no initials."""
 
     events: tuple[str, ...]

@@ -21,13 +21,12 @@ fields, rather than comparing every pair of events.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .appmodel import AppModel
-from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, read_document, typed, typed_list
+from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, Value, read_document, typed, typed_list
 
 __all__ = [
     "ProgramMethod",
@@ -48,29 +47,25 @@ class UnboundEventError(GuiseqError):
     """An event has no handler binding in the program model."""
 
 
-@dataclass(frozen=True)
-class ProgramMethod:
+class ProgramMethod(Value):
     name: str  # qualified, "Class.method"
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     calls: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ProgramClass:
+class ProgramClass(Value):
     name: str
     fields: tuple[str, ...]
     methods: tuple[ProgramMethod, ...]
 
 
-@dataclass(frozen=True)
-class ProgramModel:
+class ProgramModel(Value):
     classes: tuple[ProgramClass, ...]
     bindings: Mapping[str, str]  # event id -> qualified handler method
 
 
-@dataclass(frozen=True)
-class ClassDb:
+class ClassDb(Value):
     """A program model and its methods indexed by qualified name.
 
     :meth:`effects` returns both transitive field sets of an event's bound
@@ -202,17 +197,16 @@ def derive_program_model(app: AppModel) -> ProgramModel:
     notes += program.method_uses.items()
     methods = [
         ProgramMethod(
-            name=f"{HANDLERS}.{name}",
-            reads=tuple(dict.fromkeys(reads)),
-            writes=tuple(dict.fromkeys(writes)),
-            calls=tuple(dict.fromkeys(f"{HANDLERS}.{callee}" for callee in callees)),
+            f"{HANDLERS}.{name}",
+            tuple(dict.fromkeys(reads)),
+            tuple(dict.fromkeys(writes)),
+            tuple(dict.fromkeys(f"{HANDLERS}.{callee}" for callee in callees)),
         )
         for name, (reads, writes, callees) in notes
     ]
     classes = tuple(
-        ProgramClass(name=owner, fields=tuple(fields), methods=())
-        for owner, fields in owners.items()
-    ) + (ProgramClass(name=HANDLERS, fields=(), methods=tuple(methods)),)
+        ProgramClass(owner, tuple(fields), ()) for owner, fields in owners.items()
+    ) + (ProgramClass(HANDLERS, (), tuple(methods)),)
     bindings = {event: f"{HANDLERS}.{event}" for event in app.events}
     return ProgramModel(classes=classes, bindings=bindings)
 
@@ -247,21 +241,19 @@ def program_model_to_json(model: ProgramModel) -> dict:
 
 def _method_from_json(doc: dict) -> ProgramMethod:
     return ProgramMethod(
-        name=typed(doc["name"], str, "method name"),
-        reads=typed_list(doc.get("reads", []), str, "reads"),
-        writes=typed_list(doc.get("writes", []), str, "writes"),
-        calls=typed_list(doc.get("calls", []), str, "calls"),
+        typed(doc["name"], str, "method name"),
+        typed_list(doc.get("reads", []), str, "reads"),
+        typed_list(doc.get("writes", []), str, "writes"),
+        typed_list(doc.get("calls", []), str, "calls"),
     )
 
 
 def _program_model_from_json(doc: dict) -> ProgramModel:
     classes = tuple(
         ProgramClass(
-            name=typed(c["name"], str, "class name"),
-            fields=typed_list(c.get("fields", []), str, "fields"),
-            methods=tuple(
-                _method_from_json(m) for m in typed(c.get("methods", []), list, "methods")
-            ),
+            typed(c["name"], str, "class name"),
+            typed_list(c.get("fields", []), str, "fields"),
+            tuple(_method_from_json(m) for m in typed(c.get("methods", []), list, "methods")),
         )
         for c in typed(doc.get("classes", []), list, "classes")
     )

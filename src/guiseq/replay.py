@@ -27,7 +27,6 @@ scratch for each case, so neither sharing nor case order shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -36,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
-from .graphs import SCHEMA_VERSION, GuiseqError, QuotedStrings, read_document, typed
+from .graphs import SCHEMA_VERSION, GuiseqError, QuotedStrings, Value, read_document, typed
 from .simulator import (
     Coverage,
     CrashRecord,
@@ -256,8 +255,7 @@ def _replay_tree(
     return results
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Value):
     model_name: str
     results: tuple[CaseResult, ...]
     statements_total: int

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
 from .appmodel import AppModel, WindowSpec
-from .graphs import SCHEMA_VERSION, Efg, GuiseqError
+from .graphs import SCHEMA_VERSION, Efg, GuiseqError, Value
 from .simulator import (
     CrashRecord,
     GuiState,
@@ -68,8 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(Value):
     """Structural record of one event firing during the rip.  A crashed
     firing keeps the empty defaults of what follows ``own_window``."""
 
@@ -90,8 +88,7 @@ class Firing:
         return self.crash is not None
 
 
-@dataclass(frozen=True)
-class GuiStructure:
+class GuiStructure(Value):
     """Everything the rip observed: windows, launch availability, firings.
     ``enabled_at_discovery`` holds each widget event's enabled flag when its
     window was first seen open."""
@@ -135,22 +132,18 @@ def _fire_and_record(
     _discover(state, discoveries, flags)
     post_open = state.open_windows
     own_persists = own in post_open
-    return Firing(
-        event=event,
-        context=context,
-        crash=None,
-        exited=state.exited,
-        own_window=own,
-        own_window_persists=own_persists,
-        own_window_unblocked=(
-            own_persists and not state.exited and not state.window_blocked(own)
-        ),
-        opened=tuple(
-            (w, state.enabled_events(w)) for w in post_open if w not in pre_open
-        ),
-        closed_any=any(w not in post_open for w in pre_open),
-        post_available=available_events(state),
-        post_enabled_own=state.enabled_events(own) if own_persists else (),
+    return Firing(  # every field, in order, by position: the constructor's fast path
+        event,
+        context,
+        None,
+        state.exited,
+        own,
+        own_persists,
+        own_persists and not state.exited and not state.window_blocked(own),
+        tuple((w, state.enabled_events(w)) for w in post_open if w not in pre_open),
+        any(w not in post_open for w in pre_open),
+        available_events(state),
+        state.enabled_events(own) if own_persists else (),
     )
 
 

@@ -33,7 +33,6 @@ reports byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from itertools import chain
 from operator import eq, is_
@@ -60,7 +59,7 @@ from .appmodel import (
     ThrowArrayOob,
     WriteSetting,
 )
-from .graphs import GuiseqError
+from .graphs import GuiseqError, Value
 from .programdb import call_closure
 
 __all__ = [
@@ -86,8 +85,7 @@ CRASH_ARRAY_OOB = "arrayIndexOutOfBounds"
 MAX_CALL_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class CrashRecord:
+class CrashRecord(Value):
     """An uncaught defect: what blew up, where, and in which phase.
 
     ``phase`` is ``"event"`` for a crash inside an event handler,
@@ -103,36 +101,60 @@ class CrashRecord:
     position: int | None = None
 
 
-@dataclass
 class Coverage:
     """A sink for what ran: statement ids, branch ids and the events whose
     handler was entered; and ``memo``, the outcomes the runs that record
-    into it have computed, the package's one home for them."""
+    into it have computed, the package's one home for them.  Each is a new
+    set, or dict, unless given."""
 
-    statements: set[str] = dc_field(default_factory=set)
-    branches: set[str] = dc_field(default_factory=set)
-    handlers: set[str] = dc_field(default_factory=set)
-    #: A write-free method call's crash ``(kind, statement)``, or None, by
-    #: ``(method, depth, *values of the fields its call closure reads)``; no
-    #: other module's key is a tuple that starts with a str.  A hit is exact
-    #: as it adds no coverage: this sink holds what the first run covered.  No
-    #: key names a model, so a sink serves one; nor is the memo a result, so
-    #: sinks compare without it.
-    memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    __match_args__ = ("statements", "branches", "handlers")  # not the memo: see below
+    __eq__, __repr__ = Value.__eq__, Value.__repr__
+
+    def __init__(
+        self,
+        statements: set[str] | None = None,
+        branches: set[str] | None = None,
+        handlers: set[str] | None = None,
+        memo: dict | None = None,
+    ) -> None:
+        self.statements = set() if statements is None else statements
+        self.branches = set() if branches is None else branches
+        self.handlers = set() if handlers is None else handlers
+        #: A write-free method call's crash ``(kind, statement)``, or None, by
+        #: ``(method, depth, *values of the fields its call closure reads)``; no
+        #: other module's key is a tuple that starts with a str.  A hit is exact
+        #: as it adds no coverage: this sink holds what the first run covered.  No
+        #: key names a model, so a sink serves one; nor is the memo a result, so
+        #: sinks compare without it.
+        self.memo = {} if memo is None else memo
 
 
-@dataclass(slots=True)
 class GuiState:
     """Mutable state of one running application instance.  ``settings``
     holds the persisted settings, the state that survives a relaunch."""
 
-    model: AppModel
-    settings: dict[str, str | None]
-    open_windows: list[str]
-    enabled: dict[str, bool]
-    fields: dict[str, FieldValue]
-    coverage: Coverage
-    exited: bool = False
+    __slots__ = __match_args__ = (
+        "model", "settings", "open_windows", "enabled", "fields", "coverage", "exited"
+    )
+    __eq__, __repr__ = Value.__eq__, Value.__repr__
+
+    def __init__(
+        self,
+        model: AppModel,
+        settings: dict[str, str | None],
+        open_windows: list[str],
+        enabled: dict[str, bool],
+        fields: dict[str, FieldValue],
+        coverage: Coverage,
+        exited: bool = False,
+    ) -> None:
+        self.model = model
+        self.settings = settings
+        self.open_windows = open_windows
+        self.enabled = enabled
+        self.fields = fields
+        self.coverage = coverage
+        self.exited = exited
 
     def fork(self) -> GuiState:
         """An independent copy of this instance, settings included, that
@@ -515,7 +537,7 @@ def launch(
         _run(state, model.program.on_launch, 0)
     except _CrashSignal as crash:
         state.exited = True
-        return state, CrashRecord(kind=crash.kind, statement=crash.statement, phase=phase)
+        return state, CrashRecord(crash.kind, crash.statement, phase, None)
     except _ExitSignal:
         pass
     return state, None
@@ -540,7 +562,7 @@ def fire_event(state: GuiState, event: str) -> CrashRecord | None:
         _run(state, state.model.program.handlers[event], 0)
     except _CrashSignal as crash:
         state.exited = True
-        return CrashRecord(kind=crash.kind, statement=crash.statement)
+        return CrashRecord(crash.kind, crash.statement, "event", None)
     except _ExitSignal:
         pass
     return None

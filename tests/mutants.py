@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 SIM, REPLAY, GRAPHS = "guiseq/simulator.py", "guiseq/replay.py", "guiseq/graphs.py"
 T_SIM, T_REPLAY = "tests/test_simulator.py::", "tests/test_replay.py::"
 T_CLI, T_GRAPHS = "tests/test_cli.py::", "tests/test_graphs.py::"
+T_VALUES = "tests/test_values.py::"
 LEAF = T_REPLAY + "test_a_memoised_leaf_replays_like_the_case_alone"
 
 MUTANTS = (
@@ -175,6 +176,23 @@ MUTANTS = (
         "edg-accepts-a-repeated-event-id", GRAPHS,
         "        if len(index) < len(ev):\n", "        if False:\n",
         (T_GRAPHS + "test_edg_construction_rejects_a_repeated_event_id",),
+    ),
+    Mutant(
+        "value-equality-ignores-the-class", GRAPHS,
+        "        if type(other) is not type(self):\n",
+        "        if not hasattr(other, \"__match_args__\"):\n",
+        ("tests/test_appmodel.py::test_statements_of_different_kinds_compare_unequal",),
+    ),
+    Mutant(
+        "values-take-assignments", GRAPHS,
+        "        raise AttributeError(f\"cannot assign to field {name!r}\")\n",
+        "        object.__setattr__(self, name, value)\n",
+        (T_VALUES + "test_values_hash_alike_when_equal_and_take_no_assignment[CrashRecord]",),
+    ),
+    Mutant(
+        "coverage-compares-its-memo", SIM,
+        '"handlers")  # not the memo', '"handlers", "memo")  # not the memo',
+        (T_VALUES + "test_values_are_equal_exactly_when_class_and_fields_are[Coverage]",),
     ),
 )
 

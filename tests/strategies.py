@@ -27,7 +27,13 @@ from guiseq.appmodel import (
     WindowSpec,
     WriteSetting,
 )
-from guiseq.graphs import Edg, Efg
+from guiseq.graphs import Edg, Efg, Value
+
+
+def replace(value: Value, **changes) -> Value:
+    """``value`` with the fields ``changes`` names set to its values: a new
+    value of the same class, like ``dataclasses.replace``."""
+    return type(value)(**{**{f: getattr(value, f) for f in value.__match_args__}, **changes})
 
 
 @st.composite

@@ -8,7 +8,6 @@ from __future__ import annotations
 import importlib
 import json
 import re
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -49,7 +48,7 @@ from oracles import (
     walked_coverage_universe,
     walked_violations,
 )
-from strategies import app_models
+from strategies import app_models, replace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -134,7 +133,9 @@ def test_statements_of_different_kinds_compare_unequal():
         [ExitApp(), ThrowArrayOob()],
     ]
     for statements in same_operands:
-        assert statements == [type(stmt)(*vars(stmt).values()) for stmt in statements]
+        assert statements == [
+            type(stmt)(*(getattr(stmt, f) for f in stmt.__match_args__)) for stmt in statements
+        ]
         for a, b in combinations(statements, 2):
             assert a != b and b != a, (a, b)
         assert len(set(statements)) == len(statements)

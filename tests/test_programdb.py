@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +22,7 @@ from guiseq.programdb import (
 )
 
 from oracles import brute_force_edg, fixpoint_effects, in_declaration_order
+from strategies import replace
 
 
 def model_of(fields, methods, bindings) -> ProgramModel:
