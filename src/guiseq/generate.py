@@ -21,7 +21,7 @@ from functools import cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     SCHEMA_VERSION,
@@ -230,13 +230,14 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
     hop has no connection the part ends and the remainder starts a new part
     from its own entry; an unreachable head drops the remainder with a
     diagnostic.  Entries and hops are memoised for the call, so each
-    distinct one is read once, and every value is built by
-    ``tuple.__new__`` with its fields in order.
+    distinct one is read once; parts with equal targets share one tuple;
+    and every value is built by ``tuple.__new__`` with its fields in order.
     """
     conversions: list[Conversion] = []
     diagnostics: list[str] = []
     entry_of = cache(partial(_best_entry, g))
     hop_of = cache(lambda a, b: shortest_path(g, a, b, strict=a == b))
+    share = {}.setdefault
     for abstract in abstracts:
         parts: list[_Part] = []
         remaining = abstract.events
@@ -257,7 +258,7 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
                     break
                 events += hop
                 targets.append(len(events) - 1)
-            parts.append(tuple.__new__(_Part, (tuple(events), tuple(targets))))
+            parts.append(tuple.__new__(_Part, (tuple(events), share(t := tuple(targets), t))))
             remaining = remaining[len(targets):]
         if parts or not abstract.events:  # an unreachable first head skips the sequence
             conversions.append(
@@ -363,16 +364,18 @@ def _shared(items: list, strings: _SharedStrings, what: str) -> tuple:
         raise TypeError(f"{what} is {items!r}, not a list of str") from None
 
 
-def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
+def _record_from_json(strings: _SharedStrings, share: Callable, doc: dict) -> SequenceRecord:
     # The fields are checked in declaration order, each string typed as it
     # is shared, and all six are passed by position to ``tuple.__new__``: the
-    # generated constructor runs a Python frame per record.  Replay checks
-    # the events and targets against the model before any case runs.
+    # generated constructor runs a Python frame per record.  ``share`` is a
+    # plain dict's ``setdefault``, given the targets only once they are typed
+    # (``(0, 1)`` equals ``(False, 1)`` and ``(0.0, 1)``).  Replay checks the
+    # events and targets against the model before any case runs.
     split_of = doc.get("splitOf")
     return tuple.__new__(SequenceRecord, (
         typed(doc["id"], str, "id"),
         _shared(typed(doc["events"], list, "events"), strings, "events"),
-        typed_list(doc["targets"], int, "targets"),
+        share(t := typed_list(doc["targets"], int, "targets"), t),
         strings[o] if type(o := doc["origin"]) is str else typed(o, str, "origin"),
         _shared(typed(doc["abstract"], list, "abstract"), strings, "abstract")
         if "abstract" in doc else None,
@@ -382,9 +385,10 @@ def _record_from_json(strings: _SharedStrings, doc: dict) -> SequenceRecord:
 
 def load_sequences(path: Path | str) -> list[SequenceRecord]:
     """The records of a sequence file, one per non-blank line (see
-    :func:`~guiseq.graphs.read_document_lines`).  Events, abstract events and
-    origins are shared: all records naming one event hold one ``str``
-    object, not one per occurrence as :mod:`json` decodes them."""
+    :func:`~guiseq.graphs.read_document_lines`).  Events, abstract events,
+    origins and targets are shared: all records naming one event hold one
+    ``str`` object, and all records with equal targets one tuple, not one
+    per occurrence as :mod:`json` decodes them."""
     return read_document_lines(
-        path, "sequence record", partial(_record_from_json, _SharedStrings())
+        path, "sequence record", partial(_record_from_json, _SharedStrings(), {}.setdefault)
     )

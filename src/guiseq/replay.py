@@ -59,35 +59,52 @@ __all__ = [
 ]
 
 
-class TestCase(NamedTuple):
-    """One replayable unit: a sequence record plus any later split parts."""
+class TestCase(tuple):
+    """One replayable unit: a sequence record plus any later split parts.
 
-    parts: tuple[SequenceRecord, ...]
+    A case is the tuple of its parts, so it costs one object, and
+    :attr:`parts` is the case itself.  ``TestCase(parts)`` and
+    ``TestCase(parts=...)`` build one; its repr is
+    ``TestCase(parts=(...))``.  Replay reads the parts by index
+    (``case[0]``, ``len(case)``), never through a property's Python frame.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[SequenceRecord]) -> TestCase:
+        return tuple.__new__(cls, parts)
+
+    @property
+    def parts(self) -> tuple[SequenceRecord, ...]:
+        return self
 
     @property
     def id(self) -> str:
-        return self.parts[0].id
+        return self[0].id
 
     @property
     def events(self) -> tuple[str, ...]:
         """All events across parts, in execution order."""
-        return tuple(e for part in self.parts for e in part.events)
+        return tuple(e for part in self for e in part.events)
 
     @property
     def targets(self) -> tuple[int, ...]:
         """Target positions rebased onto the cumulative event list."""
         out: list[int] = []
         offset = 0
-        for part in self.parts:
+        for part in self:
             out.extend(offset + t for t in part.targets)
             offset += len(part.events)
         return tuple(out)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(parts={tuple(self)!r})"
+
 
 def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
     """Regroup a record stream into test cases, attaching split parts to
-    their first part.  Cases are built by ``tuple.__new__``, every field by
-    position: the generated constructor runs a Python frame per case."""
+    their first part.  Each case is built by ``tuple.__new__`` from its
+    parts: :meth:`TestCase.__new__` would run a Python frame per case."""
     cases: dict[str, TestCase] = {}  # by first part's id, in order
     ids: set[str] = set()
     for record in records:
@@ -95,9 +112,9 @@ def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
             raise GuiseqError(f"duplicate sequence id {record.id!r}")
         ids.add(record.id)
         if record.split_of is None:
-            cases[record.id] = tuple.__new__(TestCase, ((record,),))
+            cases[record.id] = tuple.__new__(TestCase, (record,))
         elif (case := cases.get(record.split_of)) is not None:
-            cases[record.split_of] = tuple.__new__(TestCase, (case.parts + (record,),))
+            cases[record.split_of] = tuple.__new__(TestCase, (*case, record))
         else:
             raise GuiseqError(
                 f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
@@ -147,7 +164,7 @@ def _finish_case(case: TestCase, state: GuiState, start: int = 0) -> CaseResult:
     per settings snapshot the sink's memo has not seen; a hit adds no
     coverage, since the sink holds what that launch covered."""
     model, offset = state.model, 0
-    for n, part in enumerate(case.parts):
+    for n, part in enumerate(case):
         if n:
             state, crash = launch(model, state.settings, phase="launch", coverage=state.coverage)
             if crash is not None:
@@ -193,10 +210,10 @@ def _replay_tree(
     root, crash = launch(model, {}, phase="launch", coverage=coverage)
     if crash is not None:  # every case fails the same way; nothing more runs
         return [_result((case, "failed", crash, None)) for case in cases]
-    firsts = [case.parts[0].events for case in cases]
+    firsts = [case[0].events for case in cases]
     # the position of a one-part case's last event, where it may be a leaf;
     # -1 for a case with later parts
-    last = [len(case.parts[0].events) - 1 if len(case.parts) == 1 else -1 for case in cases]
+    last = [len(case[0].events) - 1 if len(case) == 1 else -1 for case in cases]
     results: list = [None] * len(cases)  # by position in ``cases``
     # what each event's handler reads, from the fields: one value, or a
     # tuple of them; an event whose handler reads none has no entry
@@ -357,11 +374,11 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
                     f'\n        "position": {position},'
                     f'\n        "statement": {quoted[crash.statement]}\n      }},\n      '
                 )
-            if len(case.parts) == 1:
-                sequence, more = case.parts[0], ""
+            if len(case) == 1:
+                sequence, more = case[0], ""
             else:  # and "parts" after "id"; events and targets span every part
                 sequence = case
-                ids = array(encode_basestring_ascii(p.id) for p in case.parts)
+                ids = array(encode_basestring_ascii(p.id) for p in case)
                 more = f'"parts": {ids},\n      '
             out.write(
                 f'{separator}{{\n      {head}"events": '

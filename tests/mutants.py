@@ -158,6 +158,13 @@ MUTANTS = (
         (T_REPLAY + "test_written_files_are_the_oracles_bytes_on_the_corpus",),
     ),
     Mutant(
+        "targets-shared-before-they-are-typed", "guiseq/generate.py",
+        'share(t := typed_list(doc["targets"], int, "targets"), t)',
+        'typed_list(list(share(t := tuple(doc["targets"]), t)), int, "targets")',
+        (T_CLI + "test_targets_equal_to_an_earlier_records_but_not_ints_exit_2[bool]",
+         T_CLI + "test_targets_equal_to_an_earlier_records_but_not_ints_exit_2[float]"),
+    ),
+    Mutant(
         "reader-drops-the-carried-line", GRAPHS,
         "                text = text[start:]\n", "                text = \"\"\n",
         (T_GRAPHS + "test_a_record_line_longer_than_a_chunk_reads_like_the_oracle[7]",),

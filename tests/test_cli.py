@@ -235,6 +235,23 @@ def test_replay_rejects_an_event_that_is_not_a_string_as_a_malformed_record(
     assert not report.exists()
 
 
+@pytest.mark.parametrize("targets", ["[false,1]", "[0.0,1]"], ids=["bool", "float"])
+def test_targets_equal_to_an_earlier_records_but_not_ints_exit_2(workdir, capsys, targets):
+    """Equal targets are shared only once typed: ``(False, 1)`` and
+    ``(0.0, 1)`` equal ``(0, 1)``, yet neither is a list of int."""
+    seqs = workdir / "handmade.jsonl"
+    line = '{"schemaVersion":1,"id":"s%d","events":["e1","e2"],"targets":%s,"origin":"blackbox"}\n'
+    seqs.write_text(line % (1, "[0,1]") + line % (2, targets))
+    report = workdir / "report.json"
+    assert main(["replay", "--model", str(corpus.model_path("example-app")),
+                 "--sequences", str(seqs), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {seqs}: line 2: malformed sequence record: "
+        f"targets is {json.loads(targets)!r}, not a list of int"
+    ]
+    assert not report.exists()
+
+
 EXAMPLE_APP = corpus.app_model("example-app")
 known_events = st.sampled_from(sorted(EXAMPLE_APP.event_window))
 # Mostly events of the model, so that some drawn files pass the check.  Only

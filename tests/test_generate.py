@@ -211,6 +211,15 @@ def test_to_executable_diagnoses_unreachable_events():
     )
 
 
+def test_to_executable_shares_equal_targets_across_parts():
+    g = Efg.of(["a", "b"], ["a", "b"], [("a", "b")])
+    result = to_executable(g, [AbstractSequence(("b", "a")), AbstractSequence(("a", "b")),
+                               AbstractSequence(("b",))])
+    parts = [p for c in result.conversions for p in c.parts]
+    assert [p.targets for p in parts] == [(0,), (0,), (0, 1), (0,)]
+    assert parts[0].targets is parts[1].targets is parts[3].targets
+
+
 def _count_connection_reads(monkeypatch) -> tuple[set[str], list[tuple]]:
     """Record the sources :meth:`Efg.bfs_tree` is asked for and every
     :func:`shortest_path` read the generator makes."""
@@ -438,6 +447,15 @@ def test_loaded_records_share_one_string_per_event(tmp_path):
     assert str(rejected.value) == (
         f"{p}: line 3: malformed sequence record: events is ['ok', []], not a list of str"
     )
+
+
+def test_loaded_records_share_one_tuple_per_distinct_targets(tmp_path):
+    p = tmp_path / "suite.jsonl"
+    line = '{"schemaVersion":1,"id":"s%d","events":["a","b"],"targets":%s,"origin":"blackbox"}\n'
+    p.write_text(line % (1, "[0,1]") + line % (2, "[1]") + line % (3, "[0,1]") + line % (4, "[1]"))
+    first, second, third, fourth = load_sequences(p)
+    assert first.targets == (0, 1) and second.targets == (1,)
+    assert first.targets is third.targets and second.targets is fourth.targets
 
 
 # ---------------------------------------------------------------------------

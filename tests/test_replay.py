@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 from functools import cache
@@ -99,6 +101,22 @@ def test_grouping_rebases_targets():
     ))
     assert case.events == ("a", "b", "c", "d", "e")
     assert case.targets == (1, 2, 4)
+
+
+def test_a_case_is_the_tuple_of_its_parts():
+    first = record("s0001", ["a", "b"], targets=[1])
+    split = record("s0002", ["c"], split_of="s0001")
+    case = Case((first, split))
+    assert case == Case(parts=(first, split)) == Case(parts=[first, split])
+    assert hash(case) == hash(Case(parts=(first, split)))
+    assert case.parts is case and tuple(case) == (first, split)
+    assert (case.id, case.events, case.targets) == ("s0001", ("a", "b", "c"), (1, 2))
+    assert repr(case) == f"TestCase(parts=({first!r}, {split!r}))"
+    assert repr(Case((first,))) == f"TestCase(parts=({first!r},))"
+    for copied in (copy.copy(case), copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
+        assert type(copied) is Case and copied == case
+    (alone,) = group_test_cases([first])
+    assert type(alone) is Case and len(alone) == 1 and alone[0] is first
 
 
 def test_grouping_rejects_inconsistent_streams():
@@ -231,7 +249,13 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
             (len(r.case.parts) > 1, r.verdict, r.crash and r.crash.phase) for r in results
         }
     assert constructed == []
-    assert all(type(v) is cls and len(v) == len(cls._fields) for cls, v in values)
+    assert all(
+        type(v) is cls and (
+            v and all(type(part) is SequenceRecord for part in v) if cls is Case
+            else len(v) == len(cls._fields)
+        )
+        for cls, v in values
+    )
     assert {
         (False, "broken", None), (False, "failed", "event"), (False, "failed", "restart"),
         (True, "failed", "launch"), (True, "passed", None),
