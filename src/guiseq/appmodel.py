@@ -36,14 +36,11 @@ read/write model from the compile's notes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Union
 
 from .graphs import SCHEMA_VERSION, GuiseqError, Value, read_document, typed
-
-if TYPE_CHECKING:
-    from .simulator import Program
 
 __all__ = [
     "FieldValue",
@@ -72,7 +69,7 @@ __all__ = [
     "app_model_to_json",
 ]
 
-FieldValue = Union[str, bool, None]
+FieldValue = str | bool | None
 
 
 class InvalidModelError(GuiseqError):
@@ -159,23 +156,10 @@ class Log(ReadField):
     """A read that only observes: the ``log`` op, analysed and run as ``read``."""
 
 
-Statement = Union[
-    SetField,
-    SetNull,
-    ReadField,
-    CopyField,
-    If,
-    OpenWindow,
-    CloseWindow,
-    ExitApp,
-    Call,
-    WriteSetting,
-    ReadSetting,
-    SetWidgetEnabled,
-    Deref,
-    ThrowArrayOob,
-    Log,
-]
+Statement = (
+    SetField | SetNull | ReadField | CopyField | If | OpenWindow | CloseWindow | ExitApp
+    | Call | WriteSetting | ReadSetting | SetWidgetEnabled | Deref | ThrowArrayOob | Log
+)
 
 # ---------------------------------------------------------------------------
 # The statement table

@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
 
 from .appmodel import AppModel, load_app_model
 from .generate import (

@@ -17,11 +17,11 @@ only reach them.  Ties always go to declaration order.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     SCHEMA_VERSION,
@@ -76,16 +76,17 @@ PRESETS: dict[str, GenConfig] = {
 }
 
 
-class SequenceRecord(NamedTuple):
+class SequenceRecord(Value):
     """One executable sequence as written to a sequence file.
 
     ``targets`` are the positions of the events the sequence was generated
     for.  Grey-box records carry the originating abstract sequence; parts of
     a split conversion all carry the full abstract and, except for the first
-    part, a ``split_of`` link to the first part's id.  A named tuple: an
-    immutable value that loading builds with one ``tuple.__new__`` call.
+    part, a ``split_of`` link to the first part's id.  Loading builds one
+    with a single ``tuple.__new__`` call, and it has no ``__dict__``.
     """
 
+    __slots__ = ()
     id: str
     events: tuple[str, ...]
     targets: tuple[int, ...]
@@ -203,12 +204,12 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     return collected
 
 
-class _Part(NamedTuple):
+class _Part(Value):
     events: tuple[str, ...]
     targets: tuple[int, ...]
 
 
-class Conversion(NamedTuple):
+class Conversion(Value):
     """The executable form of one abstract sequence: one part, or several
     when the abstract sequence had to be split."""
 
@@ -216,7 +217,7 @@ class Conversion(NamedTuple):
     parts: tuple[_Part, ...]
 
 
-class ConversionResult(NamedTuple):
+class ConversionResult(Value):
     conversions: tuple[Conversion, ...]
     diagnostics: tuple[str, ...]
 
@@ -366,8 +367,8 @@ def _shared(items: list, strings: _SharedStrings, what: str) -> tuple:
 
 def _record_from_json(strings: _SharedStrings, share: Callable, doc: dict) -> SequenceRecord:
     # The fields are checked in declaration order, each string typed as it
-    # is shared, and all six are passed by position to ``tuple.__new__``: the
-    # generated constructor runs a Python frame per record.  ``share`` is a
+    # is shared, and all six are passed by position to ``tuple.__new__``:
+    # ``Value.__new__`` runs a Python frame per record.  ``share`` is a
     # plain dict's ``setdefault``, given the targets only once they are typed
     # (``(0, 1)`` equals ``(False, 1)`` and ``(0.0, 1)``).  Replay checks the
     # events and targets against the model before any case runs.

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import json.scanner
-from collections import Counter
+from collections import Counter, _tuplegetter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +94,7 @@ class Value(tuple):
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
         for i, field in enumerate(own, len(cls.__match_args__)):
-            setattr(cls, field, property(itemgetter(i)))
+            setattr(cls, field, _tuplegetter(i, None))  # namedtuple's C field getter
         cls.__match_args__ += own
 
     def __new__(cls, *args, **kwargs):
@@ -299,9 +299,10 @@ class Edg(Value):
         }
 
 
-class AbstractSequence(NamedTuple):
+class AbstractSequence(Value):
     """A path in the EDG; potentially not executable on the GUI."""
 
+    __slots__ = ()
     events: tuple[str, ...]
 
 
@@ -395,7 +396,7 @@ def shortest_path(
 # ---------------------------------------------------------------------------
 
 
-T = TypeVar("T")
+# ``T``, in the annotations below, is whatever type ``parse`` returns.
 
 
 def read_document(path: Path | str, kind: str, parse: Callable[[dict], T]) -> T:

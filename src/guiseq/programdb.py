@@ -21,9 +21,9 @@ fields, rather than comparing every pair of events.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
 
 from .appmodel import AppModel
 from .graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, Value, read_document, typed, typed_list

@@ -27,11 +27,11 @@ scratch for each case, so neither sharing nor case order shows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
 
 from .appmodel import AppModel
 from .generate import SequenceRecord
@@ -122,7 +122,8 @@ def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
     return list(cases.values())
 
 
-class CaseResult(NamedTuple):
+class CaseResult(Value):
+    __slots__ = ()
     case: TestCase
     verdict: str  # "passed" | "failed" | "broken"
     crash: CrashRecord | None = None
@@ -130,8 +131,8 @@ class CaseResult(NamedTuple):
 
 
 #: ``_result((case, verdict, crash, broken_at))`` is that :class:`CaseResult`,
-#: built without the Python frame of its generated constructor.  Pass all
-#: four fields, in declaration order.
+#: built without the Python frame of ``Value.__new__``.  Pass all four
+#: fields, in declaration order.
 _result = partial(tuple.__new__, CaseResult)
 
 

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 from .appmodel import AppModel, WindowSpec
 from .graphs import SCHEMA_VERSION, Efg, GuiseqError, Value

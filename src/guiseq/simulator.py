@@ -33,10 +33,10 @@ reports byte-identical.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from functools import cached_property, partial
 from itertools import chain
 from operator import eq, is_
-from typing import Any, Callable, Iterable
 
 from .appmodel import (
     AppModel,
@@ -490,7 +490,7 @@ _WRITE_FREE = frozenset({ReadField, Log, If, Deref, ThrowArrayOob, Call})
 #: The step builder of each statement class: the one per-op dispatch outside
 #: :data:`guiseq.appmodel._OPS`, which cannot hold it because this module
 #: imports that one.
-_STEPS: dict[type, Callable[[Any, str, Program], Step]] = {
+_STEPS: dict[type, Callable[[Statement, str, Program], Step]] = {
     SetField: lambda stmt, sid, program: _set(stmt.field, stmt.value, program),
     SetNull: lambda stmt, sid, program: _set(stmt.field, None, program),
     ReadField: _read,

@@ -33,10 +33,6 @@ SRC = ROOT / "src"
 
 #: (path under src/, stripped source line) -> why that line never runs.
 ALLOWED = {
-    ("guiseq/appmodel.py", "from .simulator import Program"): (
-        "imported only for type checkers: importing simulator at run time would "
-        "close an import cycle"
-    ),
     (
         "guiseq/graphs.py",
         "raise  # unreached while _name_wrong_typed_edge raises; else `violations` is unbound",

@@ -363,7 +363,7 @@ def test_generation_builds_its_values_without_their_constructors(
     assert any(r.split_of is not None for r in records)
     assert any("remainder dropped" in d for d in diagnostics)
     assert {type(v) for v in values} == set(classes)
-    assert all(len(v) == len(type(v)._fields) for v in values)
+    assert all(len(v) == len(type(v).__match_args__) for v in values)
 
 
 def test_unknown_mode_is_rejected(example_efg):

@@ -252,7 +252,7 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
     assert all(
         type(v) is cls and (
             v and all(type(part) is SequenceRecord for part in v) if cls is Case
-            else len(v) == len(cls._fields)
+            else len(v) == len(cls.__match_args__)
         )
         for cls, v in values
     )

@@ -1,8 +1,9 @@
 """The package's value classes: built by position or by keyword with the
 defaults they declare, equal exactly when class and compared fields are,
 hashed alike when equal, immutable unless they are one of the two mutable
-records, printed with their class and fields, and copied whole.  Importing
-the command line loads none of the modules a ``dataclasses`` import pulls in.
+records, printed with their class and fields, and copied whole; the ones
+made per record or case hold no ``__dict__``.  Importing the command line
+loads neither ``typing`` nor the modules a ``dataclasses`` import pulls in.
 """
 
 from __future__ import annotations
@@ -43,8 +44,13 @@ FIELDS = {
     appmodel.AppModel: "name windows fields handlers methods on_launch",
     graphs.Efg: "events initials edges",
     graphs.Edg: "events edges",
+    graphs.AbstractSequence: "events",
     generate.GenConfig: "name mode length top",
+    generate.SequenceRecord: "id events targets origin abstract split_of",
     generate.GenerationResult: "records diagnostics",
+    generate._Part: "events targets",
+    generate.Conversion: "abstract parts",
+    generate.ConversionResult: "conversions diagnostics",
     programdb.ProgramMethod: "name reads writes calls",
     programdb.ProgramClass: "name fields methods",
     programdb.ProgramModel: "classes bindings",
@@ -57,6 +63,7 @@ FIELDS = {
         " opened closed_any post_available post_enabled_own"
     ),
     ripper.GuiStructure: "app windows enabled_at_discovery initials firings",
+    replay.CaseResult: "case verdict crash broken_at",
     replay.SuiteResult: (
         "model_name results statements_total branches_total covered_statements"
         " covered_branches entered_handlers"
@@ -74,8 +81,10 @@ DEFAULTS = {
     appmodel.WindowSpec: {"modal": False, "main": False, "window_event": None},
     appmodel.AppModel: {"on_launch": ()},
     generate.GenConfig: {"top": None},
+    generate.SequenceRecord: {"abstract": None, "split_of": None},
     simulator.CrashRecord: {"phase": "event", "position": None},
     simulator.GuiState: {"exited": False},
+    replay.CaseResult: {"crash": None, "broken_at": None},
     ripper.Firing: {
         "own_window_persists": False,
         "own_window_unblocked": False,
@@ -157,18 +166,28 @@ def test_a_new_coverage_sink_is_empty_and_its_own():
     assert a.statements is not b.statements and a.memo is not b.memo
 
 
-def test_importing_the_command_line_loads_no_dataclass_machinery():
-    """``dataclasses`` would pull in ``inspect``, ``ast`` and ``dis``: a fresh
-    ``guiseq`` process that imports none of them starts in a fraction of
-    the time.  Only what the import adds counts, not what the interpreter's
-    site hooks load before it."""
+@pytest.mark.parametrize(
+    "cls", [graphs.AbstractSequence, generate.SequenceRecord, replay.CaseResult],
+    ids=lambda cls: cls.__name__,
+)
+def test_a_value_made_per_record_or_case_has_no_instance_dict(cls):
+    value = cls(*map(str, range(len(cls.__match_args__))))
+    assert not hasattr(value, "__dict__")
+
+
+def test_importing_the_command_line_loads_no_typing_or_dataclass_machinery():
+    """``typing`` and ``dataclasses``, which pulls in ``inspect``, ``ast``
+    and ``dis``, are costly imports: a fresh ``guiseq`` process that loads
+    none of them starts in a fraction of the time.  Only what the import
+    adds counts, in a process run with ``-S``: a ``site`` hook may load
+    ``typing`` before the import and hide it."""
     src = Path(guiseq.__file__).resolve().parents[1]
     script = (
         "import sys; old = set(sys.modules); import guiseq.cli; print(*set(sys.modules) - old)"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     loaded = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "guiseq.cli" in loaded
-    assert [m for m in ("dataclasses", "inspect", "ast", "dis") if m in loaded] == []
+    assert [m for m in ("typing", "dataclasses", "inspect", "ast", "dis") if m in loaded] == []
