@@ -22,6 +22,7 @@ from functools import cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from sys import intern
 
 from .graphs import (
     SCHEMA_VERSION,
@@ -344,30 +345,18 @@ def save_sequences(records: Iterable[SequenceRecord], path: Path | str) -> None:
             )
 
 
-class _SharedStrings(dict):
-    """Each string looked up mapped to the first equal string looked up.
-    Any other value is a TypeError and is not kept, so a ``true`` can never
-    come back as an equal ``1``."""
-
-    def __missing__(self, value):
-        if type(value) is not str:
-            raise TypeError(f"{value!r} is not a string")
-        self[value] = value
-        return value
-
-
-def _shared(items: list, strings: _SharedStrings, what: str) -> tuple:
-    """``items`` as a tuple, its strings shared through ``strings``; any
-    other item is an error naming ``what``."""
+def _interned(items: list, what: str) -> tuple:
+    """``items`` as a tuple of interned strings; any other item is an error
+    naming ``what``."""
     try:
-        return tuple(map(strings.__getitem__, items))
+        return tuple(map(intern, items))
     except TypeError:  # an item that is not a string
         raise TypeError(f"{what} is {items!r}, not a list of str") from None
 
 
-def _record_from_json(strings: _SharedStrings, share: Callable, doc: dict) -> SequenceRecord:
+def _record_from_json(share: Callable, doc: dict) -> SequenceRecord:
     # The fields are checked in declaration order, each string typed as it
-    # is shared, and all six are passed by position to ``tuple.__new__``:
+    # is interned, and all six are passed by position to ``tuple.__new__``:
     # ``Value.__new__`` runs a Python frame per record.  ``share`` is a
     # plain dict's ``setdefault``, given the targets only once they are typed
     # (``(0, 1)`` equals ``(False, 1)`` and ``(0.0, 1)``).  Replay checks the
@@ -375,10 +364,10 @@ def _record_from_json(strings: _SharedStrings, share: Callable, doc: dict) -> Se
     split_of = doc.get("splitOf")
     return tuple.__new__(SequenceRecord, (
         typed(doc["id"], str, "id"),
-        _shared(typed(doc["events"], list, "events"), strings, "events"),
+        _interned(typed(doc["events"], list, "events"), "events"),
         share(t := typed_list(doc["targets"], int, "targets"), t),
-        strings[o] if type(o := doc["origin"]) is str else typed(o, str, "origin"),
-        _shared(typed(doc["abstract"], list, "abstract"), strings, "abstract")
+        intern(typed(doc["origin"], str, "origin")),
+        _interned(typed(doc["abstract"], list, "abstract"), "abstract")
         if "abstract" in doc else None,
         None if split_of is None else typed(split_of, str, "splitOf"),
     ))
@@ -386,10 +375,10 @@ def _record_from_json(strings: _SharedStrings, share: Callable, doc: dict) -> Se
 
 def load_sequences(path: Path | str) -> list[SequenceRecord]:
     """The records of a sequence file, one per non-blank line (see
-    :func:`~guiseq.graphs.read_document_lines`).  Events, abstract events,
-    origins and targets are shared: all records naming one event hold one
-    ``str`` object, and all records with equal targets one tuple, not one
-    per occurrence as :mod:`json` decodes them."""
+    :func:`~guiseq.graphs.read_document_lines`).  Events, abstract events and
+    origins are interned with :func:`sys.intern`, so all records naming one
+    event hold one ``str`` object, and all records with equal targets hold
+    one tuple, not one per occurrence as :mod:`json` decodes them."""
     return read_document_lines(
-        path, "sequence record", partial(_record_from_json, _SharedStrings(), {}.setdefault)
+        path, "sequence record", partial(_record_from_json, {}.setdefault)
     )

@@ -413,12 +413,9 @@ def read_document(path: Path | str, kind: str, parse: Callable[[dict], T]) -> T:
     return _parse_document(_read_text(path), path, None, kind, parse)
 
 
-#: The C scanner behind :func:`json.loads`, called at a line's offset in the
-#: text read so far so that a line that holds one object is decoded in place.
+#: The C scanner behind :func:`json.loads`, called at the start of a line so
+#: that a line that holds one object is decoded in place.
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
-
-#: How many characters :func:`read_document_lines` reads at a time.
-_CHUNK = 1 << 16
 
 
 def read_document_lines(
@@ -427,43 +424,38 @@ def read_document_lines(
     r""":func:`read_document` for a JSON-lines file: one document per
     non-blank line, errors naming the file and the line.
 
-    The file is read :data:`_CHUNK` characters at a time, a partial last
-    line carried into the next chunk, so no more of its text is held than a
-    chunk and the longest line.  Lines end at ``"\n"`` only (reading turns
-    ``"\r\n"`` and ``"\r"`` into it), so a raw U+2028, U+2029 or U+0085
-    inside a JSON string stays in its line.  An object that fills its line
-    exactly is decoded in place by the C scanner of :mod:`json` and, at the
-    right schema version, given straight to ``parse``.  Any other non-blank
-    line, the ones ``parse`` rejects included, is read again by
-    :func:`_parse_document`, which decodes it with :func:`json.loads` and
-    names what is wrong.  A byte that is not UTF-8, anywhere in the file,
-    is reported before a malformed line."""
-    docs, lineno, text = [], 1, ""
+    The file is read a line at a time by the text file's own iterator, so
+    beside the documents no more of its text is held than its buffer and the
+    longest line.  Lines end at ``"\n"`` only (reading turns ``"\r\n"`` and
+    ``"\r"`` into it), so a raw U+2028, U+2029 or U+0085 inside a JSON
+    string stays in its line.  An object that fills its line exactly is
+    decoded in place by the C scanner of :mod:`json` and, at the right schema
+    version, given straight to ``parse``.  Any other non-blank line, the
+    ones ``parse`` rejects included, is read again by :func:`_parse_document`,
+    which decodes it with :func:`json.loads` and names what is wrong.  A
+    byte that is not UTF-8, anywhere in the file, is reported before a
+    malformed line."""
+    docs = []
     try:
         with open(path, encoding="utf-8") as f:
-            # one "\n" ends a last line that has none
-            while chunk := f.read(_CHUNK) or text and "\n":
-                text += chunk
-                start = 0
-                while (end := text.find("\n", start)) >= 0:
-                    try:
-                        doc, stop = _scan_once(text, start)
-                        version = doc["schemaVersion"]
-                        if stop != end or type(version) is not int or version != SCHEMA_VERSION:
-                            raise ValueError("not a whole line at the schema version")
-                        docs.append(parse(doc))
-                    except (StopIteration, KeyError, TypeError, AttributeError, ValueError,
-                            RecursionError, GuiseqError):
-                        if text[start:end].strip():
-                            try:
-                                docs.append(
-                                    _parse_document(text[start:end], path, lineno, kind, parse)
-                                )
-                            except GuiseqError:
-                                f.read()  # a later byte that is not UTF-8 comes first
-                                raise
-                    start, lineno = end + 1, lineno + 1
-                text = text[start:]
+            for lineno, line in enumerate(f, 1):
+                try:
+                    doc, stop = _scan_once(line, 0)
+                    version = doc["schemaVersion"]
+                    if (line[stop:] not in ("\n", "") or type(version) is not int
+                            or version != SCHEMA_VERSION):
+                        raise ValueError("not a whole line at the schema version")
+                    docs.append(parse(doc))
+                except (StopIteration, KeyError, TypeError, AttributeError, ValueError,
+                        RecursionError, GuiseqError):
+                    if line.strip():
+                        try:
+                            docs.append(
+                                _parse_document(line.removesuffix("\n"), path, lineno, kind, parse)
+                            )
+                        except GuiseqError:
+                            f.read()  # a later byte that is not UTF-8 comes first
+                            raise
     except UnicodeDecodeError as exc:
         _read_text(path)  # names the byte by its offset in the file
         raise GuiseqError(f"{path}: not UTF-8 text: {exc.reason}") from None
@@ -478,17 +470,12 @@ def _read_text(path: Path | str) -> str:
 
 
 def _parse_document(
-    source: str | dict,
-    path: Path | str,
-    lineno: int | None,
-    kind: str,
-    parse: Callable[[dict], T],
+    text: str, path: Path | str, lineno: int | None, kind: str, parse: Callable[[dict], T]
 ) -> T:
-    """``parse`` the document ``source``, given as JSON text or already
-    decoded, mapping what goes wrong to a :class:`GuiseqError` (see
-    :func:`read_document`)."""
+    """``parse`` the document in the JSON ``text``, mapping what goes wrong
+    to a :class:`GuiseqError` (see :func:`read_document`)."""
     try:
-        doc = source if type(source) is dict else json.loads(source)
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise GuiseqError("expected a JSON object at top level")
         version = doc.get("schemaVersion")

@@ -27,6 +27,7 @@ scratch for each case, so neither sharing nor case order shows.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
@@ -283,14 +284,11 @@ class SuiteResult(Value):
     entered_handlers: frozenset[str]
 
     def count(self, verdict: str) -> int:
-        return self._verdicts.get(verdict, 0)
+        return self._verdicts[verdict]
 
     @cached_property
-    def _verdicts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.results:
-            counts[r.verdict] = counts.get(r.verdict, 0) + 1
-        return counts
+    def _verdicts(self) -> Counter[str]:
+        return Counter(r.verdict for r in self.results)
 
     @property
     def statement_coverage(self) -> float:

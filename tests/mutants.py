@@ -165,14 +165,19 @@ MUTANTS = (
          T_CLI + "test_targets_equal_to_an_earlier_records_but_not_ints_exit_2[float]"),
     ),
     Mutant(
+        "loader-interns-nothing", "guiseq/generate.py",
+        "map(intern, items)", "map(str, items)",
+        ("tests/test_generate.py::test_loaded_records_share_one_string_per_event",),
+    ),
+    Mutant(
         "sequence-record-without-slots", "guiseq/generate.py",
         "    __slots__ = ()\n    id: str\n", "    id: str\n",
         (T_VALUES + "test_a_value_made_per_record_or_case_has_no_instance_dict[SequenceRecord]",),
     ),
     Mutant(
-        "reader-drops-the-carried-line", GRAPHS,
-        "                text = text[start:]\n", "                text = \"\"\n",
-        (T_GRAPHS + "test_a_record_line_longer_than_a_chunk_reads_like_the_oracle[7]",),
+        "fallback-decodes-the-newline", GRAPHS,
+        'line.removesuffix("\\n")', "line",
+        (T_GRAPHS + "test_line_reader_agrees_with_json_loads_per_line",),
     ),
     Mutant(
         "line-error-before-a-later-bad-byte", GRAPHS,

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import importlib
+import io
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guiseq import graphs
@@ -486,21 +488,6 @@ def document_lines(draw) -> str:
     )
 
 
-@given(st.lists(document_lines(), max_size=5), st.sampled_from(["", "\n", "\n\n"]))
-@settings(max_examples=300)
-def test_line_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, end):
-    path = tmp_path_factory.getbasetemp() / "documents.jsonl"
-    path.write_text("\n".join(lines) + end, encoding="utf-8")
-
-    def outcome(read):
-        try:
-            return json.dumps(read(path, "document", lambda doc: doc))
-        except GuiseqError as exc:
-            return f"error: {exc}"
-
-    assert outcome(read_document_lines) == outcome(split_document_lines)
-
-
 def read_outcome(read, path) -> str:
     try:
         return json.dumps(read(path, "document", lambda doc: doc))
@@ -508,53 +495,70 @@ def read_outcome(read, path) -> str:
         return f"error: {exc}"
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 @given(
     lines=st.lists(document_lines(), max_size=5),
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
-    end=st.sampled_from(["", "\n", "\r\n", "\r"]),
+    end=st.sampled_from(["", "\n", "\n\n", "\r\n", "\r"]),
 )
-@settings(max_examples=75)
-def test_line_reader_agrees_with_json_loads_per_line_at_any_chunk_size(
-    tmp_path_factory, chunk, lines, newline, end
-):
-    """Chunks of a few characters cut lines, ``"\\r\\n"`` pairs and UTF-8
-    sequences anywhere; the reader still sees the oracle's lines."""
-    path = tmp_path_factory.getbasetemp() / "chunked.jsonl"
+# a line cut inside a string: its "\n" is not part of the text decoded
+@example(lines=['{"schemaVersion": 1, "id": "a', "{}"], newline="\n", end="")
+@settings(max_examples=300)
+def test_line_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, newline, end):
+    """At any of the three line ends, and with a lone ``"\\r"`` inside a
+    line, the reader sees the oracle's lines."""
+    path = tmp_path_factory.getbasetemp() / "documents.jsonl"
     path.write_bytes((newline.join(lines) + end).encode("utf-8"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_CHUNK", chunk)
-        assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
+    assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
 
 
-@pytest.mark.parametrize("chunk", [7, graphs._CHUNK])
-def test_a_record_line_longer_than_a_chunk_reads_like_the_oracle(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(graphs, "_CHUNK", chunk)
-    docs = [{"schemaVersion": 1, "id": f"s{n}", "events": ["e" * chunk] * 3} for n in range(3)]
+#: Longer than the text file's buffer, so a line spans several of its reads.
+LONG = 8 * io.DEFAULT_BUFFER_SIZE
+
+
+def test_a_record_line_longer_than_the_files_buffer_reads_like_the_oracle(tmp_path):
+    docs = [{"schemaVersion": 1, "id": f"s{n}", "events": ["e" * LONG] * 3} for n in range(3)]
     path = tmp_path / "long.jsonl"
     path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
     assert read_document_lines(path, "document", lambda doc: doc) == docs
     assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
 
 
-@pytest.mark.parametrize("chunk", [3, graphs._CHUNK])
-def test_a_last_line_without_a_newline_reads_like_the_oracle(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+@pytest.mark.parametrize("length", [3, LONG])
+def test_a_last_line_without_a_newline_reads_like_the_oracle(tmp_path, length):
     path = tmp_path / "open-ended.jsonl"
-    path.write_text('{"schemaVersion": 1, "id": "a"}\n\n{"schemaVersion": 1, "id": "b"}')
-    assert [d["id"] for d in read_document_lines(path, "document", lambda doc: doc)] == ["a", "b"]
+    last = "b" * length
+    path.write_text(f'{{"schemaVersion": 1, "id": "a"}}\n\n{{"schemaVersion": 1, "id": "{last}"}}')
+    assert [d["id"] for d in read_document_lines(path, "document", lambda doc: doc)] == ["a", last]
     assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
 
 
 def test_a_later_byte_that_is_not_utf8_wins_over_a_malformed_line_1(tmp_path):
-    """Line 1 is malformed and read in the first chunk; the bad byte lies
-    past it, and is still the one reported, by its offset in the file."""
+    """Line 1 is malformed and read before the text file's buffer reaches
+    the bad byte, which is still the one reported, by its offset in the
+    file."""
     path = tmp_path / "late-byte.jsonl"
-    raw = b"{\n" + b"\n" * (graphs._CHUNK + 10) + b"\xff\n"
+    raw = b"{\n" + b"\n" * LONG + b"\xff\n"
     path.write_bytes(raw)
     with pytest.raises(GuiseqError) as exc:
         read_document_lines(path, "document", lambda doc: doc)
     assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte at byte {len(raw) - 2}"
+
+
+def test_reading_a_large_file_holds_little_beside_the_documents(tmp_path):
+    """No more of the file's text is held at once than about one buffer and
+    one line, however long the file."""
+    line = json.dumps({"schemaVersion": 1, "id": "s", "events": [f"event-{i}" for i in range(24)]})
+    path = tmp_path / "large.jsonl"
+    path.write_text((line + "\n") * 20_000, encoding="utf-8")
+    assert path.stat().st_size >= 5_000_000
+    tracemalloc.start()
+    try:
+        docs = read_document_lines(path, "document", lambda doc: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == 20_000
+    assert peak - sys.getsizeof(docs) < 64 * 1024
 
 
 def test_a_file_that_decodes_when_read_again_still_names_itself(tmp_path, monkeypatch):
