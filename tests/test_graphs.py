@@ -511,12 +511,45 @@ def test_line_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, ne
     assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
 
 
+def decode_in_chunks_of(mp: pytest.MonkeyPatch, size: int) -> None:
+    """Has :func:`read_document_lines` decode its file ``size`` bytes at a
+    time: the text file's own chunk, which its line iterator reads by."""
+
+    def opener(*args, **kwargs):
+        f = open(*args, **kwargs)
+        f._CHUNK_SIZE = size
+        return f
+
+    mp.setattr(graphs, "open", opener, raising=False)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@given(
+    lines=st.lists(document_lines(), max_size=5),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    end=st.sampled_from(["", "\n", "\r\n", "\r"]),
+)
+@settings(max_examples=75)
+def test_line_reader_agrees_with_json_loads_per_line_at_any_chunk_size(
+    tmp_path_factory, chunk, lines, newline, end
+):
+    """Chunks of a few bytes cut lines, ``"\\r\\n"`` pairs and UTF-8
+    sequences anywhere; the reader still sees the oracle's lines."""
+    path = tmp_path_factory.getbasetemp() / "chunked.jsonl"
+    path.write_bytes((newline.join(lines) + end).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        decode_in_chunks_of(mp, chunk)
+        assert read_outcome(read_document_lines, path) == read_outcome(split_document_lines, path)
+
+
 #: Longer than the text file's buffer, so a line spans several of its reads.
 LONG = 8 * io.DEFAULT_BUFFER_SIZE
 
 
-def test_a_record_line_longer_than_the_files_buffer_reads_like_the_oracle(tmp_path):
-    docs = [{"schemaVersion": 1, "id": f"s{n}", "events": ["e" * LONG] * 3} for n in range(3)]
+@pytest.mark.parametrize("chunk", [7, LONG])
+def test_a_record_line_longer_than_a_chunk_reads_like_the_oracle(tmp_path, monkeypatch, chunk):
+    decode_in_chunks_of(monkeypatch, chunk)
+    docs = [{"schemaVersion": 1, "id": f"s{n}", "events": ["e" * chunk] * 3} for n in range(3)]
     path = tmp_path / "long.jsonl"
     path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
     assert read_document_lines(path, "document", lambda doc: doc) == docs
