@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline stages: ``rip`` an application model into an
 event-flow graph, build the ``edg`` from a program model, ``gen`` sequences,
-``replay`` them, compare ``report`` files, and ``export-dot`` either graph.
+``replay`` them, compare ``report`` files, and ``export-dot`` either graph,
+the one way to a graph's DOT form.
 
 Exit codes: 0 on success, 1 when a replay found failing (or, without
 ``--allow-broken``, broken) test cases, 2 on usage or input errors.
@@ -97,12 +98,9 @@ def _cmd_rip(args: argparse.Namespace) -> int:
     with _naming(args.model):
         structure = rip(model)
     efg = build_efg_from_structure(structure)
-    dot = None if args.dot is None else export_dot(efg)  # before any file is written
     save_graph(efg, args.out)
     if args.structure is not None:
         save_structure(structure, args.structure)
-    if dot is not None:
-        args.dot.write_text(dot, encoding="utf-8")
     print(
         f"ripped {model.name}: {len(efg.events)} events, "
         f"{len(efg.initials)} initial, {len(efg.edges)} edges -> {args.out}"
@@ -117,10 +115,7 @@ def _cmd_edg(args: argparse.Namespace) -> int:
         edg, warnings = build_edg(build_class_db(program), efg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    dot = None if args.dot is None else export_dot(edg)  # before any file is written
     save_graph(edg, args.out)
-    if dot is not None:
-        args.dot.write_text(dot, encoding="utf-8")
     print(f"built dependency graph: {len(edg.edges)} edges -> {args.out}")
     return 0
 
@@ -147,7 +142,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_sequences(model: AppModel, records: Sequence[SequenceRecord], path: Path) -> None:
+def _check_sequences(model: AppModel, records: Sequence[SequenceRecord]) -> None:
     """Reject, before any case runs, a record whose events the model does not
     declare or whose targets fall outside its events.  The distinct events
     are checked at once; only when one is unknown are the records scanned,
@@ -158,13 +153,13 @@ def _check_sequences(model: AppModel, records: Sequence[SequenceRecord], path: P
         for event in () if all_known else record.events:
             if event not in known:
                 raise GuiseqError(
-                    f"{path}: sequence {record.id!r}: event {event!r} is not an event "
+                    f"sequence {record.id!r}: event {event!r} is not an event "
                     f"of model {model.name!r}"
                 )
         for t in record.targets:
             if not 0 <= t < len(record.events):
                 raise GuiseqError(
-                    f"{path}: sequence {record.id!r}: target {t} is outside its "
+                    f"sequence {record.id!r}: target {t} is outside its "
                     f"{len(record.events)} events"
                 )
 
@@ -172,8 +167,8 @@ def _check_sequences(model: AppModel, records: Sequence[SequenceRecord], path: P
 def _cmd_replay(args: argparse.Namespace) -> int:
     model = load_app_model(args.model)
     records = load_sequences(args.sequences)
-    _check_sequences(model, records, args.sequences)
     with _naming(args.sequences):
+        _check_sequences(model, records)
         cases = group_test_cases(records)
     with _naming(args.model):
         suite = run_suite(model, cases)
@@ -217,13 +212,11 @@ _COMMANDS = {
         ("--model", dict(required=True, type=Path, help="application model (JSON)")),
         ("--out", dict(required=True, type=Path, help="event-flow graph output (JSON)")),
         ("--structure", dict(type=Path, help="also write the observed GUI structure")),
-        ("--dot", dict(type=Path, help="also write the graph in DOT form")),
     )),
     "edg": (_cmd_edg, "build the event-dependency graph from a program model", (
         ("--ir", dict(required=True, type=Path, help="program model (JSON)")),
         ("--efg", dict(required=True, type=Path, help="event-flow graph (JSON)")),
         ("--out", dict(required=True, type=Path, help="event-dependency graph output (JSON)")),
-        ("--dot", dict(type=Path, help="also write the graph in DOT form")),
     )),
     "gen": (_cmd_gen, "generate executable test sequences", (
         ("--config", dict(choices=sorted(PRESETS), help="preset configuration")),

@@ -5,7 +5,7 @@ deterministic order:
 
 * the **black-box** generator (:func:`gen_blackbox`) enumerates every
   flow-graph path of exactly ``length`` events, each behind the shortest
-  reaching prefix;
+  reaching prefix; an event without one is unreachable;
 * the **grey-box** generator builds abstract sequences, dependency-graph
   paths best-first (:func:`gen_abstract`), and repairs them into executable
   ones (:func:`to_executable`), splitting where no connection exists.  The
@@ -139,15 +139,13 @@ def gen_blackbox(
     """
     if length < 1:
         raise GuiseqError(f"sequence length must be positive, got {length}")
-    reachable = set(g.initials).union(g.nearest_initial)
-    unreachable = [e for e in g.events if e not in reachable]
     adjacency = g.adjacency
     sequences: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
+    unreachable: list[str] = []
     for head in g.events:
-        if head not in reachable:
+        if (entry := _best_entry(g, head)) is None:
+            unreachable.append(head)
             continue
-        entry = _best_entry(g, head)
-        assert entry is not None  # head is reachable
         prefix = (entry[0], *entry[1])[:-1]  # () when head is initial
         targets = tuple(range(len(prefix), len(prefix) + length))
         paths = [prefix + (head,)]

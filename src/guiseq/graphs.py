@@ -434,10 +434,11 @@ def read_document_lines(
     ones ``parse`` rejects included, is read again by :func:`_parse_document`,
     which decodes it with :func:`json.loads` and names what is wrong.  A
     byte that is not UTF-8, anywhere in the file, is reported before a
-    malformed line."""
+    malformed line, by its offset in the file; either error is found in the
+    same single pass, a line at a time."""
     docs = []
-    try:
-        with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
+        try:
             for lineno, line in enumerate(f, 1):
                 try:
                     doc, stop = _scan_once(line, 0)
@@ -454,11 +455,12 @@ def read_document_lines(
                                 _parse_document(line.removesuffix("\n"), path, lineno, kind, parse)
                             )
                         except GuiseqError:
-                            f.read()  # a later byte that is not UTF-8 comes first
+                            for _ in f:  # a later byte that is not UTF-8 comes first
+                                pass
                             raise
-    except UnicodeDecodeError as exc:
-        _read_text(path)  # names the byte by its offset in the file
-        raise GuiseqError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except UnicodeDecodeError as exc:
+            # exc.object is the decoder's input: the bytes up to where the file now stands
+            raise _not_utf8(path, exc, f.buffer.tell() - len(exc.object)) from None
     return docs
 
 
@@ -466,7 +468,12 @@ def _read_text(path: Path | str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise GuiseqError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise _not_utf8(path, exc, 0) from None
+
+
+def _not_utf8(path: Path | str, exc: UnicodeDecodeError, at: int) -> GuiseqError:
+    """``exc``, raised decoding the bytes from offset ``at`` on, naming the byte's offset."""
+    return GuiseqError(f"{path}: not UTF-8 text: {exc.reason} at byte {at + exc.start}")
 
 
 def _parse_document(

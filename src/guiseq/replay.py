@@ -1,9 +1,10 @@
 """Sequence replay: execute generated sequences against an application model.
 
-A test case is a record plus its later split parts.  It runs from a launch
-against fresh settings; each later part gets a fresh launch on the settings
-the earlier parts left, and event positions count on across parts.  After
-a clean run the application restarts once.  The verdict is:
+A test case is a record plus its later split parts, the tuple of them that
+tuple's own constructor builds.  It runs from a launch against fresh
+settings; each later part gets a fresh launch on the settings the earlier
+parts left, and event positions count on across parts.  After a clean run
+the application restarts once.  The verdict is:
 
 * **failed** — a crash in an event handler, in a launch block, or in the
   restart;
@@ -63,21 +64,13 @@ __all__ = [
 class TestCase(tuple):
     """One replayable unit: a sequence record plus any later split parts.
 
-    A case is the tuple of its parts, so it costs one object, and
-    :attr:`parts` is the case itself.  ``TestCase(parts)`` and
-    ``TestCase(parts=...)`` build one; its repr is
-    ``TestCase(parts=(...))``.  Replay reads the parts by index
-    (``case[0]``, ``len(case)``), never through a property's Python frame.
+    A case is the tuple of its parts, so it costs one object, and tuple's
+    own constructor builds it: ``TestCase(parts)``, whose text is its repr.
+    Replay reads the parts by index (``case[0]``, ``len(case)``), never
+    through a property's Python frame.
     """
 
     __slots__ = ()
-
-    def __new__(cls, parts: Iterable[SequenceRecord]) -> TestCase:
-        return tuple.__new__(cls, parts)
-
-    @property
-    def parts(self) -> tuple[SequenceRecord, ...]:
-        return self
 
     @property
     def id(self) -> str:
@@ -99,13 +92,12 @@ class TestCase(tuple):
         return tuple(out)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(parts={tuple(self)!r})"
+        return f"{type(self).__name__}({tuple(self)!r})"
 
 
 def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
     """Regroup a record stream into test cases, attaching split parts to
-    their first part.  Each case is built by ``tuple.__new__`` from its
-    parts: :meth:`TestCase.__new__` would run a Python frame per case."""
+    their first part."""
     cases: dict[str, TestCase] = {}  # by first part's id, in order
     ids: set[str] = set()
     for record in records:
@@ -113,9 +105,9 @@ def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
             raise GuiseqError(f"duplicate sequence id {record.id!r}")
         ids.add(record.id)
         if record.split_of is None:
-            cases[record.id] = tuple.__new__(TestCase, (record,))
+            cases[record.id] = TestCase((record,))
         elif (case := cases.get(record.split_of)) is not None:
-            cases[record.split_of] = tuple.__new__(TestCase, (*case, record))
+            cases[record.split_of] = TestCase((*case, record))
         else:
             raise GuiseqError(
                 f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"

@@ -14,7 +14,8 @@ reports byte-identical.
 * **Firing.**  :func:`fire_event` refuses an event that is not available
   (:func:`is_available`) with :class:`UnavailableEventError`.  A crash
   (``deref`` of a null field, ``throwArrayOob``) or an ``exit`` stops the
-  handler; the crashing statement still counts as covered.  It returns the
+  handler, or a launch block, in the one function that runs both; the
+  crashing statement still counts as covered.  It returns the
   :class:`CrashRecord`, or None; ``exited`` on the state tells whether the
   application still runs.  A ``call`` chain deeper than
   :data:`MAX_CALL_DEPTH` raises :class:`~guiseq.graphs.GuiseqError`.
@@ -249,6 +250,19 @@ def _run(state: GuiState, block: Block, depth: int) -> None:
     for sid, step in block:
         cover(sid)
         step(state, depth)
+
+
+def _run_top(state: GuiState, block: Block, phase: str) -> CrashRecord | None:
+    """Run a handler or a launch block: a crash kills ``state`` and returns
+    its :class:`CrashRecord` of ``phase``; an exit or the block's end, None."""
+    try:
+        _run(state, block, 0)
+    except _CrashSignal as crash:
+        state.exited = True
+        return CrashRecord(crash.kind, crash.statement, phase, None)
+    except _ExitSignal:
+        pass
+    return None
 
 
 class Program:
@@ -533,14 +547,7 @@ def launch(
         fields=dict(model.fields),
         coverage=Coverage() if coverage is None else coverage,
     )
-    try:
-        _run(state, model.program.on_launch, 0)
-    except _CrashSignal as crash:
-        state.exited = True
-        return state, CrashRecord(crash.kind, crash.statement, phase, None)
-    except _ExitSignal:
-        pass
-    return state, None
+    return state, _run_top(state, model.program.on_launch, phase)
 
 
 class UnavailableEventError(GuiseqError):
@@ -558,11 +565,4 @@ def fire_event(state: GuiState, event: str) -> CrashRecord | None:
     if not is_available(state, event):
         raise UnavailableEventError(f"event {event!r} fired while not available")
     state.coverage.handlers.add(event)
-    try:
-        _run(state, state.model.program.handlers[event], 0)
-    except _CrashSignal as crash:
-        state.exited = True
-        return CrashRecord(crash.kind, crash.statement, "event", None)
-    except _ExitSignal:
-        pass
-    return None
+    return _run_top(state, state.model.program.handlers[event], "event")

@@ -122,6 +122,12 @@ MUTANTS = (
         (T_REPLAY + "test_shuffled_cases_fire_each_prefix_above_a_crash_once",),
     ),
     Mutant(
+        "crash-leaves-the-state-alive", SIM,
+        "        state.exited = True\n        return CrashRecord(", "        return CrashRecord(",
+        (T_SIM + "test_null_dereference_crash_names_the_statement",
+         T_SIM + "test_launch_block_runs_and_can_crash"),
+    ),
+    Mutant(
         "copy-drops-its-write-note", SIM,
         "    program.reads.append(src)\n    program.writes.append(dst)\n",
         "    program.reads.append(src)\n",
@@ -181,8 +187,14 @@ MUTANTS = (
     ),
     Mutant(
         "line-error-before-a-later-bad-byte", GRAPHS,
-        "f.read()  # a later byte", "None  # a later byte",
+        "for _ in f:  # a later byte", "for _ in ():  # a later byte",
         (T_GRAPHS + "test_a_later_byte_that_is_not_utf8_wins_over_a_malformed_line_1",),
+    ),
+    Mutant(
+        "bad-byte-offset-from-the-decoders-end", GRAPHS,
+        "f.buffer.tell() - len(exc.object)", "f.buffer.tell()",
+        (T_GRAPHS + "test_both_readers_name_a_bad_bytes_offset_as_bytes_decode_does[default]",
+         T_GRAPHS + "test_an_error_in_a_large_file_holds_little_beside_the_documents[bad-last-byte]"),
     ),
     Mutant(
         "efg-accepts-an-undeclared-target", GRAPHS,

@@ -527,8 +527,8 @@ def report_to_json(suite: SuiteResult) -> dict:
             "targets": list(r.case.targets),
             "verdict": r.verdict,
         }
-        if len(r.case.parts) > 1:
-            doc["parts"] = [p.id for p in r.case.parts]
+        if len(r.case) > 1:
+            doc["parts"] = [p.id for p in r.case]
         if r.crash is not None:
             doc["crash"] = {
                 "kind": r.crash.kind,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import guiseq
 from guiseq import corpus
 from guiseq.appmodel import app_model_to_json
-from guiseq.cli import _check_sequences, main
+from guiseq.cli import _check_sequences, _naming, main
 from guiseq.generate import SequenceRecord, load_sequences
 from guiseq.graphs import GuiseqError, load_graph
 from guiseq.programdb import derive_program_model, program_model_to_json
@@ -38,19 +38,19 @@ def seq_lines(path):
 
 
 def test_rip_writes_graph_structure_and_dot(tmp_path, capsys):
+    """rip writes the graph and the structure; export-dot, the one way to
+    DOT, renders the graph."""
     model = str(corpus.model_path("example-app"))
     efg = tmp_path / "efg.json"
     structure = tmp_path / "structure.json"
     dot = tmp_path / "efg.dot"
-    code = main([
-        "rip", "--model", model, "--out", str(efg),
-        "--structure", str(structure), "--dot", str(dot),
-    ])
+    code = main(["rip", "--model", model, "--out", str(efg), "--structure", str(structure)])
     assert code == 0
     assert "ripped example-app: 4 events, 3 initial, 10 edges" in capsys.readouterr().out
     g = load_graph(efg)
     assert g.initials == ("e1", "e2", "e3")
     assert json.loads(structure.read_text())["app"] == "example-app"
+    assert main(["export-dot", "--graph", str(efg), "--out", str(dot)]) == 0
     assert '"e1" [peripheries=2];' in dot.read_text()
 
 
@@ -65,17 +65,6 @@ def test_edg_command(workdir, capsys):
     assert "built dependency graph: 3 edges" in captured.out
     assert captured.err == ""
     assert load_graph(out).edges == (("e1", 1, "e3"), ("e2", 1, "e2"), ("e4", 1, "e2"))
-
-
-def test_edg_dot_writes_what_export_dot_prints(workdir, capsys):
-    edg, dot = workdir / "edg.json", workdir / "edg.dot"
-    assert main([
-        "edg", "--ir", str(corpus.ir_path("example-app-curated")),
-        "--efg", str(workdir / "efg.json"), "--out", str(edg), "--dot", str(dot),
-    ]) == 0
-    capsys.readouterr()
-    assert main(["export-dot", "--graph", str(edg)]) == 0
-    assert dot.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_edg_warns_about_unbound_events(workdir, capsys):
@@ -284,9 +273,11 @@ def check_outcome(check, records):
 @settings(max_examples=300, deadline=None)
 @given(drawn_records())
 def test_checking_distinct_events_rejects_as_scanning_every_occurrence(records):
-    assert check_outcome(_check_sequences, records) == check_outcome(
-        scanned_check_sequences, records
-    )
+    def check(model, records, path):  # as replay runs it: named by the sequence file
+        with _naming(path):
+            _check_sequences(model, records)
+
+    assert check_outcome(check, records) == check_outcome(scanned_check_sequences, records)
 
 
 @pytest.mark.parametrize(
@@ -468,22 +459,18 @@ def test_dot_of_an_id_ending_in_a_backslash_exits_2(tmp_path, capsys):
         return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
 
     expected = ["error: event id 'e1\\\\' ends in a backslash, which DOT cannot quote"]
-    rip = ["rip", "--model", str(model), "--out", str(efg)]
-    assert main([*rip, "--dot", str(dot)]) == 2
+    assert main(["rip", "--model", str(model), "--out", str(efg)]) == 0
+    assert main(["export-dot", "--graph", str(efg), "--out", str(dot)]) == 2
     assert error_lines() == expected
-    assert not efg.exists() and not dot.exists()
-
-    assert main(rip) == 0
-    assert main(["export-dot", "--graph", str(efg)]) == 2
-    assert error_lines() == expected
+    assert not dot.exists()
 
     edg = tmp_path / "edg.json"
     assert main([
         "edg", "--ir", str(corpus.ir_path("example-app-curated")),
-        "--efg", str(efg), "--out", str(edg), "--dot", str(dot),
-    ]) == 2
+        "--efg", str(efg), "--out", str(edg),
+    ]) == 0
+    assert main(["export-dot", "--graph", str(edg)]) == 2
     assert error_lines() == expected
-    assert not edg.exists() and not dot.exists()
 
 
 def test_usage_and_io_errors_exit_2(workdir, capsys):

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from guiseq import graphs
@@ -23,6 +23,7 @@ from guiseq.graphs import (
     export_dot,
     is_executable,
     load_graph,
+    read_document,
     read_document_lines,
     save_graph,
     shortest_path,
@@ -594,11 +595,61 @@ def test_reading_a_large_file_holds_little_beside_the_documents(tmp_path):
     assert peak - sys.getsizeof(docs) < 64 * 1024
 
 
-def test_a_file_that_decodes_when_read_again_still_names_itself(tmp_path, monkeypatch):
-    """A file whose bad byte is gone by the time it is read again (one
-    written to meanwhile) is still a :class:`GuiseqError` naming it."""
-    path = tmp_path / "changing.jsonl"
-    path.write_bytes(b'{"schemaVersion": 1}\n\xff\n')
-    monkeypatch.setattr(graphs, "_read_text", lambda path: "")
-    with pytest.raises(GuiseqError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
-        read_document_lines(path, "document", lambda doc: doc)
+#: Bytes that no UTF-8 text holds here: a stray continuation or lead byte, a
+#: truncated sequence, a surrogate's encoding.
+bad_bytes = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f"])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, None], ids=["1", "2", "3", "7", "default"])
+@given(
+    lines=st.lists(document_lines(), max_size=4),
+    bad=bad_bytes,
+    cut=st.integers(min_value=0),
+    pad=st.sampled_from([0, 9000]),
+)
+@settings(max_examples=60)
+def test_both_readers_name_a_bad_bytes_offset_as_bytes_decode_does(
+    tmp_path_factory, chunk, lines, bad, cut, pad
+):
+    """Anywhere in the file, a line cut or malformed before it, past the
+    text file's first buffer or not, at any decode chunk: the offset is the
+    one ``bytes.decode`` names, and so is the reason."""
+    text = ("\n" * pad + "\n".join(lines)).encode("utf-8")
+    cut %= len(text) + 1
+    raw = text[:cut] + bad + text[cut:]
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reason, start = exc.reason, exc.start
+    else:
+        assume(False)  # the bad bytes completed a character cut at ``cut``
+    path = tmp_path_factory.getbasetemp() / "bad-byte.jsonl"
+    path.write_bytes(raw)
+    expected = f"error: {path}: not UTF-8 text: {reason} at byte {start}"
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            decode_in_chunks_of(mp, chunk)
+        assert read_outcome(read_document_lines, path) == expected
+        assert read_outcome(read_document, path) == expected
+
+
+@pytest.mark.parametrize("first", ["", "{\n"], ids=["bad-last-byte", "and-malformed-line-1"])
+def test_an_error_in_a_large_file_holds_little_beside_the_documents(tmp_path, first):
+    """Neither a bad last byte nor a malformed line 1 that it comes before
+    makes the reader hold more of the file than a clean read does."""
+    line = json.dumps({"schemaVersion": 1, "id": "s", "events": [f"event-{i}" for i in range(24)]})
+    path = tmp_path / "large.jsonl"
+    raw = (first + (line + "\n") * 20_000).encode("utf-8") + b"\xff"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuiseqError) as exc:
+            read_document_lines(path, "document", lambda doc: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte at byte {len(raw) - 1}"
+    docs = []  # what the reader held of documents when the bad byte came
+    for _ in range(0 if first else 20_000):
+        docs.append(None)
+    assert peak - sys.getsizeof(docs) < 64 * 1024

@@ -95,7 +95,7 @@ def test_grouping_keeps_order_and_attaches_parts():
 
 
 def test_grouping_rebases_targets():
-    case = Case(parts=(
+    case = Case((
         record("s0001", ["a", "b", "c"], targets=[1, 2]),
         record("s0002", ["d", "e"], targets=[1], split_of="s0001"),
     ))
@@ -107,16 +107,32 @@ def test_a_case_is_the_tuple_of_its_parts():
     first = record("s0001", ["a", "b"], targets=[1])
     split = record("s0002", ["c"], split_of="s0001")
     case = Case((first, split))
-    assert case == Case(parts=(first, split)) == Case(parts=[first, split])
-    assert hash(case) == hash(Case(parts=(first, split)))
-    assert case.parts is case and tuple(case) == (first, split)
+    assert case == Case((first, split)) == Case([first, split])
+    assert hash(case) == hash(Case((first, split)))
+    assert tuple(case) == (first, split)
     assert (case.id, case.events, case.targets) == ("s0001", ("a", "b", "c"), (1, 2))
-    assert repr(case) == f"TestCase(parts=({first!r}, {split!r}))"
-    assert repr(Case((first,))) == f"TestCase(parts=({first!r},))"
     for copied in (copy.copy(case), copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
         assert type(copied) is Case and copied == case
     (alone,) = group_test_cases([first])
     assert type(alone) is Case and len(alone) == 1 and alone[0] is first
+
+
+def test_a_case_is_built_by_tuples_own_constructor():
+    """No Python frame runs per case built, and a case is built one way:
+    from its parts, by position."""
+    assert Case.__new__ is tuple.__new__
+    assert not hasattr(Case, "parts")
+    with pytest.raises(TypeError):
+        Case(parts=(record("s0001", ["a"]),))
+
+
+def test_a_case_reads_as_the_call_that_builds_it():
+    first = record("s0001", ["a", "b"], targets=[1])
+    split = record("s0002", ["c"], split_of="s0001")
+    case = Case((first, split))
+    assert repr(case) == f"TestCase(({first!r}, {split!r}))"
+    assert repr(Case((first,))) == f"TestCase(({first!r},))"
+    assert eval(repr(case), {"TestCase": Case, "SequenceRecord": SequenceRecord}) == case
 
 
 def test_grouping_rejects_inconsistent_streams():
@@ -183,11 +199,11 @@ def split_part():
     ("make", "defaults", "field"),
     [
         (first_part, {"abstract": None, "split_of": None}, "events"),
-        (lambda: Case(parts=(first_part(), split_part())), {}, "parts"),
-        (lambda: CaseResult(case=Case(parts=(first_part(),)), verdict="passed"),
+        (lambda: Case((first_part(), split_part())), {}, "id"),
+        (lambda: CaseResult(case=Case((first_part(),)), verdict="passed"),
          {"crash": None, "broken_at": None}, "verdict"),
         (lambda: CaseResult(
-            case=Case(parts=(first_part(),)), verdict="failed",
+            case=Case((first_part(),)), verdict="failed",
             crash=CrashRecord(CRASH_NULL_DEREF, "h:e1/0", "event", 1),
          ), {"broken_at": None}, "crash"),
     ],
@@ -211,8 +227,8 @@ def test_records_cases_and_verdicts_survive_a_sequence_file(tmp_path):
     cases = group_test_cases(loaded)
     assert cases == [Case((records[0], records[1])), Case((records[2],))]
     assert [CaseResult(c, "passed") for c in cases] == [
-        CaseResult(case=Case(parts=(first_part(), split_part())), verdict="passed"),
-        CaseResult(case=Case(parts=(records[2],)), verdict="passed"),
+        CaseResult(case=Case((first_part(), split_part())), verdict="passed"),
+        CaseResult(case=Case((records[2],)), verdict="passed"),
     ]
 
 
@@ -232,7 +248,8 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
             save_sequences(generate_sequences(PRESETS[config], efg, edg).records, path)
             files.append((model, path))
     constructed = []
-    for cls in (SequenceRecord, Case, CaseResult):
+    # a case's constructor is tuple's own (test_a_case_is_built_by_tuples_own_constructor)
+    for cls in (SequenceRecord, CaseResult):
         def spy(cls, *args, _new=cls.__new__, **kwargs):
             constructed.append(cls)
             return _new(cls, *args, **kwargs)
@@ -246,7 +263,7 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
         values += [(SequenceRecord, v) for v in records]
         values += [(Case, v) for v in cases] + [(CaseResult, v) for v in results]
         outcomes |= {
-            (len(r.case.parts) > 1, r.verdict, r.crash and r.crash.phase) for r in results
+            (len(r.case) > 1, r.verdict, r.crash and r.crash.phase) for r in results
         }
     assert constructed == []
     assert all(
@@ -327,7 +344,7 @@ def test_replay_flags_infeasible_sequences_as_broken(tmp_path):
     model = load_app_model(p)
 
     coverage = Coverage()
-    result = run_test_case(model, Case(parts=(record("s0001", ["a", "a", "b"]),)), coverage)
+    result = run_test_case(model, Case((record("s0001", ["a", "a", "b"]),)), coverage)
     assert result.verdict == "broken"
     assert result.broken_at == 2
     assert result.crash is None
@@ -369,7 +386,7 @@ def test_split_case_carries_settings_across_parts(tmp_path):
 
     parts = (record("s0001", ["p"]), record("s0002", ["p"], split_of="s0001"))
     coverage = Coverage()
-    result = run_test_case(model, Case(parts=parts), coverage)
+    result = run_test_case(model, Case(parts), coverage)
     assert result.verdict == "failed"
     assert result.crash.phase == "launch"
     assert result.crash.position is None
@@ -377,7 +394,7 @@ def test_split_case_carries_settings_across_parts(tmp_path):
     assert "launch/1:then" in coverage.branches  # part 2's launch records into the sink
 
     # a single part passes its events but the restart probe meets the poison
-    single = run_test_case(model, Case(parts=(record("s0001", ["p"]),)), Coverage())
+    single = run_test_case(model, Case((record("s0001", ["p"]),)), Coverage())
     assert single.verdict == "failed"
     assert single.crash.phase == "restart"
 
@@ -395,7 +412,7 @@ def test_restart_probe_catches_persisted_state(rachota_app, rachota_efg, rachota
         assert r.crash.statement == "launch/1.t.1"
     # the split chains run as single cases and survive
     split_case = next(r for r in suite.results if r.case.id == "s0007")
-    assert [p.id for p in split_case.case.parts] == ["s0007", "s0008"]
+    assert [p.id for p in split_case.case] == ["s0007", "s0008"]
     assert split_case.verdict == "passed"
 
 
@@ -445,7 +462,7 @@ def case_lists(draw, model, pool):
         cut = st.integers(min_value=1, max_value=max(1, len(events) - 1))
         cuts = sorted(draw(st.sets(cut, max_size=2)))
         bounds = [0] + [c for c in cuts if c < len(events)] + [len(events)]
-        cases.append(Case(parts=tuple(
+        cases.append(Case(tuple(
             record(f"x{n}.{k}", events[a:b], split_of=None if k == 0 else f"x{n}.0")
             for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
         )))
@@ -496,7 +513,7 @@ def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
     words = [(x, y, z) for x in "abc" for y in "abc" for z in "abc"]
-    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
 
     calls = {"launch": 0, "fire_event": 0}
     for name in calls:
@@ -548,7 +565,7 @@ def test_shuffled_cases_fire_each_prefix_above_a_crash_once(tmp_path, monkeypatc
         monkeypatch.setattr(replay_module, name, counted)
     for seed in range(5):
         random.Random(seed).shuffle(words)
-        cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+        cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
         calls.update(launch=0, fire_event=0)
         suite = run_suite(model, cases)
         # one fire per internal node of the prefix tree not below a "c",
@@ -597,7 +614,7 @@ def test_one_restart_per_distinct_settings_snapshot(tmp_path, monkeypatch):
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
     words = [(x, y) for x in "abc" for y in "abc"]
-    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
 
     phases = launch_phases(monkeypatch)
     suite = run_suite(model, cases)
@@ -634,7 +651,7 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
     p = tmp_path / "doa.json"
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
-    cases = [Case(parts=(record("s0001", ["e", "e"]),)), Case(parts=(record("s0002", ["e"]),))]
+    cases = [Case((record("s0001", ["e", "e"]),)), Case((record("s0002", ["e"]),))]
     phases = launch_phases(monkeypatch)
     suite = run_suite(model, cases)
     assert phases == ["launch"]
@@ -647,7 +664,7 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
 
 def test_each_replayed_fire_checks_availability_once(example_app, example_efg, monkeypatch):
     cases = group_test_cases(generate_sequences(PRESETS["C"], example_efg).records)
-    cases.append(Case(parts=(record("x0001", ["e1", "e4", "e1"]),)))
+    cases.append(Case((record("x0001", ["e1", "e4", "e1"]),)))
     calls = {"is_available": 0, "fire_event": 0}
     # every binding replay could reach each function through
     bound = [(m, n) for m in (simulator, replay_module) for n in calls if hasattr(m, n)]
@@ -741,7 +758,7 @@ def test_a_memoised_leaf_replays_like_the_case_alone(
               "Main.poison": "p", "Main.got": None}
     model = buttons_model(tmp_path, {**handlers, "idle": []}, fields, **model_kwargs)
     words = [("go",), ("idle",), (first, "go"), (first, "idle")]
-    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
     suite = run_suite(model, cases)
     assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
     assert [suite.results[i].verdict for i in (0, 2)] == verdicts
@@ -751,7 +768,7 @@ def test_a_leaf_under_another_window_stack_fires_once(tmp_path, monkeypatch):
     handlers = {"open": [{"op": "open", "window": "Dlg"}], "go": LOG, "idle": []}
     model = buttons_model(tmp_path, handlers, {"Main.x": "v"}, dialog=True)
     words = [("go",), ("idle",), ("open", "go"), ("open", "idle")]
-    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
     fired = []
     for module in (simulator, replay_module):
         def counted(state, event, _fire=module.fire_event):
@@ -777,7 +794,7 @@ def test_call_leaf_and_restart_memos_share_one_dict_without_meeting(tmp_path, mo
     # the leaf hit's key went into the memo
     words = [("go", "idle"), ("idle", "go", "idle"), ("idle", "idle", "go"),
              ("idle",) * 3 + ("go",), ("go", "go", "idle")]
-    cases = [Case(parts=(record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
     fired, runs = [], []
 
     def counted_fire(state, event, _fire=replay_module.fire_event):
@@ -822,7 +839,7 @@ def drawn_cases(draw, model):
     for n, walk in enumerate(walks):
         cut = draw(st.integers(0, 3 * len(walk)))  # mostly past the end: one part
         parts = [walk[:cut], walk[cut:]] if 0 < cut < len(walk) else [walk]
-        cases.append(Case(parts=tuple(
+        cases.append(Case(tuple(
             record(f"p{n}.{k}", part, split_of=None if k == 0 else f"p{n}.0")
             for k, part in enumerate(parts)
         )))
@@ -886,11 +903,11 @@ def test_report_lists_split_parts_and_break_positions(rachota_app, rachota_efg, 
     assert split["parts"] == ["s0007", "s0008"]
 
     broken = run_test_case(
-        rachota_app, Case(parts=(record("x0001", ["System settings", "OK2"]),)), Coverage()
+        rachota_app, Case((record("x0001", ["System settings", "OK2"]),)), Coverage()
     )
     assert broken.verdict == "broken"
     bdoc = report_to_json(
-        run_suite(rachota_app, [Case(parts=(record("x0001", ["System settings", "OK2"]),))])
+        run_suite(rachota_app, [Case((record("x0001", ["System settings", "OK2"]),))])
     )
     assert bdoc["tests"][0]["brokenAt"] == 1
     assert bdoc["summary"]["broken"] == 1
@@ -920,7 +937,7 @@ def case_results(draw):
         )
     elif verdict == "broken":
         broken_at = draw(st.integers(min_value=0, max_value=99))
-    return CaseResult(case=Case(parts=parts), verdict=verdict, crash=crash, broken_at=broken_at)
+    return CaseResult(case=Case(parts), verdict=verdict, crash=crash, broken_at=broken_at)
 
 
 @given(

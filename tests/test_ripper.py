@@ -224,9 +224,8 @@ def test_rip_refuses_an_app_that_offers_no_event_on_launch(
     tmp_path, capsys, on_launch, enabled, how
 ):
     model = one_window_model(tmp_path, on_launch, {"e": []}, enabled)
-    outs = [tmp_path / name for name in ("efg.json", "structure.json", "efg.dot")]
-    argv = ["rip", "--model", str(model), "--out", str(outs[0]),
-            "--structure", str(outs[1]), "--dot", str(outs[2])]
+    outs = [tmp_path / name for name in ("efg.json", "structure.json")]
+    argv = ["rip", "--model", str(model), "--out", str(outs[0]), "--structure", str(outs[1])]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
