@@ -22,7 +22,6 @@ from .generate import (
     to_executable,
 )
 from .graphs import (
-    AbstractSequence,
     Edg,
     Efg,
     GuiseqError,
@@ -48,7 +47,6 @@ from .simulator import available_events, fire_event, is_available, launch
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractSequence",
     "AppModel",
     "ClassDb",
     "Edg",

@@ -133,7 +133,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.edg is None:
             raise GuiseqError("grey-box generation needs --edg")
         edg = _load(args.edg, Edg, "event-dependency graph (weighted edges)")
-    config = GenConfig(name="cli", mode=mode, length=length, top=top)
+    config = GenConfig(mode, length, top)
     result = generate_sequences(config, efg, edg)
     for d in result.diagnostics:
         print(f"warning: {d}", file=sys.stderr)
@@ -144,13 +144,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _check_sequences(model: AppModel, records: Sequence[SequenceRecord]) -> None:
     """Reject, before any case runs, a record whose events the model does not
-    declare or whose targets fall outside its events.  The distinct events
-    are checked at once; only when one is unknown are the records scanned,
-    for the first offender."""
+    declare or whose targets fall outside its events: one scan in file
+    order, each event looked up where it occurs."""
     known = model.event_window
-    all_known = known.keys() >= set().union(*[record.events for record in records])
     for record in records:
-        for event in () if all_known else record.events:
+        for event in record.events:
             if event not in known:
                 raise GuiseqError(
                     f"sequence {record.id!r}: event {event!r} is not an event "

@@ -26,7 +26,6 @@ from sys import intern
 
 from .graphs import (
     SCHEMA_VERSION,
-    AbstractSequence,
     Edg,
     Efg,
     GuiseqError,
@@ -53,13 +52,12 @@ __all__ = [
 
 
 class GenConfig(Value):
-    """A named generator configuration.
+    """A generator configuration: the fields the generators read.
 
     ``top`` bounds how many abstract sequences each start event contributes
     (grey-box only); None means unbounded.
     """
 
-    name: str
     mode: str  # "blackbox" | "greybox"
     length: int
     top: int | None = None
@@ -68,12 +66,12 @@ class GenConfig(Value):
 #: The benchmark configurations: black-box at lengths 1-3, grey-box at
 #: length 2 unbounded and length 3 with per-event caps.
 PRESETS: dict[str, GenConfig] = {
-    "A": GenConfig("A", "blackbox", 1),
-    "B": GenConfig("B", "blackbox", 2),
-    "C": GenConfig("C", "blackbox", 3),
-    "D": GenConfig("D", "greybox", 2, top=None),
-    "E": GenConfig("E", "greybox", 3, top=50),
-    "F": GenConfig("F", "greybox", 3, top=100),
+    "A": GenConfig("blackbox", 1),
+    "B": GenConfig("blackbox", 2),
+    "C": GenConfig("blackbox", 3),
+    "D": GenConfig("greybox", 2, top=None),
+    "E": GenConfig("greybox", 3, top=50),
+    "F": GenConfig("greybox", 3, top=100),
 }
 
 
@@ -160,7 +158,7 @@ def gen_blackbox(
 # ---------------------------------------------------------------------------
 
 
-def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSequence]:
+def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[tuple[str, ...]]:
     """Dependency-graph paths, best-first, bounded per start event.
 
     For each event in declaration order: depth-first search over dependency
@@ -177,7 +175,7 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     if top is not None and top < 1:
         raise GuiseqError(f"per-event sequence budget must be positive, got {top}")
     successors = d.successors
-    collected: list[AbstractSequence] = []
+    collected: list[tuple[str, ...]] = []
 
     for start in d.events:
         budget = top if top is not None else -1  # -1 never hits zero
@@ -188,7 +186,7 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
             if nexts:
                 pending.append(iter(nexts))
             else:
-                collected.append(tuple.__new__(AbstractSequence, (tuple(path),)))
+                collected.append(tuple(path))
                 budget -= 1
                 if budget == 0:
                     break
@@ -203,26 +201,13 @@ def gen_abstract(d: Edg, length: int, top: int | None = None) -> list[AbstractSe
     return collected
 
 
-class _Part(Value):
-    events: tuple[str, ...]
-    targets: tuple[int, ...]
-
-
-class Conversion(Value):
-    """The executable form of one abstract sequence: one part, or several
-    when the abstract sequence had to be split."""
-
-    abstract: tuple[str, ...]
-    parts: tuple[_Part, ...]
-
-
-class ConversionResult(Value):
-    conversions: tuple[Conversion, ...]
-    diagnostics: tuple[str, ...]
-
-
-def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionResult:
+def to_executable(g: Efg, abstracts: Sequence[tuple[str, ...]]) -> tuple[list[tuple], list[str]]:
     """Repair abstract sequences into executable ones.
+
+    Returns ``(conversions, diagnostics)``.  Each conversion is
+    ``(abstract, parts)``, the executable form of one abstract sequence: one
+    part, or several when it had to be split.  Each part is
+    ``(events, targets)``.
 
     A part starts at the entry of its head (:func:`_best_entry`) and joins
     consecutive abstract events by shortest flow-graph connections; a
@@ -230,22 +215,21 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
     hop has no connection the part ends and the remainder starts a new part
     from its own entry; an unreachable head drops the remainder with a
     diagnostic.  Entries and hops are memoised for the call, so each
-    distinct one is read once; parts with equal targets share one tuple;
-    and every value is built by ``tuple.__new__`` with its fields in order.
+    distinct one is read once, and parts with equal targets share one tuple.
     """
-    conversions: list[Conversion] = []
+    conversions: list[tuple] = []
     diagnostics: list[str] = []
     entry_of = cache(partial(_best_entry, g))
     hop_of = cache(lambda a, b: shortest_path(g, a, b, strict=a == b))
     share = {}.setdefault
     for abstract in abstracts:
-        parts: list[_Part] = []
-        remaining = abstract.events
+        parts = []
+        remaining = abstract
         while remaining:
             entry = entry_of(remaining[0])
             if entry is None:
                 diagnostics.append(
-                    f"abstract sequence {list(abstract.events)!r}: event {remaining[0]!r} is "
+                    f"abstract sequence {list(abstract)!r}: event {remaining[0]!r} is "
                     "unreachable from the initial events; "
                     + ("remainder dropped" if parts else "sequence skipped")
                 )
@@ -258,13 +242,11 @@ def to_executable(g: Efg, abstracts: Sequence[AbstractSequence]) -> ConversionRe
                     break
                 events += hop
                 targets.append(len(events) - 1)
-            parts.append(tuple.__new__(_Part, (tuple(events), share(t := tuple(targets), t))))
+            parts.append((tuple(events), share(t := tuple(targets), t)))
             remaining = remaining[len(targets):]
-        if parts or not abstract.events:  # an unreachable first head skips the sequence
-            conversions.append(
-                tuple.__new__(Conversion, (tuple(abstract.events), tuple(parts)))
-            )
-    return tuple.__new__(ConversionResult, (tuple(conversions), tuple(diagnostics)))
+        if parts or not abstract:  # an unreachable first head skips the sequence
+            conversions.append((abstract, parts))
+    return conversions, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +277,10 @@ def generate_sequences(
     elif config.mode == "greybox":
         if edg is None:
             raise GuiseqError("grey-box generation needs an event-dependency graph")
-        abstracts = gen_abstract(edg, config.length, config.top)
-        result = to_executable(efg, abstracts)
-        diagnostics.extend(result.diagnostics)
-        for abstract, parts in result.conversions:
+        conversions, diagnostics = to_executable(
+            efg, gen_abstract(edg, config.length, config.top)
+        )
+        for abstract, parts in conversions:
             root_id: str | None = None
             for events, targets in parts:
                 rid = f"s{len(records) + 1:04d}"

@@ -14,8 +14,9 @@ graph's ``events`` tuple — is the universal tie-breaker: every ordering in thi
 package (neighbour expansion, successor ranking, output ordering) falls back to
 it, which is what makes the whole pipeline deterministic.
 
-An :class:`AbstractSequence` is a path in the EDG and may not be executable
-on the GUI; :func:`guiseq.generate.to_executable` repairs it into EFG paths.
+An abstract sequence is a path in the EDG, a plain tuple of events, and may
+not be executable on the GUI; :func:`guiseq.generate.to_executable` repairs it
+into EFG paths.
 
 This module also holds the one reader of the package's JSON files
 (:func:`read_document`, :func:`read_document_lines`): every loader hands it a
@@ -47,7 +48,6 @@ __all__ = [
     "Value",
     "Efg",
     "Edg",
-    "AbstractSequence",
     "validate_efg",
     "is_executable",
     "shortest_path",
@@ -297,13 +297,6 @@ class Edg(Value):
             e: tuple(sorted(pairs, key=lambda p: (-p[1], idx[p[0]])))
             for e, pairs in succ.items()
         }
-
-
-class AbstractSequence(Value):
-    """A path in the EDG; potentially not executable on the GUI."""
-
-    __slots__ = ()
-    events: tuple[str, ...]
 
 
 def validate_efg(g: Efg) -> list[str]:

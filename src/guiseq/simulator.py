@@ -105,29 +105,23 @@ class CrashRecord(Value):
 class Coverage:
     """A sink for what ran: statement ids, branch ids and the events whose
     handler was entered; and ``memo``, the outcomes the runs that record
-    into it have computed, the package's one home for them.  Each is a new
-    set, or dict, unless given."""
+    into it have computed, the package's one home for them.  A new sink
+    holds a new empty set, or dict, of each."""
 
     __match_args__ = ("statements", "branches", "handlers")  # not the memo: see below
     __eq__, __repr__ = Value.__eq__, Value.__repr__
 
-    def __init__(
-        self,
-        statements: set[str] | None = None,
-        branches: set[str] | None = None,
-        handlers: set[str] | None = None,
-        memo: dict | None = None,
-    ) -> None:
-        self.statements = set() if statements is None else statements
-        self.branches = set() if branches is None else branches
-        self.handlers = set() if handlers is None else handlers
+    def __init__(self) -> None:
+        self.statements = set()
+        self.branches = set()
+        self.handlers = set()
         #: A write-free method call's crash ``(kind, statement)``, or None, by
         #: ``(method, depth, *values of the fields its call closure reads)``; no
         #: other module's key is a tuple that starts with a str.  A hit is exact
         #: as it adds no coverage: this sink holds what the first run covered.  No
         #: key names a model, so a sink serves one; nor is the memo a result, so
         #: sinks compare without it.
-        self.memo = {} if memo is None else memo
+        self.memo = {}
 
 
 class GuiState:

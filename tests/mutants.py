@@ -181,6 +181,16 @@ MUTANTS = (
         (T_VALUES + "test_a_value_made_per_record_or_case_has_no_instance_dict[SequenceRecord]",),
     ),
     Mutant(
+        "to-executable-shares-no-targets", "guiseq/generate.py",
+        "share(t := tuple(targets), t)", "tuple(targets)",
+        ("tests/test_generate.py::test_to_executable_shares_equal_targets_across_parts",),
+    ),
+    Mutant(
+        "replay-check-passes-unknown-events", "guiseq/cli.py",
+        "if event not in known:", "if False:",
+        (T_CLI + "test_replay_rejects_a_sequence_that_does_not_fit_the_model[unknown-event]",),
+    ),
+    Mutant(
         "fallback-decodes-the-newline", GRAPHS,
         'line.removesuffix("\\n")', "line",
         (T_GRAPHS + "test_line_reader_agrees_with_json_loads_per_line",),

@@ -21,7 +21,7 @@ from guiseq.generate import (
     generate_sequences,
     to_executable,
 )
-from guiseq.graphs import AbstractSequence, Efg, is_executable
+from guiseq.graphs import Efg, is_executable
 from guiseq.programdb import (
     ProgramClass,
     ProgramMethod,
@@ -102,10 +102,8 @@ def test_05_null_dereference_reproduced(example_app, example_efg, example_edg):
 
 
 def test_06_dialog_bug_needs_greybox(jabref_app, jabref_efg, jabref_edg):
-    conversions = to_executable(
-        jabref_efg, [AbstractSequence(("Close database", "OK"))]
-    ).conversions
-    assert [p.events for p in conversions[0].parts] == [(
+    conversions, _ = to_executable(jabref_efg, [("Close database", "OK")])
+    assert [events for events, _targets in conversions[0][1]] == [(
         "Manage content selectors",
         "Close database",
         "Manage content selectors",
@@ -139,15 +137,11 @@ def test_07_persisted_state_bug(rachota_app, rachota_efg, rachota_edg):
         ("OK2", "OK1"): 6,
     }
 
-    from_ok2 = [
-        a.events for a in gen_abstract(rachota_edg, 2, top=2) if a.events[0] == "OK2"
-    ]
+    from_ok2 = [a for a in gen_abstract(rachota_edg, 2, top=2) if a[0] == "OK2"]
     assert set(from_ok2) == {("OK2", "System settings"), ("OK2", "OK1")}
 
-    conversions = to_executable(
-        rachota_efg, [AbstractSequence(("OK2", "OK1"))]
-    ).conversions
-    assert [p.events for p in conversions[0].parts] == [(
+    conversions, _ = to_executable(rachota_efg, [("OK2", "OK1")])
+    assert [events for events, _targets in conversions[0][1]] == [(
         "System settings",
         "Add task",
         "OK2",
@@ -204,7 +198,7 @@ def test_08_analysis_matches_brute_force_oracles():
         assert set(d.edges) == brute_force_edg(model, g.events)
 
         length = rng.randint(1, 4)
-        got = [a.events for a in gen_abstract(d, length)]
+        got = gen_abstract(d, length)
         assert len(got) == len(set(got))
         assert set(got) == maximal_paths(d, length)
         checked += 1
@@ -219,11 +213,11 @@ def test_09_every_generated_sequence_is_executable():
         g = _random_efg(rng)
         d, _ = build_edg(build_class_db(_random_program_model(rng, g.events)), g)
         configs = [
-            GenConfig("bb1", "blackbox", 1),
-            GenConfig("bb2", "blackbox", 2),
-            GenConfig("bb3", "blackbox", 3),
-            GenConfig("gb2", "greybox", 2, top=None),
-            GenConfig("gb3", "greybox", 3, top=2),
+            GenConfig("blackbox", 1),
+            GenConfig("blackbox", 2),
+            GenConfig("blackbox", 3),
+            GenConfig("greybox", 2, top=None),
+            GenConfig("greybox", 3, top=2),
         ]
         for config in configs:
             result = generate_sequences(config, g, d)

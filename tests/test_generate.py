@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guiseq import generate, graphs
-from guiseq.graphs import AbstractSequence, Edg, Efg, GuiseqError, is_executable
+from guiseq.graphs import Edg, Efg, GuiseqError, is_executable
 from guiseq.generate import (
     PRESETS,
-    Conversion,
-    ConversionResult,
     GenConfig,
     SequenceRecord,
     _best_entry,
-    _Part,
     gen_abstract,
     gen_blackbox,
     generate_sequences,
@@ -80,7 +77,7 @@ def test_blackbox_reports_unreachable_events():
     assert unreachable == ["b", "c"]
     assert [s for s, _t in sequences] == [("a",)]
 
-    result = generate_sequences(GenConfig("X", "blackbox", 1), g)
+    result = generate_sequences(GenConfig("blackbox", 1), g)
     assert len(result.diagnostics) == 2
     assert "'b' is unreachable" in result.diagnostics[0]
 
@@ -95,7 +92,7 @@ SELF_LOOP_EFG = Efg.of(["e"], ["e"], [("e", "e")])
 
 
 def test_blackbox_walks_longer_than_the_recursion_limit():
-    result = generate_sequences(GenConfig("long", "blackbox", 1500), SELF_LOOP_EFG)
+    result = generate_sequences(GenConfig("blackbox", 1500), SELF_LOOP_EFG)
     assert [r.events for r in result.records] == [("e",) * 1500]
     assert result.records[0].targets == tuple(range(1500))
 
@@ -106,7 +103,7 @@ def test_blackbox_walks_longer_than_the_recursion_limit():
 
 
 def test_abstract_sequences_unbounded(example_edg):
-    assert [a.events for a in gen_abstract(example_edg, 2)] == [
+    assert gen_abstract(example_edg, 2) == [
         ("e1", "e3"),
         ("e2", "e2"),
         ("e3",),  # no outgoing dependencies: still worth one singleton test
@@ -116,13 +113,13 @@ def test_abstract_sequences_unbounded(example_edg):
 
 def test_abstract_search_is_weight_first(rachota_edg):
     per_start = gen_abstract(rachota_edg, 2, top=2)
-    from_ok2 = [a.events for a in per_start if a.events[0] == "OK2"]
+    from_ok2 = [a for a in per_start if a[0] == "OK2"]
     # OK2's heaviest successors tie at weight 6; declaration order breaks it
     assert from_ok2 == [("OK2", "System settings"), ("OK2", "OK1")]
 
 
 def test_abstract_top_one_takes_best_path_per_event(rachota_edg):
-    got = [a.events for a in gen_abstract(rachota_edg, 3, top=1)]
+    got = gen_abstract(rachota_edg, 3, top=1)
     assert got == [
         ("System settings", "OK1", "System settings"),
         ("Add task", "OK2", "System settings"),
@@ -136,13 +133,13 @@ def test_abstract_budget_larger_than_path_count_is_harmless():
         ["a", "b", "c"],
         [("a", 2, "b"), ("a", 1, "c"), ("b", 1, "a"), ("c", 1, "a")],
     )
-    got = [x.events for x in gen_abstract(d, 3, top=3) if x.events[0] == "a"]
+    got = [x for x in gen_abstract(d, 3, top=3) if x[0] == "a"]
     assert got == [("a", "b", "a"), ("a", "c", "a")]
 
 
 def test_greybox_searches_longer_than_the_recursion_limit():
     d = Edg.of(["e"], [("e", 1, "e")])
-    config = GenConfig("long", "greybox", 1500, top=1)
+    config = GenConfig("greybox", 1500, top=1)
     result = generate_sequences(config, SELF_LOOP_EFG, d)
     assert [r.events for r in result.records] == [("e",) * 1500]
     assert result.records[0].abstract == ("e",) * 1500
@@ -161,63 +158,56 @@ def test_abstract_rejects_bad_budgets(example_edg):
 
 
 def test_to_executable_splices_connections(jabref_efg):
-    result = to_executable(
-        jabref_efg, [AbstractSequence(("Close database", "OK"))]
-    )
-    assert result.diagnostics == ()
-    (conv,) = result.conversions
-    (part,) = conv.parts
-    assert part.events == (
+    conversions, diagnostics = to_executable(jabref_efg, [("Close database", "OK")])
+    assert diagnostics == []
+    [(_abstract, [(events, targets)])] = conversions
+    assert events == (
         "Manage content selectors",
         "Close database",
         "Manage content selectors",
         "OK",
     )
-    assert part.targets == (1, 3)
+    assert targets == (1, 3)
 
 
 def test_to_executable_wants_a_real_cycle_for_repeats(example_efg):
-    result = to_executable(example_efg, [AbstractSequence(("e2", "e2"))])
-    (conv,) = result.conversions
-    assert conv.parts[0].events == ("e2", "e2")
-    assert conv.parts[0].targets == (0, 1)
+    conversions, _ = to_executable(example_efg, [("e2", "e2")])
+    [(_abstract, [part])] = conversions
+    assert part == (("e2", "e2"), (0, 1))
 
 
 def test_to_executable_splits_on_missing_connection():
     # b -> a exists in the dependency sense but not as any flow path
     g = Efg.of(["a", "b"], ["a", "b"], [("a", "b")])
-    result = to_executable(g, [AbstractSequence(("b", "a"))])
-    assert result.diagnostics == ()
-    (conv,) = result.conversions
-    assert [p.events for p in conv.parts] == [("b",), ("a",)]
-    assert [p.targets for p in conv.parts] == [(0,), (0,)]
+    conversions, diagnostics = to_executable(g, [("b", "a")])
+    assert diagnostics == []
+    assert conversions == [(("b", "a"), [(("b",), (0,)), (("a",), (0,))])]
 
 
 def test_to_executable_diagnoses_unreachable_events():
     g = Efg.of(["a", "b", "u"], ["a"], [("a", "b"), ("u", "a")])
-    skipped = to_executable(g, [AbstractSequence(("u", "a"))])
-    assert skipped.conversions == ()
-    assert skipped.diagnostics == (
+    conversions, diagnostics = to_executable(g, [("u", "a")])
+    assert conversions == []
+    assert diagnostics == [
         "abstract sequence ['u', 'a']: event 'u' is unreachable from the "
         "initial events; sequence skipped",
-    )
+    ]
 
-    dropped = to_executable(g, [AbstractSequence(("b", "u"))])
-    (conv,) = dropped.conversions
-    assert [p.events for p in conv.parts] == [("a", "b")]
-    assert dropped.diagnostics == (
+    conversions, diagnostics = to_executable(g, [("b", "u")])
+    [(_abstract, parts)] = conversions
+    assert [events for events, _targets in parts] == [("a", "b")]
+    assert diagnostics == [
         "abstract sequence ['b', 'u']: event 'u' is unreachable from the "
         "initial events; remainder dropped",
-    )
+    ]
 
 
 def test_to_executable_shares_equal_targets_across_parts():
     g = Efg.of(["a", "b"], ["a", "b"], [("a", "b")])
-    result = to_executable(g, [AbstractSequence(("b", "a")), AbstractSequence(("a", "b")),
-                               AbstractSequence(("b",))])
-    parts = [p for c in result.conversions for p in c.parts]
-    assert [p.targets for p in parts] == [(0,), (0,), (0, 1), (0,)]
-    assert parts[0].targets is parts[1].targets is parts[3].targets
+    conversions, _ = to_executable(g, [("b", "a"), ("a", "b"), ("b",)])
+    targets = [t for _abstract, parts in conversions for _events, t in parts]
+    assert targets == [(0,), (0,), (0, 1), (0,)]
+    assert targets[0] is targets[1] is targets[3]
 
 
 def _count_connection_reads(monkeypatch) -> tuple[set[str], list[tuple]]:
@@ -264,10 +254,10 @@ def test_blackbox_builds_trees_only_for_winning_initials(monkeypatch):
 
 def test_to_executable_reads_each_hop_once(monkeypatch):
     g = _one_initial_wins()
-    abstracts = [AbstractSequence(e) for e in (("x", "y"), ("x", "y", "y"), ("x", "y"))]
+    abstracts = [("x", "y"), ("x", "y", "y"), ("x", "y")]
     _sources, reads = _count_connection_reads(monkeypatch)
-    result = to_executable(g, abstracts)
-    assert [p.events for c in result.conversions for p in c.parts] == [
+    conversions, _ = to_executable(g, abstracts)
+    assert [events for _abstract, parts in conversions for events, _t in parts] == [
         ("a", "x", "y"), ("a", "x", "y", "z", "y"), ("a", "x", "y"),
     ]
     assert reads == [("a", "x", False), ("x", "y", False), ("y", "y", True)]
@@ -279,12 +269,12 @@ def test_to_executable_reads_each_hop_once(monkeypatch):
 
 
 def test_preset_table():
-    assert PRESETS["A"] == GenConfig("A", "blackbox", 1)
-    assert PRESETS["B"] == GenConfig("B", "blackbox", 2)
-    assert PRESETS["C"] == GenConfig("C", "blackbox", 3)
-    assert PRESETS["D"] == GenConfig("D", "greybox", 2, top=None)
-    assert PRESETS["E"] == GenConfig("E", "greybox", 3, top=50)
-    assert PRESETS["F"] == GenConfig("F", "greybox", 3, top=100)
+    assert PRESETS["A"] == GenConfig("blackbox", 1)
+    assert PRESETS["B"] == GenConfig("blackbox", 2)
+    assert PRESETS["C"] == GenConfig("blackbox", 3)
+    assert PRESETS["D"] == GenConfig("greybox", 2, top=None)
+    assert PRESETS["E"] == GenConfig("greybox", 3, top=50)
+    assert PRESETS["F"] == GenConfig("greybox", 3, top=100)
 
 
 def test_greybox_records_on_example(example_efg, example_edg):
@@ -343,9 +333,8 @@ def test_generation_builds_its_values_without_their_constructors(
         (rachota_efg, rachota_edg),
         (diagnosed, Edg.of(diagnosed.events, [("b", 1, "u"), ("u", 1, "a")])),
     ]
-    classes = (SequenceRecord, AbstractSequence, _Part, Conversion, ConversionResult)
-    called = _spy_on_constructors(monkeypatch, classes)
-    values: list[tuple] = []
+    called = _spy_on_constructors(monkeypatch, (SequenceRecord,))
+    plain: list[tuple] = []  # every abstract, conversion and part
     records: list[SequenceRecord] = []
     diagnostics: list[str] = []
     for efg, edg in pairs:
@@ -355,20 +344,20 @@ def test_generation_builds_its_values_without_their_constructors(
             diagnostics.extend(result.diagnostics)
             if config.mode == "greybox":
                 abstracts = gen_abstract(edg, config.length, config.top)
-                converted = to_executable(efg, abstracts)
-                values += [*abstracts, converted, *converted.conversions]
-                values += [part for c in converted.conversions for part in c.parts]
-    values += records
+                conversions, _ = to_executable(efg, abstracts)
+                plain += [*abstracts, *conversions]
+                plain += [part for _abstract, parts in conversions for part in parts]
     assert called == []
     assert any(r.split_of is not None for r in records)
     assert any("remainder dropped" in d for d in diagnostics)
-    assert {type(v) for v in values} == set(classes)
-    assert all(len(v) == len(type(v).__match_args__) for v in values)
+    assert {type(r) for r in records} == {SequenceRecord}
+    assert all(len(r) == len(SequenceRecord.__match_args__) for r in records)
+    assert plain and {type(v) for v in plain} == {tuple}
 
 
 def test_unknown_mode_is_rejected(example_efg):
     with pytest.raises(GuiseqError, match="unknown generator mode"):
-        generate_sequences(GenConfig("Z", "magic", 1), example_efg)
+        generate_sequences(GenConfig("magic", 1), example_efg)
 
 
 def test_sequence_file_round_trip(tmp_path, rachota_efg, rachota_edg):
@@ -500,7 +489,7 @@ def test_best_entry_equals_scanning_every_initial(g: Efg):
 @given(edgs(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=100)
 def test_unbounded_abstract_search_finds_all_maximal_paths(d: Edg, length: int):
-    got = [a.events for a in gen_abstract(d, length)]
+    got = gen_abstract(d, length)
     assert len(got) == len(set(got))
     assert set(got) == maximal_paths(d, length)
 
@@ -510,7 +499,7 @@ def test_unbounded_abstract_search_finds_all_maximal_paths(d: Edg, length: int):
 def test_bounded_abstract_search_respects_the_budget(d: Edg, length: int, top: int):
     per_start: dict[str, int] = {}
     for a in gen_abstract(d, length, top=top):
-        per_start[a.events[0]] = per_start.get(a.events[0], 0) + 1
+        per_start[a[0]] = per_start.get(a[0], 0) + 1
     complete: dict[str, int] = {}
     for p in maximal_paths(d, length):
         complete[p[0]] = complete.get(p[0], 0) + 1
@@ -536,17 +525,16 @@ def test_converted_parts_are_executable_and_cover_the_abstract(
     pair: tuple[Efg, Edg], length: int
 ):
     g, d = pair
-    abstracts = gen_abstract(d, length)
-    result = to_executable(g, abstracts)
-    for conv in result.conversions:
+    conversions, diagnostics = to_executable(g, gen_abstract(d, length))
+    for abstract, parts in conversions:
         hit: list[str] = []
-        for part in conv.parts:
-            assert is_executable(g, list(part.events))
-            hit.extend(part.events[i] for i in part.targets)
+        for events, targets in parts:
+            assert is_executable(g, list(events))
+            hit.extend(events[i] for i in targets)
         # parts cover a prefix of the abstract; the rest was diagnosed away
-        assert tuple(hit) == conv.abstract[: len(hit)]
-        if not result.diagnostics:
-            assert tuple(hit) == conv.abstract
+        assert tuple(hit) == abstract[: len(hit)]
+        if not diagnostics:
+            assert tuple(hit) == abstract
 
 
 @st.composite
