@@ -1,10 +1,10 @@
 """Sequence replay: execute generated sequences against an application model.
 
-A test case is a record plus its later split parts, the tuple of them that
-tuple's own constructor builds.  It runs from a launch against fresh
-settings; each later part gets a fresh launch on the settings the earlier
-parts left, and event positions count on across parts.  After a clean run
-the application restarts once.  The verdict is:
+A test case is the plain tuple of a record and its later split parts.  It
+runs from a launch against fresh settings; each later part gets a fresh
+launch on the settings the earlier parts left, and event positions count on
+across parts.  After a clean run the application restarts once.  The
+verdict is:
 
 * **failed** — a crash in an event handler, in a launch block, or in the
   restart;
@@ -49,7 +49,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "TestCase",
     "CaseResult",
     "SuiteResult",
     "group_test_cases",
@@ -61,53 +60,20 @@ __all__ = [
 ]
 
 
-class TestCase(tuple):
-    """One replayable unit: a sequence record plus any later split parts.
-
-    A case is the tuple of its parts, so it costs one object, and tuple's
-    own constructor builds it: ``TestCase(parts)``, whose text is its repr.
-    Replay reads the parts by index (``case[0]``, ``len(case)``), never
-    through a property's Python frame.
-    """
-
-    __slots__ = ()
-
-    @property
-    def id(self) -> str:
-        return self[0].id
-
-    @property
-    def events(self) -> tuple[str, ...]:
-        """All events across parts, in execution order."""
-        return tuple(e for part in self for e in part.events)
-
-    @property
-    def targets(self) -> tuple[int, ...]:
-        """Target positions rebased onto the cumulative event list."""
-        out: list[int] = []
-        offset = 0
-        for part in self:
-            out.extend(offset + t for t in part.targets)
-            offset += len(part.events)
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({tuple(self)!r})"
-
-
-def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
-    """Regroup a record stream into test cases, attaching split parts to
-    their first part."""
-    cases: dict[str, TestCase] = {}  # by first part's id, in order
+def group_test_cases(records: Sequence[SequenceRecord]) -> list[tuple[SequenceRecord, ...]]:
+    """Regroup a record stream into test cases, in the order of their first
+    parts.  A case is the tuple of a first part and the split parts that
+    continue it, in file order, wherever they sit after it."""
+    cases: dict[str, tuple[SequenceRecord, ...]] = {}  # by first part's id, in order
     ids: set[str] = set()
     for record in records:
         if record.id in ids:
             raise GuiseqError(f"duplicate sequence id {record.id!r}")
         ids.add(record.id)
         if record.split_of is None:
-            cases[record.id] = TestCase((record,))
+            cases[record.id] = (record,)
         elif (case := cases.get(record.split_of)) is not None:
-            cases[record.split_of] = TestCase((*case, record))
+            cases[record.split_of] = (*case, record)
         else:
             raise GuiseqError(
                 f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
@@ -117,7 +83,7 @@ def group_test_cases(records: Sequence[SequenceRecord]) -> list[TestCase]:
 
 class CaseResult(Value):
     __slots__ = ()
-    case: TestCase
+    case: tuple[SequenceRecord, ...]
     verdict: str  # "passed" | "failed" | "broken"
     crash: CrashRecord | None = None
     broken_at: int | None = None
@@ -129,7 +95,9 @@ class CaseResult(Value):
 _result = partial(tuple.__new__, CaseResult)
 
 
-def run_test_case(model: AppModel, case: TestCase, coverage: Coverage) -> CaseResult:
+def run_test_case(
+    model: AppModel, case: tuple[SequenceRecord, ...], coverage: Coverage
+) -> CaseResult:
     """Replay one case alone, from a launch against fresh settings, into
     ``coverage``; its memo of calls and restarts is shared by every run
     recording into it, so a sink serves one model."""
@@ -151,7 +119,7 @@ def _fire(state: GuiState, event: str, position: int) -> tuple | None:
     return None
 
 
-def _finish_case(case: TestCase, state: GuiState, start: int = 0) -> CaseResult:
+def _finish_case(case: tuple[SequenceRecord, ...], state: GuiState, start: int = 0) -> CaseResult:
     """Replay ``case`` on from ``state``, a live instance of its first part
     that has fired that part's first ``start`` events, recording into the
     state's coverage sink.  The restart is launched, into the same sink, once
@@ -176,7 +144,7 @@ def _finish_case(case: TestCase, state: GuiState, start: int = 0) -> CaseResult:
 
 
 def _replay_tree(
-    model: AppModel, cases: Sequence[TestCase], coverage: Coverage
+    model: AppModel, cases: Sequence[tuple[SequenceRecord, ...]], coverage: Coverage
 ) -> list[CaseResult]:
     """Replay ``cases`` into ``coverage`` by a depth-first walk over the tree
     their first parts form, firing each distinct first-part prefix once.
@@ -295,7 +263,7 @@ class SuiteResult(Value):
         return round(len(self.covered_branches) / self.branches_total, 4)
 
 
-def run_suite(model: AppModel, cases: Sequence[TestCase]) -> SuiteResult:
+def run_suite(model: AppModel, cases: Sequence[tuple[SequenceRecord, ...]]) -> SuiteResult:
     """Replay all cases in one thread with one coverage sink for the suite,
     firing each distinct first-part prefix once, and list their results in
     the order of ``cases``."""
@@ -365,17 +333,21 @@ def save_report(suite: SuiteResult, path: Path | str) -> None:
                     f'\n        "position": {position},'
                     f'\n        "statement": {quoted[crash.statement]}\n      }},\n      '
                 )
-            if len(case) == 1:
-                sequence, more = case[0], ""
-            else:  # and "parts" after "id"; events and targets span every part
-                sequence = case
-                ids = array(encode_basestring_ascii(p.id) for p in case)
-                more = f'"parts": {ids},\n      '
+            first = case[0]
+            events, targets, more = first.events, first.targets, ""
+            if len(case) > 1:  # events and targets span every part, and "parts" follows "id"
+                events, targets, offset = [], [], 0
+                for part in case:
+                    events += part.events
+                    targets += [offset + t for t in part.targets]
+                    offset += len(part.events)
+                targets = tuple(targets)
+                more = f'"parts": {array(encode_basestring_ascii(p.id) for p in case)},\n      '
             out.write(
                 f'{separator}{{\n      {head}"events": '
-                f"{array(map(quoted.__getitem__, sequence.events))},"
-                f'\n      "id": {encode_basestring_ascii(sequence.id)},\n      {more}'
-                f'"targets": {targets_text(sequence.targets)},'
+                f"{array(map(quoted.__getitem__, events))},"
+                f'\n      "id": {encode_basestring_ascii(first.id)},\n      {more}'
+                f'"targets": {targets_text(targets)},'
                 f'\n      "verdict": {quoted[verdict]}\n    }}'
             )
             separator = ",\n    "

@@ -46,6 +46,8 @@ T_SIM, T_REPLAY = "tests/test_simulator.py::", "tests/test_replay.py::"
 T_CLI, T_GRAPHS = "tests/test_cli.py::", "tests/test_graphs.py::"
 T_VALUES = "tests/test_values.py::"
 LEAF = T_REPLAY + "test_a_memoised_leaf_replays_like_the_case_alone"
+WALKED = ("tests/test_programdb.py::"
+          "test_drawn_handlers_touch_only_noted_fields_and_each_flow_is_an_edg_edge")
 
 MUTANTS = (
     Mutant(
@@ -80,6 +82,21 @@ MUTANTS = (
         "        program = state.model.program\n",
         "        program = state.model.program\n        step.methods = program.methods\n",
         (T_SIM + "test_a_compiled_model_is_freed_without_the_garbage_collector",),
+    ),
+    Mutant(
+        "split-targets-not-rebased", REPLAY,
+        "[offset + t for t in part.targets]", "[t for t in part.targets]",
+        (T_REPLAY + "test_grouping_rebases_targets",
+         T_REPLAY + "test_rendered_report_is_the_json_document"),
+    ),
+    Mutant(
+        "split-part-joins-the-latest-case", REPLAY,
+        "        elif (case := cases.get(record.split_of)) is not None:\n"
+        "            cases[record.split_of] = (*case, record)\n",
+        "        elif record.split_of in cases:\n"
+        "            latest = next(reversed(cases))\n"
+        "            cases[latest] = (*cases[latest], record)\n",
+        (T_CLI + "test_split_parts_anywhere_after_their_first_part_replay_to_the_oracles_report",),
     ),
     Mutant(
         "restart-into-a-fresh-sink", REPLAY,
@@ -152,6 +169,19 @@ MUTANTS = (
         "    then, orelse = program.block(stmt.then, f\"{sid}.t.\"), "
         "program.block(stmt.orelse, f\"{sid}.e.\")\n    program.reads.append(field)\n",
         (T_SIM + "test_each_handlers_read_set_is_what_the_program_model_reads",),
+    ),
+    Mutant(
+        "deref-drops-its-read-note", SIM,
+        "Deref, sid: str, program: Program) -> Step:\n    field = stmt.field\n"
+        "    program.reads.append(field)\n",
+        "Deref, sid: str, program: Program) -> Step:\n    field = stmt.field\n",
+        (WALKED,),
+    ),
+    Mutant(
+        "copy-notes-its-write-as-a-read", SIM,
+        "    program.reads.append(src)\n    program.writes.append(dst)\n",
+        "    program.reads.append(src)\n    program.reads.append(dst)\n",
+        (WALKED,),
     ),
     Mutant(
         "graph-events-in-set-order", GRAPHS,

@@ -57,7 +57,7 @@ from guiseq.appmodel import (
     _BY_CLASS,
 )
 from guiseq.generate import SequenceRecord
-from guiseq.replay import SuiteResult, TestCase, run_test_case
+from guiseq.replay import SuiteResult, run_test_case
 from guiseq.graphs import SCHEMA_VERSION, Edg, Efg, GuiseqError, _parse_document, shortest_path
 from guiseq.programdb import HANDLERS, ProgramClass, ProgramMethod, ProgramModel
 from guiseq.ripper import GuiStructure, _discover, _fire_and_record
@@ -518,13 +518,25 @@ def graph_to_json(g: Efg | Edg) -> dict:
     return doc
 
 
+def joined_case(case: tuple[SequenceRecord, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A case's events across all its parts, in the order they run, and its
+    targets, each part's shifted past the events of the parts before it."""
+    events: list[str] = []
+    targets: list[int] = []
+    for part in case:
+        targets += [len(events) + t for t in part.targets]
+        events += part.events
+    return tuple(events), tuple(targets)
+
+
 def report_to_json(suite: SuiteResult) -> dict:
     tests = []
     for r in suite.results:
+        events, targets = joined_case(r.case)
         doc: dict = {
-            "id": r.case.id,
-            "events": list(r.case.events),
-            "targets": list(r.case.targets),
+            "id": r.case[0].id,
+            "events": list(events),
+            "targets": list(targets),
             "verdict": r.verdict,
         }
         if len(r.case) > 1:
@@ -563,7 +575,9 @@ def oracle_report(suite: SuiteResult) -> str:
     return json.dumps(report_to_json(suite), indent=2, sort_keys=True) + "\n"
 
 
-def replayed_alone(model: AppModel, cases: Iterable[TestCase]) -> tuple[tuple, tuple]:
+def replayed_alone(
+    model: AppModel, cases: Iterable[tuple[SequenceRecord, ...]]
+) -> tuple[tuple, tuple]:
     """Each case replayed from scratch into a sink of its own: the results,
     and the union of the sinks as a suite's three coverage fields."""
     results, statements, branches, handlers = [], set(), set(), set()
@@ -576,7 +590,7 @@ def replayed_alone(model: AppModel, cases: Iterable[TestCase]) -> tuple[tuple, t
     return tuple(results), (frozenset(statements), frozenset(branches), frozenset(handlers))
 
 
-def report_alone(model: AppModel, cases: Iterable[TestCase]) -> str:
+def report_alone(model: AppModel, cases: Iterable[tuple[SequenceRecord, ...]]) -> str:
     """The report ``replay`` writes for ``cases``, built from
     :func:`replayed_alone`: what sharing and memos must not change."""
     results, covered = replayed_alone(model, cases)
@@ -616,7 +630,9 @@ def scanned_check_sequences(
                 )
 
 
-def listed_group_test_cases(records: Iterable[SequenceRecord]) -> list[TestCase]:
+def listed_group_test_cases(
+    records: Iterable[SequenceRecord],
+) -> list[tuple[SequenceRecord, ...]]:
     """Test cases from a record stream: a list of parts per first part, each
     made a case once every record has been read."""
     groups: dict[str, list[SequenceRecord]] = {}  # by first part's id, in order
@@ -633,7 +649,7 @@ def listed_group_test_cases(records: Iterable[SequenceRecord]) -> list[TestCase]
                     f"sequence {record.id!r} continues unknown sequence {record.split_of!r}"
                 )
             groups[record.split_of].append(record)
-    return [TestCase(tuple(parts)) for parts in groups.values()]
+    return [tuple(parts) for parts in groups.values()]
 
 
 def _evaluate(cond: Condition, state: GuiState) -> bool:

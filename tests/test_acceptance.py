@@ -95,7 +95,7 @@ def test_05_null_dereference_reproduced(example_app, example_efg, example_edg):
     suite = replay(example_app, generate_sequences(PRESETS["D"], example_efg, example_edg))
     failed = [r for r in suite.results if r.verdict == "failed"]
     assert len(failed) == 1
-    assert failed[0].case.events == ("e3", "e4", "e2")
+    assert failed[0].case[0].events == ("e3", "e4", "e2")
     assert failed[0].crash.kind == CRASH_NULL_DEREF
     assert failed[0].crash.position == 2  # the concluding e2
     ok(5, "grey-box replay reproduces the null dereference at the final e2")

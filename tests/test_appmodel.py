@@ -489,7 +489,7 @@ def test_loading_and_replaying_walk_no_statements(monkeypatch):
             return _build(stmt, *args)
         monkeypatch.setitem(simulator._STEPS, cls, counted)
     model = load_app_model(corpus.model_path("example-app"))
-    case = replay.TestCase((SequenceRecord("s1", ("e3", "e4"), (0, 1), "blackbox"),))
+    case = (SequenceRecord("s1", ("e3", "e4"), (0, 1), "blackbox"),)
     suite = replay.run_suite(model, [case])
     assert (suite.statements_total, suite.branches_total) == (12, 2)
     assert len(parsed) == len(compiled) == 12

@@ -14,13 +14,13 @@ import guiseq
 from guiseq import corpus
 from guiseq.appmodel import app_model_to_json
 from guiseq.cli import _check_sequences, _naming, main
-from guiseq.generate import SequenceRecord, load_sequences
+from guiseq.generate import SequenceRecord, load_sequences, save_sequences
 from guiseq.graphs import GuiseqError, load_graph
 from guiseq.programdb import derive_program_model, program_model_to_json
 from guiseq.replay import group_test_cases
 from guiseq.simulator import MAX_CALL_DEPTH, available_events, launch
 
-from oracles import report_alone, scanned_check_sequences
+from oracles import listed_group_test_cases, report_alone, scanned_check_sequences
 from strategies import app_models
 
 
@@ -852,6 +852,54 @@ def test_the_pipeline_on_drawn_models_reports_what_replaying_each_case_alone_doe
         expected = report_alone(model, group_test_cases(load_sequences(seqs)))
         assert Path(report).read_text(encoding="utf-8") == expected, config
         assert code == ('"verdict": "failed"' in expected), config
+
+
+@st.composite
+def interleaved_records(draw, model):
+    """The records of one to eight cases over ``model``'s events, each of one
+    to three parts, in a file order where each split part sits anywhere after
+    the part before it, other cases' records between them."""
+    cases = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        parts = draw(st.lists(st.lists(st.sampled_from(model.events), max_size=4),
+                              min_size=1, max_size=3))
+        cases.append([
+            SequenceRecord(
+                f"s{i}.{k}", tuple(events),
+                tuple(t for t in range(len(events)) if draw(st.booleans())),
+                "greybox" if k else "blackbox", split_of=f"s{i}.0" if k else None,
+            )
+            for k, events in enumerate(parts)
+        ])
+    # each case's records take the places its index holds, in order
+    order = draw(st.permutations([i for i, case in enumerate(cases) for _ in case]))
+    taken = [0] * len(cases)
+    records = []
+    for i in order:
+        records.append(cases[i][taken[i]])
+        taken[i] += 1
+    return records
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_split_parts_anywhere_after_their_first_part_replay_to_the_oracles_report(
+    tmp_path_factory, name, data
+):
+    """``replay`` groups a file's split parts wherever they sit after their
+    first part: its report is the one built from the oracle's grouping by
+    replaying each case from scratch."""
+    model = corpus.app_model(name)
+    records = data.draw(interleaved_records(model))
+    out = tmp_path_factory.mktemp("interleaved")
+    seqs, report = out / "s.jsonl", out / "r.json"
+    save_sequences(records, seqs)
+    code = main(["replay", "--model", str(corpus.model_path(name)), "--sequences", str(seqs),
+                 "--report", str(report), "--allow-broken"])
+    expected = report_alone(model, listed_group_test_cases(records))
+    assert report.read_text(encoding="utf-8") == expected
+    assert code == ('"verdict": "failed"' in expected)
 
 
 def test_fresh_processes_under_any_hash_seed_match_an_in_process_run(

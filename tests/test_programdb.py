@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,15 @@ from guiseq.programdb import (
     UnboundEventError,
     build_class_db,
     build_edg,
+    call_closure,
     derive_program_model,
     load_program_model,
     program_model_to_json,
 )
+from guiseq.simulator import available_events, fire_event, launch
 
 from oracles import brute_force_edg, fixpoint_effects, in_declaration_order
-from strategies import replace
+from strategies import app_models, replace
 
 
 def model_of(fields, methods, bindings) -> ProgramModel:
@@ -245,3 +248,132 @@ def test_dependency_graph_matches_brute_force(m: ProgramModel, data):
         for e in events if e not in m.bindings
     ]
     assert d.edges == in_declaration_order(brute_force_edg(m, events), events)
+
+
+# ---------------------------------------------------------------------------
+# The EDG against what the handlers do when they run
+# ---------------------------------------------------------------------------
+
+
+class NotingMap(dict):
+    """A field or settings map that notes each get and set, as ``("r" |
+    "w", key)``, in ``log``, which the walk points at each firing's own list."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.log = []
+
+    def __getitem__(self, key):
+        self.log.append(("r", key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.append(("r", key))
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.log.append(("w", key))
+        super().__setitem__(key, value)
+
+
+def walk(model, picks):
+    """A walk of available events without forking, which would copy the
+    fields into a plain ``dict``: ``(event, field accesses, setting
+    accesses)`` per firing, in order, a launch being a firing of event None.
+    ``picks(available)`` gives the next event, None to relaunch on the
+    settings, or False to end the walk.  The settings map notes from the
+    first launch on, a field map from just after its launch."""
+    firings, settings, event = [], NotingMap({}), None
+    while event is not False:
+        settings.log = setting_log = []
+        if event is None:
+            state, _crash = launch(model, settings)
+            fields = state.fields = NotingMap(state.fields)
+            firings.append((None, [], setting_log))
+        else:
+            fields.log = field_log = []
+            fire_event(state, event)
+            firings.append((event, field_log, setting_log))
+        event = picks(available_events(state))
+    return firings
+
+
+def observed(firings):
+    """What a walk's handlers did: the fields each event's handler read and
+    wrote; each flow ``(a, b)``, where ``a`` wrote a field that a later
+    ``b`` read before any other write to it in the same instance; and each
+    settings pair ``(a, b)``, where handler ``b`` read a setting handler
+    ``a`` wrote last, across relaunches too."""
+    reads, writes, flows, settings_pairs = {}, {}, set(), set()
+    writer, setting_writer = {}, {}  # field or key -> event that wrote it last
+    for event, field_log, setting_log in firings:
+        if event is None:
+            writer = {}  # the launch rebuilds every field
+        written = set()
+        for op, field in field_log:
+            if op == "w":
+                written.add(field)
+                writes.setdefault(event, set()).add(field)
+            else:
+                reads.setdefault(event, set()).add(field)
+                if field not in written and field in writer:
+                    flows.add((writer[field], event))
+        writer.update(dict.fromkeys(written, event))
+        for op, key in setting_log:
+            if op == "w":
+                setting_writer[key] = event
+            elif event is not None and setting_writer.get(key) is not None:
+                settings_pairs.add((setting_writer[key], event))
+    return reads, writes, flows, settings_pairs
+
+
+def assert_the_edg_holds_what_a_walk_does(model, firings):
+    """Each handler read and wrote only fields its compile notes name, in
+    the methods it calls too, and the EDG derived from those notes, over
+    every event of the model, has an edge for each flow the walk saw.
+    Returns the walk's settings pairs, which the EDG leaves out by design."""
+    program = model.program
+    reads, writes, flows, settings_pairs = observed(firings)
+    for event in reads.keys() | writes.keys():
+        noted_reads, noted_writes, callees = program.handler_uses[event]
+        noted_reads, noted_writes = set(noted_reads), set(noted_writes)
+        for callee in callees:
+            for method in call_closure(callee, lambda m: program.method_uses[m][2]):
+                noted_reads.update(program.method_uses[method][0])
+                noted_writes.update(program.method_uses[method][1])
+        assert reads.get(event, set()) <= noted_reads, event
+        assert writes.get(event, set()) <= noted_writes, event
+    efg = Efg.of(model.events, model.events[:1], [])
+    edg, _warnings = build_edg(build_class_db(derive_program_model(model)), efg)
+    assert flows <= {(src, dst) for src, _weight, dst in edg.edges}
+    return settings_pairs
+
+
+def random_picks(seed, steps):
+    """``steps`` picks of :func:`walk`, random from ``seed``: one in eight,
+    and whenever nothing is available, a relaunch."""
+    rnd, steps = random.Random(seed), iter(range(steps))
+
+    def picks(available):
+        if next(steps, None) is None:
+            return False
+        if not available or rnd.random() < 1 / 8:
+            return None
+        return rnd.choice(available)
+    return picks
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=app_models(), seed=st.integers(min_value=0))
+def test_drawn_handlers_touch_only_noted_fields_and_each_flow_is_an_edg_edge(model, seed):
+    assert_the_edg_holds_what_a_walk_does(model, walk(model, random_picks(seed, 60)))
+
+
+@pytest.mark.parametrize("name", ["example-app", "jabref-scenario", "rachota-scenario"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0))
+def test_corpus_handlers_touch_only_noted_fields_and_each_flow_is_an_edg_edge(name, seed):
+    model = corpus.app_model(name)
+    pairs = assert_the_edg_holds_what_a_walk_does(model, walk(model, random_picks(seed, 60)))
+    # rachota's "OK1" writes two settings, which only the launch block reads
+    assert pairs == set()

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import copy
 import json
-import pickle
 import random
 import tracemalloc
 from functools import cache
@@ -27,7 +25,6 @@ from guiseq.ripper import build_efg_from_structure, rip
 from guiseq.replay import (
     CaseResult,
     SuiteResult,
-    TestCase as Case,
     group_test_cases,
     render_report_table,
     run_suite,
@@ -37,6 +34,7 @@ from guiseq.replay import (
 from guiseq.simulator import CRASH_NULL_DEREF, Coverage, CrashRecord, available_events, launch
 
 from oracles import (
+    joined_case,
     listed_group_test_cases,
     oracle_record,
     oracle_report,
@@ -89,50 +87,25 @@ def test_grouping_keeps_order_and_attaches_parts():
         record("s0003", ["c"], split_of="s0002"),
     ]
     cases = group_test_cases(records)
-    assert [c.id for c in cases] == ["s0001", "s0002"]
-    assert cases[1].events == ("b", "c")
-    assert cases[1].targets == (0, 1)
+    assert cases == [(records[0],), (records[1], records[2])]
+    assert all(type(case) is tuple for case in cases)
+    assert cases[0][0] is records[0]
 
 
-def test_grouping_rebases_targets():
-    case = Case((
+def test_grouping_rebases_targets(tmp_path):
+    # the report joins a split case's events and rebases each part's targets
+    # past the events of the parts before it
+    records = [
         record("s0001", ["a", "b", "c"], targets=[1, 2]),
         record("s0002", ["d", "e"], targets=[1], split_of="s0001"),
-    ))
-    assert case.events == ("a", "b", "c", "d", "e")
-    assert case.targets == (1, 2, 4)
-
-
-def test_a_case_is_the_tuple_of_its_parts():
-    first = record("s0001", ["a", "b"], targets=[1])
-    split = record("s0002", ["c"], split_of="s0001")
-    case = Case((first, split))
-    assert case == Case((first, split)) == Case([first, split])
-    assert hash(case) == hash(Case((first, split)))
-    assert tuple(case) == (first, split)
-    assert (case.id, case.events, case.targets) == ("s0001", ("a", "b", "c"), (1, 2))
-    for copied in (copy.copy(case), copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
-        assert type(copied) is Case and copied == case
-    (alone,) = group_test_cases([first])
-    assert type(alone) is Case and len(alone) == 1 and alone[0] is first
-
-
-def test_a_case_is_built_by_tuples_own_constructor():
-    """No Python frame runs per case built, and a case is built one way:
-    from its parts, by position."""
-    assert Case.__new__ is tuple.__new__
-    assert not hasattr(Case, "parts")
-    with pytest.raises(TypeError):
-        Case(parts=(record("s0001", ["a"]),))
-
-
-def test_a_case_reads_as_the_call_that_builds_it():
-    first = record("s0001", ["a", "b"], targets=[1])
-    split = record("s0002", ["c"], split_of="s0001")
-    case = Case((first, split))
-    assert repr(case) == f"TestCase(({first!r}, {split!r}))"
-    assert repr(Case((first,))) == f"TestCase(({first!r},))"
-    assert eval(repr(case), {"TestCase": Case, "SequenceRecord": SequenceRecord}) == case
+    ]
+    (case,) = group_test_cases(records)
+    path = tmp_path / "report.json"
+    save_report(SuiteResult("m", (CaseResult(case, "passed"),), 0, 0, *[frozenset()] * 3), path)
+    (test,) = json.loads(path.read_text())["tests"]
+    assert test["id"] == "s0001" and test["parts"] == ["s0001", "s0002"]
+    assert test["events"] == ["a", "b", "c", "d", "e"]
+    assert test["targets"] == [1, 2, 4]
 
 
 def test_grouping_rejects_inconsistent_streams():
@@ -199,11 +172,11 @@ def split_part():
     ("make", "defaults", "field"),
     [
         (first_part, {"abstract": None, "split_of": None}, "events"),
-        (lambda: Case((first_part(), split_part())), {}, "id"),
-        (lambda: CaseResult(case=Case((first_part(),)), verdict="passed"),
+        (lambda: (first_part(), split_part()), {}, "id"),
+        (lambda: CaseResult(case=(first_part(),), verdict="passed"),
          {"crash": None, "broken_at": None}, "verdict"),
         (lambda: CaseResult(
-            case=Case((first_part(),)), verdict="failed",
+            case=(first_part(),), verdict="failed",
             crash=CrashRecord(CRASH_NULL_DEREF, "h:e1/0", "event", 1),
          ), {"broken_at": None}, "crash"),
     ],
@@ -225,10 +198,10 @@ def test_records_cases_and_verdicts_survive_a_sequence_file(tmp_path):
     loaded = load_sequences(path)
     assert loaded == records
     cases = group_test_cases(loaded)
-    assert cases == [Case((records[0], records[1])), Case((records[2],))]
+    assert cases == [(records[0], records[1]), (records[2],)]
     assert [CaseResult(c, "passed") for c in cases] == [
-        CaseResult(case=Case((first_part(), split_part())), verdict="passed"),
-        CaseResult(case=Case((records[2],)), verdict="passed"),
+        CaseResult(case=(first_part(), split_part()), verdict="passed"),
+        CaseResult(case=(records[2],), verdict="passed"),
     ]
 
 
@@ -248,7 +221,7 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
             save_sequences(generate_sequences(PRESETS[config], efg, edg).records, path)
             files.append((model, path))
     constructed = []
-    # a case's constructor is tuple's own (test_a_case_is_built_by_tuples_own_constructor)
+    # a case is a plain tuple, built by no constructor of a class
     for cls in (SequenceRecord, CaseResult):
         def spy(cls, *args, _new=cls.__new__, **kwargs):
             constructed.append(cls)
@@ -261,14 +234,14 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
         cases = group_test_cases(records)
         results = run_suite(model, cases).results
         values += [(SequenceRecord, v) for v in records]
-        values += [(Case, v) for v in cases] + [(CaseResult, v) for v in results]
+        values += [(tuple, v) for v in cases] + [(CaseResult, v) for v in results]
         outcomes |= {
             (len(r.case) > 1, r.verdict, r.crash and r.crash.phase) for r in results
         }
     assert constructed == []
     assert all(
         type(v) is cls and (
-            v and all(type(part) is SequenceRecord for part in v) if cls is Case
+            v and all(type(part) is SequenceRecord for part in v) if cls is tuple
             else len(v) == len(cls.__match_args__)
         )
         for cls, v in values
@@ -286,7 +259,7 @@ def test_loading_grouping_and_replay_build_no_value_through_its_constructor(
 
 def test_replay_crash_names_position_and_statement(example_app, example_efg, example_edg):
     suite = run_suite(example_app, greybox_cases(example_efg, example_edg))
-    verdicts = {r.case.id: r.verdict for r in suite.results}
+    verdicts = {r.case[0].id: r.verdict for r in suite.results}
     assert verdicts == {
         "s0001": "passed",
         "s0002": "passed",
@@ -294,7 +267,7 @@ def test_replay_crash_names_position_and_statement(example_app, example_efg, exa
         "s0004": "failed",
     }
     failed = suite.results[3]
-    assert failed.case.events == ("e3", "e4", "e2")
+    assert joined_case(failed.case)[0] == ("e3", "e4", "e2")
     assert failed.crash.kind == CRASH_NULL_DEREF
     assert failed.crash.statement == "h:e2/0"
     assert failed.crash.phase == "event"
@@ -344,7 +317,7 @@ def test_replay_flags_infeasible_sequences_as_broken(tmp_path):
     model = load_app_model(p)
 
     coverage = Coverage()
-    result = run_test_case(model, Case((record("s0001", ["a", "a", "b"]),)), coverage)
+    result = run_test_case(model, ((record("s0001", ["a", "a", "b"]),)), coverage)
     assert result.verdict == "broken"
     assert result.broken_at == 2
     assert result.crash is None
@@ -386,7 +359,7 @@ def test_split_case_carries_settings_across_parts(tmp_path):
 
     parts = (record("s0001", ["p"]), record("s0002", ["p"], split_of="s0001"))
     coverage = Coverage()
-    result = run_test_case(model, Case(parts), coverage)
+    result = run_test_case(model, parts, coverage)
     assert result.verdict == "failed"
     assert result.crash.phase == "launch"
     assert result.crash.position is None
@@ -394,7 +367,7 @@ def test_split_case_carries_settings_across_parts(tmp_path):
     assert "launch/1:then" in coverage.branches  # part 2's launch records into the sink
 
     # a single part passes its events but the restart probe meets the poison
-    single = run_test_case(model, Case((record("s0001", ["p"]),)), Coverage())
+    single = run_test_case(model, ((record("s0001", ["p"]),)), Coverage())
     assert single.verdict == "failed"
     assert single.crash.phase == "restart"
 
@@ -402,16 +375,18 @@ def test_split_case_carries_settings_across_parts(tmp_path):
 def test_restart_probe_catches_persisted_state(rachota_app, rachota_efg, rachota_edg):
     suite = run_suite(rachota_app, greybox_cases(rachota_efg, rachota_edg))
     assert len(suite.results) == 12
-    failed = {r.case.id: r for r in suite.results if r.verdict == "failed"}
+    failed = {r.case[0].id: r for r in suite.results if r.verdict == "failed"}
     assert set(failed) == {"s0006", "s0014"}
     for r in failed.values():
-        assert r.case.events == ("System settings", "Add task", "OK2", "System settings", "OK1")
+        assert joined_case(r.case)[0] == (
+            "System settings", "Add task", "OK2", "System settings", "OK1"
+        )
         assert r.crash.kind == CRASH_NULL_DEREF
         assert r.crash.phase == "restart"
         assert r.crash.position is None
         assert r.crash.statement == "launch/1.t.1"
     # the split chains run as single cases and survive
-    split_case = next(r for r in suite.results if r.case.id == "s0007")
+    split_case = next(r for r in suite.results if r.case[0].id == "s0007")
     assert [p.id for p in split_case.case] == ["s0007", "s0008"]
     assert split_case.verdict == "passed"
 
@@ -421,8 +396,8 @@ def test_jabref_greybox_hits_the_guarded_branch(jabref_app, jabref_efg, jabref_e
     failed = [r for r in suite.results if r.verdict == "failed"]
     assert len(failed) == 1
     r = failed[0]
-    assert r.case.id == "s0003"
-    assert r.case.events == (
+    assert r.case[0].id == "s0003"
+    assert joined_case(r.case)[0] == (
         "Manage content selectors",
         "Close database",
         "Manage content selectors",
@@ -457,17 +432,18 @@ def case_lists(draw, model, pool):
         if draw(st.booleans()):
             cases.append(base)
             continue
-        events = base.events[: draw(st.integers(min_value=0, max_value=len(base.events)))]
+        events = joined_case(base)[0]
+        events = events[: draw(st.integers(min_value=0, max_value=len(events)))]
         events += tuple(draw(st.lists(st.sampled_from(model.events), max_size=4)))
         cut = st.integers(min_value=1, max_value=max(1, len(events) - 1))
         cuts = sorted(draw(st.sets(cut, max_size=2)))
         bounds = [0] + [c for c in cuts if c < len(events)] + [len(events)]
-        cases.append(Case(tuple(
+        cases.append(tuple(
             record(f"x{n}.{k}", events[a:b], split_of=None if k == 0 else f"x{n}.0")
             for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
-        )))
+        ))
     if draw(st.booleans()):
-        cases.sort(key=lambda c: c.events)
+        cases.sort(key=lambda c: joined_case(c)[0])
     return cases
 
 
@@ -513,7 +489,7 @@ def test_sorted_cases_fire_each_shared_prefix_once(tmp_path, monkeypatch):
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
     words = [(x, y, z) for x in "abc" for y in "abc" for z in "abc"]
-    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
 
     calls = {"launch": 0, "fire_event": 0}
     for name in calls:
@@ -565,7 +541,7 @@ def test_shuffled_cases_fire_each_prefix_above_a_crash_once(tmp_path, monkeypatc
         monkeypatch.setattr(replay_module, name, counted)
     for seed in range(5):
         random.Random(seed).shuffle(words)
-        cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+        cases = [((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
         calls.update(launch=0, fire_event=0)
         suite = run_suite(model, cases)
         # one fire per internal node of the prefix tree not below a "c",
@@ -614,7 +590,7 @@ def test_one_restart_per_distinct_settings_snapshot(tmp_path, monkeypatch):
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
     words = [(x, y) for x in "abc" for y in "abc"]
-    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
 
     phases = launch_phases(monkeypatch)
     suite = run_suite(model, cases)
@@ -651,7 +627,7 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
     p = tmp_path / "doa.json"
     p.write_text(json.dumps(doc))
     model = load_app_model(p)
-    cases = [Case((record("s0001", ["e", "e"]),)), Case((record("s0002", ["e"]),))]
+    cases = [((record("s0001", ["e", "e"]),)), ((record("s0002", ["e"]),))]
     phases = launch_phases(monkeypatch)
     suite = run_suite(model, cases)
     assert phases == ["launch"]
@@ -664,7 +640,7 @@ def test_a_crashing_launch_fails_every_case_alike(tmp_path, monkeypatch):
 
 def test_each_replayed_fire_checks_availability_once(example_app, example_efg, monkeypatch):
     cases = group_test_cases(generate_sequences(PRESETS["C"], example_efg).records)
-    cases.append(Case((record("x0001", ["e1", "e4", "e1"]),)))
+    cases.append(((record("x0001", ["e1", "e4", "e1"]),)))
     calls = {"is_available": 0, "fire_event": 0}
     # every binding replay could reach each function through
     bound = [(m, n) for m in (simulator, replay_module) for n in calls if hasattr(m, n)]
@@ -758,7 +734,7 @@ def test_a_memoised_leaf_replays_like_the_case_alone(
               "Main.poison": "p", "Main.got": None}
     model = buttons_model(tmp_path, {**handlers, "idle": []}, fields, **model_kwargs)
     words = [("go",), ("idle",), (first, "go"), (first, "idle")]
-    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
     suite = run_suite(model, cases)
     assert (suite.results, suite_coverage(suite)) == replayed_alone(model, cases)
     assert [suite.results[i].verdict for i in (0, 2)] == verdicts
@@ -768,7 +744,7 @@ def test_a_leaf_under_another_window_stack_fires_once(tmp_path, monkeypatch):
     handlers = {"open": [{"op": "open", "window": "Dlg"}], "go": LOG, "idle": []}
     model = buttons_model(tmp_path, handlers, {"Main.x": "v"}, dialog=True)
     words = [("go",), ("idle",), ("open", "go"), ("open", "idle")]
-    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
     fired = []
     for module in (simulator, replay_module):
         def counted(state, event, _fire=module.fire_event):
@@ -794,7 +770,7 @@ def test_call_leaf_and_restart_memos_share_one_dict_without_meeting(tmp_path, mo
     # the leaf hit's key went into the memo
     words = [("go", "idle"), ("idle", "go", "idle"), ("idle", "idle", "go"),
              ("idle",) * 3 + ("go",), ("go", "go", "idle")]
-    cases = [Case((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
+    cases = [((record(f"s{i:04d}", w),)) for i, w in enumerate(words)]
     fired, runs = [], []
 
     def counted_fire(state, event, _fire=replay_module.fire_event):
@@ -839,10 +815,10 @@ def drawn_cases(draw, model):
     for n, walk in enumerate(walks):
         cut = draw(st.integers(0, 3 * len(walk)))  # mostly past the end: one part
         parts = [walk[:cut], walk[cut:]] if 0 < cut < len(walk) else [walk]
-        cases.append(Case(tuple(
+        cases.append(tuple(
             record(f"p{n}.{k}", part, split_of=None if k == 0 else f"p{n}.0")
             for k, part in enumerate(parts)
-        )))
+        ))
     return cases
 
 
@@ -903,11 +879,11 @@ def test_report_lists_split_parts_and_break_positions(rachota_app, rachota_efg, 
     assert split["parts"] == ["s0007", "s0008"]
 
     broken = run_test_case(
-        rachota_app, Case((record("x0001", ["System settings", "OK2"]),)), Coverage()
+        rachota_app, ((record("x0001", ["System settings", "OK2"]),)), Coverage()
     )
     assert broken.verdict == "broken"
     bdoc = report_to_json(
-        run_suite(rachota_app, [Case((record("x0001", ["System settings", "OK2"]),))])
+        run_suite(rachota_app, [((record("x0001", ["System settings", "OK2"]),))])
     )
     assert bdoc["tests"][0]["brokenAt"] == 1
     assert bdoc["summary"]["broken"] == 1
@@ -937,7 +913,7 @@ def case_results(draw):
         )
     elif verdict == "broken":
         broken_at = draw(st.integers(min_value=0, max_value=99))
-    return CaseResult(case=Case(parts), verdict=verdict, crash=crash, broken_at=broken_at)
+    return CaseResult(case=parts, verdict=verdict, crash=crash, broken_at=broken_at)
 
 
 @given(
@@ -994,11 +970,11 @@ def test_saving_a_report_holds_a_small_part_of_its_text(tmp_path):
             parts += (record(f"p{i:05d}", events[:2], split_of=parts[0].id),)
         if i % 3 == 0:
             crash = CrashRecord(CRASH_NULL_DEREF, f"h:{events[i % 40]}/0", "event", i % 4)
-            results.append(CaseResult(Case(parts), "failed", crash=crash))
+            results.append(CaseResult(parts, "failed", crash=crash))
         elif i % 3 == 1:
-            results.append(CaseResult(Case(parts), "broken", broken_at=1))
+            results.append(CaseResult(parts, "broken", broken_at=1))
         else:
-            results.append(CaseResult(Case(parts), "passed"))
+            results.append(CaseResult(parts, "passed"))
     suite = SuiteResult("wide", tuple(results), 90, 12, frozenset(events), frozenset("ab"), frozenset())
     path = tmp_path / "report.json"
     tracemalloc.start()
