@@ -10,78 +10,25 @@ crash oracle and coverage accounting.
 
 from __future__ import annotations
 
-from .appmodel import AppModel, load_app_model
-from .generate import (
-    GenConfig,
-    PRESETS,
-    gen_abstract,
-    gen_blackbox,
-    generate_sequences,
-    load_sequences,
-    save_sequences,
-    to_executable,
-)
-from .graphs import (
-    Edg,
-    Efg,
-    GuiseqError,
-    export_dot,
-    is_executable,
-    load_graph,
-    save_graph,
-    shortest_path,
-    validate_efg,
-)
-from .programdb import (
-    ClassDb,
-    ProgramModel,
-    build_class_db,
-    build_edg,
-    derive_program_model,
-    load_program_model,
-)
-from .replay import group_test_cases, render_report_table, run_suite, save_report
-from .ripper import GuiStructure, build_efg_from_structure, rip
-from .simulator import available_events, fire_event, is_available, launch
+# Only the names the benchmark scripts read from the package itself stay
+# here; everything else is imported from its own module.
+from .appmodel import load_app_model
+from .generate import load_sequences
+from .graphs import load_graph
+from .programdb import build_class_db, load_program_model
+from .replay import group_test_cases, render_report_table
+from .simulator import available_events
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppModel",
-    "ClassDb",
-    "Edg",
-    "Efg",
-    "GenConfig",
-    "GuiStructure",
-    "GuiseqError",
-    "PRESETS",
-    "ProgramModel",
     "available_events",
     "build_class_db",
-    "build_edg",
-    "build_efg_from_structure",
-    "derive_program_model",
-    "export_dot",
-    "fire_event",
-    "gen_abstract",
-    "gen_blackbox",
-    "generate_sequences",
     "group_test_cases",
-    "is_available",
-    "is_executable",
-    "launch",
     "load_app_model",
     "load_graph",
     "load_program_model",
     "load_sequences",
     "render_report_table",
-    "rip",
-    "run_suite",
-    "save_graph",
-    "save_report",
-    "save_sequences",
-    "shortest_path",
-    "to_executable",
-    "validate_efg",
     "__version__",
 ]

@@ -64,20 +64,11 @@ __all__ = [
     "Widget",
     "WindowSpec",
     "AppModel",
-    "InvalidModelError",
     "load_app_model",
     "app_model_to_json",
 ]
 
 FieldValue = str | bool | None
-
-
-class InvalidModelError(GuiseqError):
-    """An application model failed validation."""
-
-    def __init__(self, violations: list[str]) -> None:
-        super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 class Condition(Value):
@@ -450,7 +441,7 @@ def _app_model_from_json(doc: dict, default_name: str) -> AppModel:
     )
     violations[:0] = validate_app_model(model)
     if violations:
-        raise InvalidModelError(violations)
+        raise GuiseqError("; ".join(violations))
     return model
 
 

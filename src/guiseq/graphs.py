@@ -43,8 +43,6 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "GuiseqError",
-    "UnknownEventError",
-    "InvalidGraphError",
     "Value",
     "Efg",
     "Edg",
@@ -59,18 +57,6 @@ __all__ = [
 
 class GuiseqError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class UnknownEventError(GuiseqError):
-    """An operation referenced an event id the graph does not declare."""
-
-
-class InvalidGraphError(GuiseqError):
-    """A graph failed validation where a valid graph is a precondition."""
-
-    def __init__(self, violations: Sequence[str]) -> None:
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 class Value(tuple):
@@ -150,7 +136,7 @@ class Efg(Value):
 
         One pass groups the edges by source; each source's targets are then
         sorted by the declaration index alone.  An edge with an undeclared
-        endpoint raises :class:`UnknownEventError`, naming the first such
+        endpoint raises :class:`GuiseqError`, naming the first such
         source in input order, else the first such target of the
         earliest-declared source.
         """
@@ -161,14 +147,14 @@ class Efg(Value):
             for src, dst in edges:
                 targets[src][dst] = None
         except KeyError:
-            raise UnknownEventError(f"edge ({src!r}, {dst!r}) references an undeclared event") from None
+            raise GuiseqError(f"edge ({src!r}, {dst!r}) references an undeclared event") from None
         ordered: list[tuple[str, str]] = []
         by_index = index.__getitem__
         for src in sorted(targets, key=by_index):  # declaration order, even if an id repeats
             try:
                 ordered += zip(repeat(src), sorted(targets[src], key=by_index))
             except KeyError as exc:
-                raise UnknownEventError(
+                raise GuiseqError(
                     f"edge ({src!r}, {exc.args[0]!r}) references an undeclared event"
                 ) from None
         return cls(events=ev, initials=tuple(initials), edges=tuple(ordered))
@@ -247,7 +233,7 @@ class Efg(Value):
 
     def require_event(self, event: str) -> None:
         if event not in self.decl_index:
-            raise UnknownEventError(f"event {event!r} is not declared in the graph")
+            raise GuiseqError(f"event {event!r} is not declared in the graph")
 
 
 class Edg(Value):
@@ -264,16 +250,16 @@ class Edg(Value):
         index = {e: i for i, e in enumerate(ev)}
         if len(index) < len(ev):
             repeated = [e for e, n in Counter(ev).items() if n > 1]
-            raise InvalidGraphError([f"duplicate event id {e!r}" for e in repeated])
+            raise GuiseqError("; ".join(f"duplicate event id {e!r}" for e in repeated))
         seen_pairs: set[tuple[str, str]] = set()
         ordered = list(edges)
         for src, weight, dst in ordered:
             if src not in index or dst not in index:
-                raise UnknownEventError(f"edge ({src!r}, {dst!r}) references an undeclared event")
+                raise GuiseqError(f"edge ({src!r}, {dst!r}) references an undeclared event")
             if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-                raise InvalidGraphError([f"edge ({src!r}, {dst!r}) has weight {weight!r}, not a positive integer"])
+                raise GuiseqError(f"edge ({src!r}, {dst!r}) has weight {weight!r}, not a positive integer")
             if (src, dst) in seen_pairs:
-                raise InvalidGraphError([f"duplicate dependency edge ({src!r}, {dst!r})"])
+                raise GuiseqError(f"duplicate dependency edge ({src!r}, {dst!r})")
             seen_pairs.add((src, dst))
         ordered.sort(key=lambda e: (index[e[0]], index[e[2]]))
         return cls(events=ev, edges=tuple(ordered))
@@ -491,9 +477,7 @@ def _parse_document(
     except (TypeError, AttributeError, ValueError, RecursionError) as exc:
         problem = f"malformed {kind}: {exc}"
     except GuiseqError as exc:
-        # Prefixed in place, so that a subclass such as InvalidModelError keeps its type.
-        exc.args = (f"{_where(path, lineno)}: {exc}",)
-        raise
+        problem = str(exc)
     raise GuiseqError(f"{_where(path, lineno)}: {problem}")
 
 
@@ -550,7 +534,7 @@ def _graph_from_json(doc: dict) -> Efg | Edg:
         _name_wrong_typed_edge(edges)
         raise  # unreached while _name_wrong_typed_edge raises; else `violations` is unbound
     if violations:
-        raise InvalidGraphError(violations)
+        raise GuiseqError("; ".join(violations))
     return g
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from guiseq.corpus import app_model, program_model
 from guiseq.programdb import build_class_db, build_edg
 from guiseq.ripper import build_efg_from_structure, rip
+
+# ``tests/mutants.py`` selects this profile: a property that kills a mutant
+# need only fail, and shrinking its counterexample costs most of the run.
+settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,12 @@ must pass: a test that fails on any copy (one that imports ``bench/``, which
 insists on the checkout's own ``src/``) kills nothing.  For each row it then
 copies ``src/`` to a temporary directory, applies the replacement there and
 runs the row's tests on the copy in a subprocess: the mutant is killed when
-they fail (pytest exit status 1).  It prints one line
-per row, ``killed`` or ``survived``, and exits 1 if a row survived, its text
-is missing or repeated, a node id is unknown, or the clean run failed.  A
+they fail (pytest exit status 1).  The subprocesses select the Hypothesis
+profile ``no-shrink`` of ``tests/conftest.py``: a property that kills a
+mutant need only fail, and shrinking its counterexample would take most of
+the run.  It prints one line per row, ``killed`` or ``survived`` with the
+row's wall time, and exits 1 if a row survived, its text is missing or
+repeated, a node id is unknown, or the clean run failed.  A
 survivor is a finding: its row stays, and a test that kills it is added.
 Standard library only, like ``tests/line_coverage.py``.
 """
@@ -26,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -231,6 +235,12 @@ MUTANTS = (
         (T_GRAPHS + "test_a_later_byte_that_is_not_utf8_wins_over_a_malformed_line_1",),
     ),
     Mutant(
+        "parse-error-loses-its-file", GRAPHS,
+        "        problem = str(exc)\n", "        raise\n",
+        (T_CLI + "test_malformed_input_exits_2_naming_the_file",
+         T_GRAPHS + "test_load_graph_rejects_bad_documents"),
+    ),
+    Mutant(
         "bad-byte-offset-from-the-decoders-end", GRAPHS,
         "f.buffer.tell() - len(exc.object)", "f.buffer.tell()",
         (T_GRAPHS + "test_both_readers_name_a_bad_bytes_offset_as_bytes_decode_does[default]",
@@ -271,7 +281,7 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> int:
     in this process's children too."""
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "-o", f"pythonpath={src}", *tests]
+               "--hypothesis-profile=no-shrink", "-o", f"pythonpath={src}", *tests]
     return subprocess.run(
         command, cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -299,11 +309,13 @@ def main() -> int:
             shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
             target = copy / m.path
             target.write_text(target.read_text().replace(m.text, m.replacement))
+            start = time.perf_counter()
             status = run_tests(copy, m.tests)
+            seconds = f"{time.perf_counter() - start:.1f} s"
             if status == 1:
-                print(f"killed: {m.name}")
+                print(f"killed: {m.name} ({seconds})")
             else:
-                print(f"survived: {m.name} (pytest exit status {status})")
+                print(f"survived: {m.name} (pytest exit status {status}, {seconds})")
                 survived += 1
             shutil.rmtree(copy)
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutant(s) killed")

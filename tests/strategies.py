@@ -135,15 +135,21 @@ def app_models(draw, max_windows: int = 3, depth: int = 2, cycles: bool = False)
     and closed by its own last widget.  A method calls only earlier methods,
     so replay ends, unless ``cycles`` lets it call any method.
 
-    Two shapes come more often than the ops' weights alone would draw them.
+    Three shapes come more often than the ops' weights alone would draw them.
     About half the handlers end by disabling a widget of another window, or
     of their own if there is one window: an event whose availability a
     sibling probe reads.  A write-free method ``pure``, drawn from
     :data:`WRITE_FREE_OPS`, is called by about half the handlers and any
-    method may call it, so walks repeat its calls.  Every handler ends
-    by writing ``"a"`` or ``"b"`` to the setting the launch block reads, so
-    that cases leave it set to different values, on one of which a restart
-    may crash."""
+    method may call it, so walks repeat its calls.  About one handler in
+    eight ends by dereferencing a field, which may crash: a read that often
+    no other statement of the handler makes, so that a walk shows a read
+    note dropped from it.
+
+    About half the handlers, and at least one, write ``"a"`` or ``"b"`` to
+    the setting the launch block reads, so that cases leave it set to
+    different values, on one of which a restart may crash; the others make
+    no read of the setting's field that would hide a read note dropped on
+    it."""
     fields = {f"F.x{i}": draw(field_values) for i in range(draw(st.integers(1, 4)))}
     windows = []
     for i in range(draw(st.integers(1, max_windows))):
@@ -186,7 +192,11 @@ def app_models(draw, max_windows: int = 3, depth: int = 2, cycles: bool = False)
     on_launch = (ReadSetting("k0", setting_field),)
     if draw(st.booleans()):
         on_launch += (If(Condition("equals", setting_field, "a"), (ThrowArrayOob(),)),)
+    writer = draw(st.sampled_from(list(handlers)))
     for event in handlers:
-        value = draw(st.sampled_from(["a", "b"]))
-        handlers[event] += (SetField(setting_field, value), WriteSetting("k0", setting_field))
+        if event == writer or draw(st.booleans()):
+            value = draw(st.sampled_from(["a", "b"]))
+            handlers[event] += (SetField(setting_field, value), WriteSetting("k0", setting_field))
+        if draw(st.integers(0, 7)) == 0:
+            handlers[event] += (Deref(draw(st.sampled_from(names["fields"]))),)
     return AppModel("drawn", tuple(windows), fields, handlers, bodies, on_launch)

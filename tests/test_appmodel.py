@@ -25,7 +25,6 @@ from guiseq.appmodel import (
     Deref,
     ExitApp,
     If,
-    InvalidModelError,
     Log,
     OpenWindow,
     ReadField,
@@ -449,9 +448,9 @@ def test_load_reports_the_violations_of_a_walk_in_its_order(tmp_path_factory, na
         path.write_text(json.dumps(app_model_to_json(model)))
         expected = walked_violations(model)
         if expected:
-            with pytest.raises(InvalidModelError) as exc:
+            with pytest.raises(GuiseqError) as exc:
                 load_app_model(path)
-            assert exc.value.violations == expected
+            assert str(exc.value) == f"{path}: " + "; ".join(expected)
         else:
             assert load_app_model(path) == model
 

@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves, so that
 ``from module import *`` works and no moved function lingers there; every
 ``guiseq`` name the benchmark scripts import or trace resolves too, read
-from their source without running them; the one import inside a function
+from their source without running them, and the package itself lists no
+name they do not read from it; the one import inside a function
 of ``src/guiseq`` is the one that breaks an import cycle; and the
 benchmark's tracer reads what a traced pipeline's stages return."""
 
@@ -95,6 +96,14 @@ def test_every_name_the_bench_reads_resolves():
         if not resolves(module, name)
     ]
     assert missing == []
+
+
+def test_the_package_exports_only_what_the_bench_reads_from_it():
+    # submodules such as ``corpus`` are no exports; the bench's tracer test
+    # patches ``guiseq.available_events`` through the package
+    submodules = {info.name for info in pkgutil.iter_modules(guiseq.__path__)}
+    expected = bench_names()["guiseq"] - submodules | {"available_events", "__version__"}
+    assert set(guiseq.__all__) == expected
 
 
 def test_the_tracer_reads_every_stage_of_a_pipeline(tmp_path, monkeypatch, capsys):

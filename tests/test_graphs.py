@@ -18,8 +18,6 @@ from guiseq.graphs import (
     Edg,
     Efg,
     GuiseqError,
-    InvalidGraphError,
-    UnknownEventError,
     export_dot,
     is_executable,
     load_graph,
@@ -109,7 +107,7 @@ def test_shortest_path_result_is_a_fresh_list():
 
 
 def test_shortest_path_rejects_unknown_events():
-    with pytest.raises(UnknownEventError):
+    with pytest.raises(GuiseqError, match=r"^event 'nope' is not declared in the graph$"):
         shortest_path(DEMO, "e1", "nope")
 
 
@@ -119,7 +117,7 @@ def test_is_executable():
     assert not is_executable(DEMO, [])  # empty is not a test
     assert not is_executable(DEMO, ["e4"])  # not initial
     assert not is_executable(DEMO, ["e1", "e4"])  # no such edge
-    with pytest.raises(UnknownEventError):
+    with pytest.raises(GuiseqError, match=r"^event 'e9' is not declared in the graph$"):
         is_executable(DEMO, ["e9"])
 
 
@@ -155,18 +153,18 @@ def test_validate_efg_wants_initials():
     ids=["undeclared-source", "undeclared-target"],
 )
 def test_efg_construction_rejects_an_undeclared_endpoint(edges, message):
-    with pytest.raises(UnknownEventError, match=rf"^{re.escape(message)} references an undeclared event$"):
+    with pytest.raises(GuiseqError, match=rf"^{re.escape(message)} references an undeclared event$"):
         Efg.of(["a", "b"], ["a"], edges)
 
 
 def test_edg_construction_rejects_bad_edges():
-    with pytest.raises(UnknownEventError):
+    with pytest.raises(GuiseqError, match=r"^edge \('a', 'b'\) references an undeclared event$"):
         Edg.of(["a"], [("a", 1, "b")])
-    with pytest.raises(InvalidGraphError):
+    with pytest.raises(GuiseqError, match=r"^edge \('a', 'b'\) has weight 0, not a positive integer$"):
         Edg.of(["a", "b"], [("a", 0, "b")])
-    with pytest.raises(InvalidGraphError, match="weight True"):
+    with pytest.raises(GuiseqError, match="weight True"):
         Edg.of(["a", "b"], [("a", True, "b")])
-    with pytest.raises(InvalidGraphError):
+    with pytest.raises(GuiseqError, match=r"^duplicate dependency edge \('a', 'b'\)$"):
         Edg.of(["a", "b"], [("a", 1, "b"), ("a", 2, "b")])
 
 
@@ -178,23 +176,23 @@ def test_edg_construction_reads_an_iterator_of_edges_once():
 
 
 @pytest.mark.parametrize(
-    ("edges", "error", "message"),
+    ("edges", "message"),
     [
-        ([("a", 1, "x")], UnknownEventError, "edge ('a', 'x') references an undeclared event"),
-        ([("a", 0, "b")], InvalidGraphError, "edge ('a', 'b') has weight 0, not a positive integer"),
-        ([("a", 1, "b"), ("a", 2, "b")], InvalidGraphError, "duplicate dependency edge ('a', 'b')"),
+        ([("a", 1, "x")], "edge ('a', 'x') references an undeclared event"),
+        ([("a", 0, "b")], "edge ('a', 'b') has weight 0, not a positive integer"),
+        ([("a", 1, "b"), ("a", 2, "b")], "duplicate dependency edge ('a', 'b')"),
     ],
     ids=["undeclared-event", "weight-zero", "duplicate-edge"],
 )
-def test_edg_construction_rejects_an_iterator_of_bad_edges_alike(edges, error, message):
+def test_edg_construction_rejects_an_iterator_of_bad_edges_alike(edges, message):
     for source in (iter(edges), list(edges)):
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        with pytest.raises(GuiseqError, match=f"^{re.escape(message)}$"):
             Edg.of(["a", "b"], source)
 
 
 def test_edg_construction_rejects_a_repeated_event_id():
     for events in (["a", "b", "a"], iter(["a", "b", "a"])):
-        with pytest.raises(InvalidGraphError, match=r"^duplicate event id 'a'$"):
+        with pytest.raises(GuiseqError, match=r"^duplicate event id 'a'$"):
             Edg.of(events, [("a", 1, "b")])
 
 

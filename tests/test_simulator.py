@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guiseq import corpus
-from guiseq.appmodel import _OPS, If, InvalidModelError, load_app_model
+from guiseq.appmodel import _OPS, If, load_app_model
 from guiseq.graphs import GuiseqError
 from guiseq.programdb import HANDLERS, derive_program_model
 from guiseq.simulator import (
@@ -762,7 +762,7 @@ def test_load_rejects_invalid_models(tmp_path):
         "methods": {},
     }
     p.write_text(json.dumps(doc))
-    with pytest.raises(InvalidModelError, match="exactly one main window"):
+    with pytest.raises(GuiseqError, match="exactly one main window"):
         load_app_model(p)
 
     doc["windows"] = [
@@ -780,10 +780,10 @@ def test_load_rejects_invalid_models(tmp_path):
 
     doc["handlers"] = {"e": [{"op": "set", "field": "A.ghost", "value": "x"}]}
     p.write_text(json.dumps(doc))
-    with pytest.raises(InvalidModelError, match="undeclared field 'A.ghost'"):
+    with pytest.raises(GuiseqError, match="undeclared field 'A.ghost'"):
         load_app_model(p)
 
     doc["handlers"] = {}
     p.write_text(json.dumps(doc))
-    with pytest.raises(InvalidModelError, match="event 'e' has no handler"):
+    with pytest.raises(GuiseqError, match="event 'e' has no handler"):
         load_app_model(p)
