@@ -258,9 +258,11 @@ def generate_sequences(
     config: GenConfig, efg: Efg, edg: Edg | None = None
 ) -> GenerationResult:
     """Run a generator configuration and number the resulting records.
-    Each record is built by ``tuple.__new__`` with all six fields."""
+    Each record is built by ``tuple.__new__`` with all six fields, and its id
+    by ``%``-formatting, which parses no format spec per record."""
     if config.top is not None and config.top < 1:
         raise GuiseqError(f"per-event sequence budget must be positive, got {config.top}")
+    new = tuple.__new__
     records: list[SequenceRecord] = []
     diagnostics: list[str] = []
     if config.mode == "blackbox":
@@ -271,7 +273,7 @@ def generate_sequences(
                 "no sequence can exercise it"
             )
         records = [
-            tuple.__new__(SequenceRecord, (f"s{n:04d}", events, targets, "blackbox", None, None))
+            new(SequenceRecord, ("s%04d" % n, events, targets, "blackbox", None, None))
             for n, (events, targets) in enumerate(sequences, 1)
         ]
     elif config.mode == "greybox":
@@ -283,8 +285,8 @@ def generate_sequences(
         for abstract, parts in conversions:
             root_id: str | None = None
             for events, targets in parts:
-                rid = f"s{len(records) + 1:04d}"
-                records.append(tuple.__new__(SequenceRecord, (
+                rid = "s%04d" % (len(records) + 1)
+                records.append(new(SequenceRecord, (
                     rid, events, targets, "greybox", abstract, root_id
                 )))
                 if root_id is None:
@@ -303,25 +305,29 @@ def save_sequences(records: Iterable[SequenceRecord], path: Path | str) -> None:
     """Write one record per line, each line the bytes of ``json.dumps`` with
     sorted keys and no spaces (keys ``abstract`` when set, ``events``, ``id``,
     ``origin``, ``schemaVersion``, ``splitOf`` when set, ``targets``).  Lines
-    are rendered directly, each event quoted once and each distinct targets
-    tuple rendered once, and written one by one, so the whole file's text is
-    never held at once."""
+    are rendered directly, each event quoted once, and each distinct
+    ``(origin, targets)`` pair rendered once as the text before ``splitOf``
+    and the text after it, so that cache grows with the distinct pairs, not
+    with the records.  Lines are written one by one, so the whole file's text
+    is never held at once."""
     quoted = QuotedStrings()
-    targets_text = cache(lambda targets: ",".join(map(str, targets)))
+    quote = quoted.__getitem__
+    tails: dict[tuple, tuple[str, str]] = {}
     with open(path, "w", encoding="utf-8") as out:
-        for r in records:
+        for rid, events, targets, origin, abstract, split_of in records:
+            if (tail := tails.get((origin, targets))) is None:
+                tail = tails[origin, targets] = (
+                    f',"origin":{quote(origin)},"schemaVersion":{SCHEMA_VERSION}',
+                    f',"targets":[{",".join(map(str, targets))}]}}\n',
+                )
+            head, end = tail
             abstract = (
-                "" if r.abstract is None
-                else '"abstract":[' + ",".join(map(quoted.__getitem__, r.abstract)) + "],"
+                "" if abstract is None else '"abstract":[' + ",".join(map(quote, abstract)) + "],"
             )
-            split_of = (
-                "" if r.split_of is None else ',"splitOf":' + encode_basestring_ascii(r.split_of)
-            )
+            split_of = "" if split_of is None else ',"splitOf":' + encode_basestring_ascii(split_of)
             out.write(
-                f'{{{abstract}"events":[{",".join(map(quoted.__getitem__, r.events))}],'
-                f'"id":{encode_basestring_ascii(r.id)},"origin":{quoted[r.origin]},'
-                f'"schemaVersion":{SCHEMA_VERSION}{split_of},'
-                f'"targets":[{targets_text(r.targets)}]}}\n'
+                f'{{{abstract}"events":[{",".join(map(quote, events))}],'
+                f'"id":{encode_basestring_ascii(rid)}{head}{split_of}{end}'
             )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "ProgramClass",
     "ProgramModel",
     "ClassDb",
-    "UnboundEventError",
     "build_class_db",
     "build_edg",
     "call_closure",
@@ -41,10 +40,6 @@ __all__ = [
     "load_program_model",
     "program_model_to_json",
 ]
-
-
-class UnboundEventError(GuiseqError):
-    """An event has no handler binding in the program model."""
 
 
 class ProgramMethod(Value):
@@ -81,7 +76,7 @@ class ClassDb(Value):
         try:
             root = self.model.bindings[event]
         except KeyError:
-            raise UnboundEventError(f"event {event!r} has no handler binding") from None
+            raise GuiseqError(f"event {event!r} has no handler binding") from None
         if root not in self.methods:
             raise GuiseqError(f"event {event!r} is bound to unknown method {root!r}")
         methods = self.methods  # build_class_db checked every callee
@@ -145,9 +140,9 @@ def build_edg(db: ClassDb, efg: Efg) -> tuple[Edg, list[str]]:
     writes: dict[str, frozenset[str]] = {}
     reads: dict[str, frozenset[str]] = {}
     for e in efg.events:
-        try:
+        if e in db.model.bindings:
             reads[e], writes[e] = db.effects(e)
-        except UnboundEventError:
+        else:
             warnings.append(f"event {e!r} has no handler binding; dependencies unknown")
     written = frozenset().union(*writes.values())
     readers: dict[str, list[str]] = {}

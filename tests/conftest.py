@@ -9,7 +9,14 @@ from guiseq.ripper import build_efg_from_structure, rip
 
 # ``tests/mutants.py`` selects this profile: a property that kills a mutant
 # need only fail, and shrinking its counterexample costs most of the run.
-settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
+# Its draws are fixed and it reads and writes no example database, so every
+# run draws the same examples and a row's verdict does not hang on earlier runs.
+settings.register_profile(
+    "no-shrink",
+    phases=[p for p in Phase if p is not Phase.shrink],
+    database=None,
+    derandomize=True,
+)
 
 
 @pytest.fixture(scope="session")

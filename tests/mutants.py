@@ -48,8 +48,10 @@ class Mutant(NamedTuple):
 SIM, REPLAY, GRAPHS = "guiseq/simulator.py", "guiseq/replay.py", "guiseq/graphs.py"
 T_SIM, T_REPLAY = "tests/test_simulator.py::", "tests/test_replay.py::"
 T_CLI, T_GRAPHS = "tests/test_cli.py::", "tests/test_graphs.py::"
-T_VALUES = "tests/test_values.py::"
+T_VALUES, T_GENERATE = "tests/test_values.py::", "tests/test_generate.py::"
 LEAF = T_REPLAY + "test_a_memoised_leaf_replays_like_the_case_alone"
+WRITTEN = (T_GENERATE + "test_records_with_equal_targets_are_each_written_as_their_json_document",
+           T_GENERATE + "test_each_written_line_is_the_records_json_document")
 WALKED = ("tests/test_programdb.py::"
           "test_drawn_handlers_touch_only_noted_fields_and_each_flow_is_an_edg_edge")
 
@@ -194,8 +196,19 @@ MUTANTS = (
     ),
     Mutant(
         "sequence-ids-written-reversed", "guiseq/generate.py",
-        '"id":{encode_basestring_ascii(r.id)}', '"id":{encode_basestring_ascii(r.id[::-1])}',
+        '"id":{encode_basestring_ascii(rid)}', '"id":{encode_basestring_ascii(rid[::-1])}',
         (T_REPLAY + "test_written_files_are_the_oracles_bytes_on_the_corpus",),
+    ),
+    Mutant(
+        "line-tail-cached-by-targets-alone", "guiseq/generate.py",
+        "tails.get((origin, targets))) is None:\n                tail = tails[origin, targets]",
+        "tails.get(targets)) is None:\n                tail = tails[targets]",
+        WRITTEN,
+    ),
+    Mutant(
+        "split-of-written-after-the-targets", "guiseq/generate.py",
+        "{head}{split_of}{end}", "{head}{end[:-2]}{split_of}}}\\n",
+        WRITTEN,
     ),
     Mutant(
         "targets-shared-before-they-are-typed", "guiseq/generate.py",
@@ -207,7 +220,7 @@ MUTANTS = (
     Mutant(
         "loader-interns-nothing", "guiseq/generate.py",
         "map(intern, items)", "map(str, items)",
-        ("tests/test_generate.py::test_loaded_records_share_one_string_per_event",),
+        (T_GENERATE + "test_loaded_records_share_one_string_per_event",),
     ),
     Mutant(
         "sequence-record-without-slots", "guiseq/generate.py",
@@ -217,7 +230,7 @@ MUTANTS = (
     Mutant(
         "to-executable-shares-no-targets", "guiseq/generate.py",
         "share(t := tuple(targets), t)", "tuple(targets)",
-        ("tests/test_generate.py::test_to_executable_shares_equal_targets_across_parts",),
+        (T_GENERATE + "test_to_executable_shares_equal_targets_across_parts",),
     ),
     Mutant(
         "replay-check-passes-unknown-events", "guiseq/cli.py",

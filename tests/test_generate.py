@@ -360,6 +360,21 @@ def test_unknown_mode_is_rejected(example_efg):
         generate_sequences(GenConfig("magic", 1), example_efg)
 
 
+def test_ids_grow_past_four_digits_and_each_line_is_the_records_json_document(tmp_path):
+    # A complete flow graph of 22 initial events has 22**3 paths of length 3.
+    events = [f"e{i}" for i in range(22)]
+    g = Efg.of(events, events, [(a, b) for a in events for b in events])
+    records = generate_sequences(PRESETS["C"], g).records
+    assert len(records) == 10_648
+    assert [r.id for r in records[9_997:10_001]] == ["s9998", "s9999", "s10000", "s10001"]
+    assert [r.id for r in records] == [f"s{n:04d}" for n in range(1, 10_649)]
+    path = tmp_path / "suite.jsonl"
+    save_sequences(records, path)
+    assert path.read_text(encoding="utf-8").split("\n") == [
+        json.dumps(oracle_record(r), sort_keys=True, separators=(",", ":")) for r in records
+    ] + [""]
+
+
 def test_sequence_file_round_trip(tmp_path, rachota_efg, rachota_edg):
     result = generate_sequences(PRESETS["D"], rachota_efg, rachota_edg)
     p = tmp_path / "suite.jsonl"

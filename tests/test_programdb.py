@@ -14,7 +14,6 @@ from guiseq.programdb import (
     ProgramClass,
     ProgramMethod,
     ProgramModel,
-    UnboundEventError,
     build_class_db,
     build_edg,
     call_closure,
@@ -96,7 +95,7 @@ def test_build_class_db_rejects_broken_models():
 def test_unbound_event_raises_but_edg_only_warns():
     m = model_of(["a"], [("m", ["a"], ["a"], [])], {"e1": "C.m"})
     db = build_class_db(m)
-    with pytest.raises(UnboundEventError):
+    with pytest.raises(GuiseqError, match="has no handler binding"):
         db.effects("e2")
 
     g = Efg.of(["e1", "e2"], ["e1"], [("e1", "e2")])
